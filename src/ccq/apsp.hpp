@@ -28,8 +28,8 @@
 //   net/      networked serving: length-prefixed framed protocol
 //             (net/protocol.hpp, spec in docs/PROTOCOL.md), TCP/stdio
 //             transports (net/socket.hpp), the multiplexing Server
-//             (net/server.hpp; thread-per-connection or the epoll
-//             event loop of net/epoll_server.hpp) and the pipelining
+//             (net/server.hpp; shared-nothing epoll event loops of
+//             net/epoll_server.hpp) and the pipelining
 //             Client/ClientPool library (net/client.hpp), fronted by
 //             tools/ccq_served.cpp + tools/ccq_client.cpp
 //   obs/      observability: lock-free metrics + Prometheus registry

@@ -1,5 +1,3 @@
-#ifdef __linux__
-
 #include "ccq/net/epoll_server.hpp"
 
 #include <sys/epoll.h>
@@ -8,21 +6,25 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "ccq/common/check.hpp"
-#include "ccq/common/parallel.hpp"
 #include "ccq/net/server.hpp"
 #include "ccq/obs/log.hpp"
 
 namespace ccq {
 namespace {
 
-// epoll_event.data.u64 identities below the first connection id.
-constexpr std::uint64_t kListenerId = 0;
-constexpr std::uint64_t kWakeupId = 1;
+// epoll_event.data.u64 identities no connection id reaches (connection
+// ids count up from 1).
+constexpr std::uint64_t kListenerId = ~std::uint64_t{0};
+constexpr std::uint64_t kWakeupId = kListenerId - 1;
+constexpr std::uint64_t kHandoffId = kListenerId - 2;
+/// Every loop watches the shared listener; EPOLLEXCLUSIVE wakes one of
+/// them per incoming connection instead of the whole herd.
+constexpr std::uint32_t kListenerEvents = EPOLLIN | EPOLLEXCLUSIVE;
 
 constexpr auto kListenerBackoff = std::chrono::milliseconds(50);
 constexpr auto kDrainTimeout = std::chrono::seconds(5);
@@ -55,31 +57,39 @@ void epoll_apply(int epoll_fd, int op, int fd, std::uint32_t events, std::uint64
 
 } // namespace
 
-EpollLoop::EpollLoop(Server& server) : server_(server)
+EpollLoop::EpollLoop(Server& server, int index)
+    : server_(server),
+      dealt_(&server.registry_.counter("ccq_loop_connections_total",
+                                          "Connections dealt to each event loop.",
+                                          {{"loop", std::to_string(index)}}))
 {
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd_ < 0) throw net_error(errno_text("epoll_create1"));
-    // The wakeup eventfd is owned by the Server (created in run_epoll,
+    // The stop eventfd is owned by the Server (created in Server::run,
     // closed in ~Server), not by the loop: request_stop() may write it
     // from any thread or signal handler at any point in the Server's
     // lifetime, so closing it here would race those writes.
     wakeup_fd_ = server_.loop_wakeup_fd_.load(std::memory_order_acquire);
     CCQ_EXPECT(wakeup_fd_ >= 0, "EpollLoop: server did not create the wakeup eventfd");
+    handoff_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (handoff_fd_ < 0) {
+        const std::string text = errno_text("eventfd");
+        ::close(epoll_fd_);
+        throw net_error(text);
+    }
 }
 
 EpollLoop::~EpollLoop()
 {
-    // run() joins the workers on every path; this is the constructor-
-    // failure / never-ran backstop.
-    {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        workers_stop_ = true;
-    }
-    queue_cv_.notify_all();
-    for (std::thread& worker : workers_)
-        if (worker.joinable()) worker.join();
     for (auto& [id, conn] : conns_)
         if (conn->fd >= 0) ::close(conn->fd);
+    // Connections handed over after this loop had returned from run():
+    // every loop has joined by now, so nothing races these.
+    for (const auto& [fd, id] : handed_) {
+        ::close(fd);
+        server_.active_connections_.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    ::close(handoff_fd_);
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
@@ -87,100 +97,68 @@ void EpollLoop::run()
 {
     CCQ_EXPECT(server_.listener_.has_value(), "EpollLoop::run: server is not listening");
     listener_fd_ = server_.listener_->native_handle();
-    server_.listener_->set_nonblocking(true);
-    epoll_apply(epoll_fd_, EPOLL_CTL_ADD, listener_fd_, EPOLLIN, kListenerId);
+    epoll_apply(epoll_fd_, EPOLL_CTL_ADD, listener_fd_, kListenerEvents, kListenerId);
     listener_armed_ = true;
     epoll_apply(epoll_fd_, EPOLL_CTL_ADD, wakeup_fd_, EPOLLIN, kWakeupId);
+    epoll_apply(epoll_fd_, EPOLL_CTL_ADD, handoff_fd_, EPOLLIN, kHandoffId);
 
-    const int worker_count = resolved_thread_count(server_.config_.workers);
-    workers_.reserve(static_cast<std::size_t>(worker_count));
-    for (int i = 0; i < worker_count; ++i)
-        workers_.emplace_back([this] { worker_loop(); });
-
-    // The wakeup fd was published by run_epoll() before this loop was
-    // constructed; re-check the stop flag because a request_stop() that
-    // ran before the publish could not have written the eventfd.  (A
-    // leftover count from an earlier run is just one spurious wakeup.)
+    // The stop eventfd was published by Server::run() before this loop
+    // was constructed; re-check the stop flag because a request_stop()
+    // that ran before the publish could not have written the eventfd.
     if (server_.stopping()) begin_drain();
 
-    try {
-        epoll_event events[128];
-        while (!(draining_ && conns_.empty())) {
-            int timeout = -1;
-            if (draining_)
-                timeout = timeout_ms_until(drain_deadline_);
-            else if (!listener_armed_)
-                timeout = timeout_ms_until(listener_rearm_at_);
+    epoll_event events[128];
+    while (!(draining_ && conns_.empty())) {
+        int timeout = -1;
+        if (draining_)
+            timeout = timeout_ms_until(drain_deadline_);
+        else if (!listener_armed_)
+            timeout = timeout_ms_until(listener_rearm_at_);
 
-            const int ready =
-                ::epoll_wait(epoll_fd_, events, static_cast<int>(sizeof(events) / sizeof(events[0])), timeout);
-            if (ready < 0) {
-                if (errno == EINTR) continue;
-                throw net_error(errno_text("epoll_wait"));
-            }
-            for (int i = 0; i < ready; ++i) {
-                const std::uint64_t id = events[i].data.u64;
-                const std::uint32_t what = events[i].events;
-                if (id == kWakeupId) {
-                    std::uint64_t drained = 0;
-                    while (::read(wakeup_fd_, &drained, sizeof(drained)) > 0) {
-                    }
-                    apply_completions();
-                } else if (id == kListenerId) {
-                    accept_ready();
-                } else {
-                    // Re-look up per event: an earlier event in this very
-                    // batch (a completion, a listener error) may have
-                    // closed this connection already.
-                    const auto it = conns_.find(id);
-                    if (it == conns_.end()) continue;
-                    Conn& conn = *it->second;
-                    if ((what & (EPOLLERR | EPOLLHUP)) != 0)
-                        conn.broken = true;
-                    else if ((what & (EPOLLIN | EPOLLRDHUP)) != 0)
-                        conn_readable(conn);
-                    update_conn(conn);
-                }
-            }
-
-            if (server_.stopping() && !draining_) begin_drain();
-            if (!draining_ && !listener_armed_ &&
-                std::chrono::steady_clock::now() >= listener_rearm_at_) {
-                epoll_apply(epoll_fd_, EPOLL_CTL_ADD, listener_fd_, EPOLLIN, kListenerId);
-                listener_armed_ = true;
-            }
-            if (draining_ && !conns_.empty() &&
-                std::chrono::steady_clock::now() >= drain_deadline_) {
-                // Drain timeout: whoever has not taken their reply by now
-                // is not going to.
-                std::vector<std::uint64_t> ids;
-                ids.reserve(conns_.size());
-                for (const auto& [conn_id, conn] : conns_) ids.push_back(conn_id);
-                for (const std::uint64_t conn_id : ids) {
-                    const auto it = conns_.find(conn_id);
-                    if (it != conns_.end()) close_conn(*it->second);
-                }
-            }
+        const int ready =
+            ::epoll_wait(epoll_fd_, events, static_cast<int>(sizeof(events) / sizeof(events[0])), timeout);
+        if (ready < 0) {
+            if (errno == EINTR) continue;
+            throw net_error(errno_text("epoll_wait"));
         }
-    } catch (...) {
-        server_.request_stop();
-        {
-            std::lock_guard<std::mutex> lock(queue_mutex_);
-            workers_stop_ = true;
+        for (int i = 0; i < ready; ++i) {
+            const std::uint64_t id = events[i].data.u64;
+            const std::uint32_t what = events[i].events;
+            if (id == kWakeupId) continue; // stop: handled after the batch
+            if (id == kHandoffId) {
+                adopt_handed();
+                continue;
+            }
+            if (id == kListenerId) {
+                accept_ready();
+                continue;
+            }
+            // Re-look up per event: an earlier event in this very batch
+            // (a listener error, a drain) may have closed this
+            // connection already.
+            const auto it = conns_.find(id);
+            if (it == conns_.end()) continue;
+            Conn& conn = *it->second;
+            if ((what & (EPOLLERR | EPOLLHUP)) != 0)
+                conn.broken = true;
+            else if ((what & (EPOLLIN | EPOLLRDHUP)) != 0)
+                conn_readable(conn);
+            update_conn(conn);
         }
-        queue_cv_.notify_all();
-        for (std::thread& worker : workers_)
-            if (worker.joinable()) worker.join();
-        throw;
-    }
 
-    {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        workers_stop_ = true;
+        if (server_.stopping() && !draining_) begin_drain();
+        if (!draining_ && !listener_armed_ &&
+            std::chrono::steady_clock::now() >= listener_rearm_at_) {
+            epoll_apply(epoll_fd_, EPOLL_CTL_ADD, listener_fd_, kListenerEvents, kListenerId);
+            listener_armed_ = true;
+        }
+        if (draining_ && !conns_.empty() &&
+            std::chrono::steady_clock::now() >= drain_deadline_) {
+            // Drain timeout: whoever has not taken their reply by now
+            // is not going to.
+            while (!conns_.empty()) close_conn(*conns_.begin()->second);
+        }
     }
-    queue_cv_.notify_all();
-    for (std::thread& worker : workers_)
-        if (worker.joinable()) worker.join();
 }
 
 void EpollLoop::begin_drain()
@@ -192,9 +170,12 @@ void EpollLoop::begin_drain()
         epoll_apply(epoll_fd_, EPOLL_CTL_DEL, listener_fd_, 0, kListenerId);
         listener_armed_ = false;
     }
+    // Nobody reads the stop eventfd, so it stays readable for every
+    // loop; this one has seen it and stops watching.
+    epoll_apply(epoll_fd_, EPOLL_CTL_DEL, wakeup_fd_, 0, kWakeupId);
     // Stop reading everywhere; already-buffered complete frames still get
-    // dispatched (and answered `shutting_down` by process_frame), queued
-    // replies still flush.  update_conn closes whoever is already idle.
+    // answered (`shutting_down`, by process_frame), queued replies still
+    // flush.  update_conn closes whoever is already idle.
     std::vector<std::uint64_t> ids;
     ids.reserve(conns_.size());
     for (const auto& [conn_id, conn] : conns_) ids.push_back(conn_id);
@@ -210,6 +191,8 @@ void EpollLoop::accept_ready()
         const int fd = ::accept4(listener_fd_, nullptr, nullptr,
                                  SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) {
+            // EAGAIN is also how a loop loses the race for a connection
+            // another loop accepted first.
             if (errno == EAGAIN || errno == EWOULDBLOCK) return;
             if (errno == EINTR || errno == ECONNABORTED) continue;
             if (errno == EMFILE || errno == ENFILE) {
@@ -226,28 +209,70 @@ void EpollLoop::accept_ready()
             throw net_error(errno_text("accept4"));
         }
         TcpStream stream(fd); // owns fd, sets TCP_NODELAY
-        if (server_.config_.max_connections > 0 &&
-            conns_.size() >= static_cast<std::size_t>(server_.config_.max_connections)) {
+        // Reserve the slot server-wide before registering, so the limit
+        // is exact however many loops accept at once.
+        const std::uint64_t live =
+            server_.active_connections_.fetch_add(1, std::memory_order_acq_rel) + 1;
+        const int limit = server_.config_.max_connections;
+        if (limit > 0 && live > static_cast<std::uint64_t>(limit)) {
+            server_.active_connections_.fetch_sub(1, std::memory_order_acq_rel);
             // Fresh socket, empty send buffer: the busy frame fits
             // without blocking even though the fd is nonblocking.
             server_.shed_connection(stream);
             continue; // stream destruction closes the shed socket
         }
-        server_.connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-        server_.active_connections_.fetch_add(1, std::memory_order_relaxed);
-        auto conn = std::make_unique<Conn>();
-        conn->fd = stream.release_fd(); // the Conn owns the fd from here on
-        conn->id = next_conn_id_++;
-        conn->armed_events = EPOLLIN | EPOLLRDHUP;
-        epoll_apply(epoll_fd_, EPOLL_CTL_ADD, fd, conn->armed_events, conn->id);
-        server_.note_conn_opened(conn->id);
-        conns_.emplace(conn->id, std::move(conn));
+        // Deal connections round-robin in accept order, whichever loop
+        // won the accept: a burst of connects that one loop drains from
+        // the backlog still spreads over every loop.
+        const std::uint64_t id =
+            server_.connections_accepted_.fetch_add(1, std::memory_order_relaxed) + 1;
+        EpollLoop& owner = *server_.loops_[(id - 1) % server_.loops_.size()];
+        if (&owner == this)
+            adopt_conn(stream.release_fd(), id);
+        else
+            owner.hand_over(stream.release_fd(), id);
     }
+}
+
+void EpollLoop::hand_over(int fd, std::uint64_t id)
+{
+    {
+        std::lock_guard<std::mutex> lock(handed_mutex_);
+        handed_.emplace_back(fd, id);
+    }
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t ignored = ::write(handoff_fd_, &one, sizeof(one));
+}
+
+void EpollLoop::adopt_handed()
+{
+    std::uint64_t count = 0;
+    [[maybe_unused]] const ssize_t ignored = ::read(handoff_fd_, &count, sizeof(count));
+    std::vector<std::pair<int, std::uint64_t>> handed;
+    {
+        std::lock_guard<std::mutex> lock(handed_mutex_);
+        handed.swap(handed_);
+    }
+    for (const auto& [fd, id] : handed) adopt_conn(fd, id);
+}
+
+void EpollLoop::adopt_conn(int fd, std::uint64_t id)
+{
+    auto owned = std::make_unique<Conn>();
+    Conn& conn = *owned;
+    conn.fd = fd;
+    conn.id = id;
+    conn.armed_events = EPOLLIN | EPOLLRDHUP;
+    conns_.emplace(conn.id, std::move(owned));
+    epoll_apply(epoll_fd_, EPOLL_CTL_ADD, conn.fd, conn.armed_events, conn.id);
+    dealt_->add(1);
+    server_.note_conn_opened(conn.id);
+    if (draining_) close_conn(conn); // handed over after this loop began to drain
 }
 
 void EpollLoop::conn_readable(Conn& conn)
 {
-    if (conn.paused || conn.peer_eof || conn.poisoned || conn.broken || draining_) return;
+    if (conn.paused || conn.broken || !reads_open(conn)) return;
     char buffer[kReadChunk];
     std::size_t taken = 0;
     while (taken < kReadBudget) {
@@ -269,103 +294,33 @@ void EpollLoop::conn_readable(Conn& conn)
     if (taken > 0 && server_.config_.metrics) server_.add_bytes_read(taken);
 }
 
-void EpollLoop::drain_decoder(Conn& conn)
+void EpollLoop::answer_frames(Conn& conn)
 {
-    while (conn.inflight < server_.config_.max_pipeline_depth &&
-           conn.out.size() - conn.out_offset < server_.config_.max_output_bytes) {
-        std::optional<std::string> body = conn.decoder.next();
+    using clock = std::chrono::steady_clock;
+    while (!conn.paused && conn.out.size() - conn.out_offset < server_.config_.max_output_bytes) {
+        const std::optional<std::string> body = conn.decoder.next();
         if (!body.has_value()) return;
-        dispatch(conn, std::move(*body));
-    }
-}
-
-void EpollLoop::dispatch(Conn& conn, std::string body)
-{
-    Task task;
-    task.conn_id = conn.id;
-    task.seq = conn.next_dispatch_seq++;
-    task.body = std::move(body);
-    task.enqueued = std::chrono::steady_clock::now();
-    ++conn.inflight;
-    {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        queue_.push_back(std::move(task));
-    }
-    queue_cv_.notify_one();
-}
-
-void EpollLoop::worker_loop()
-{
-    while (true) {
-        Task task;
-        {
-            std::unique_lock<std::mutex> lock(queue_mutex_);
-            queue_cv_.wait(lock, [this] { return !queue_.empty() || workers_stop_; });
-            if (queue_.empty()) return; // workers_stop_, queue drained
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        Completion completion;
-        completion.conn_id = task.conn_id;
-        completion.seq = task.seq;
-        completion.record.rec.conn_id = task.conn_id;
-        completion.record.enqueued = task.enqueued;
-        if (server_.config_.metrics) {
-            const auto waited = std::chrono::steady_clock::now() - task.enqueued;
-            server_.record_queue_wait(
-                std::chrono::duration_cast<std::chrono::microseconds>(waited).count());
-        }
+        PendingRequest pending;
+        pending.rec.conn_id = conn.id;
+        pending.enqueued = clock::now();
+        bool shutdown_now = false;
+        std::string reply;
         try {
-            completion.reply =
-                server_.process_frame(task.body, completion.shutdown_now, &completion.record);
+            reply = server_.process_frame(*body, shutdown_now, &pending);
         } catch (const std::exception& error) {
             // process_frame answers its own failures; this is the
             // out-of-memory / logic-bug backstop.
-            completion.reply = encode_error_reply(Status::internal, error.what());
-            completion.record.rec.status = static_cast<std::uint8_t>(Status::internal);
+            reply = encode_error_reply(Status::internal, error.what());
+            pending.rec.status = static_cast<std::uint8_t>(Status::internal);
         }
-        {
-            std::lock_guard<std::mutex> lock(completion_mutex_);
-            completions_.push_back(std::move(completion));
-        }
-        const std::uint64_t one = 1;
-        [[maybe_unused]] const ssize_t ignored = ::write(wakeup_fd_, &one, sizeof(one));
+        pending.encode_start = clock::now();
+        conn.out += encode_frame(reply);
+        pending.encode_end = clock::now();
+        pending.rec.reply_bytes = static_cast<std::uint32_t>(4 + reply.size());
+        conn.bytes_queued_total += 4 + reply.size();
+        conn.awaiting_flush.emplace_back(conn.bytes_queued_total, std::move(pending));
+        if (shutdown_now) server_.request_stop();
     }
-}
-
-void EpollLoop::apply_completions()
-{
-    std::vector<Completion> batch;
-    {
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        batch.swap(completions_);
-    }
-    bool shutdown_now = false;
-    for (Completion& completion : batch) {
-        shutdown_now = shutdown_now || completion.shutdown_now;
-        const auto it = conns_.find(completion.conn_id);
-        if (it == conns_.end()) continue; // connection died while queued
-        Conn& conn = *it->second;
-        conn.ready.emplace(completion.seq, std::move(completion));
-        // Flush the in-order prefix: the protocol answers requests in
-        // arrival order no matter which worker finished first.
-        for (auto ready_it = conn.ready.begin();
-             ready_it != conn.ready.end() && ready_it->first == conn.next_write_seq;
-             ready_it = conn.ready.erase(ready_it)) {
-            Completion& done = ready_it->second;
-            done.record.encode_start = std::chrono::steady_clock::now();
-            conn.out += encode_frame(done.reply);
-            done.record.encode_end = std::chrono::steady_clock::now();
-            done.record.rec.reply_bytes = static_cast<std::uint32_t>(4 + done.reply.size());
-            conn.bytes_queued_total += 4 + done.reply.size();
-            conn.awaiting_flush.emplace_back(conn.bytes_queued_total,
-                                             std::move(done.record));
-            ++conn.next_write_seq;
-            --conn.inflight;
-        }
-        update_conn(conn);
-    }
-    if (shutdown_now) server_.request_stop();
 }
 
 void EpollLoop::flush(Conn& conn)
@@ -406,54 +361,46 @@ void EpollLoop::flush(Conn& conn)
     }
 }
 
-bool EpollLoop::conn_finished(const Conn& conn) const
-{
-    // Once reads have ended (EOF, desync, or server drain), the
-    // connection lives only to deliver what it is still owed.  With no
-    // request in flight and the output flushed, the decoder cannot be
-    // holding a complete frame either (update_conn drains it whenever
-    // there is headroom, and an empty pipeline is all headroom) — at
-    // most a partial frame, which EOF legitimately truncates.
-    const bool reads_over = conn.peer_eof || conn.poisoned || draining_;
-    return reads_over && conn.inflight == 0 && conn.ready.empty() &&
-           conn.out_offset == conn.out.size();
-}
-
 void EpollLoop::update_conn(Conn& conn)
 {
-    if (!conn.broken) {
+    const std::size_t cap = server_.config_.max_output_bytes;
+    // Answer and flush in turns until the decoder holds no complete
+    // frame or the socket pushes back.
+    while (!conn.broken) {
         if (!conn.poisoned) {
             try {
-                drain_decoder(conn);
+                answer_frames(conn);
             } catch (const protocol_error& error) {
-                // Framing desync (oversized length prefix): like the
-                // blocking backend, answer everything before the bad
-                // frame, then drop the connection.
+                // Framing desync (oversized length prefix): answer
+                // everything before the bad frame, then drop the
+                // connection.
                 conn.poisoned = true;
                 server_.note_conn_poisoned(conn.id, error.what());
             }
         }
-        if (conn.out_offset < conn.out.size()) flush(conn);
+        const std::size_t queued = conn.out.size() - conn.out_offset;
+        if (queued == 0) break;
+        if (!conn.paused && queued >= cap && reads_open(conn)) {
+            // The output cap stopped answer_frames: reads pause until
+            // the queue drains below half.
+            conn.paused = true;
+            server_.backpressure_pauses_.fetch_add(1, std::memory_order_relaxed);
+        }
+        flush(conn);
+        if (conn.out_offset < conn.out.size()) break; // EPOLLOUT resumes
+        conn.paused = false;
     }
     if (conn.broken) {
         close_conn(conn);
         return;
     }
+    if (conn.paused && conn.out.size() - conn.out_offset <= cap / 2) conn.paused = false;
 
-    const std::size_t pending_out = conn.out.size() - conn.out_offset;
-    const bool over = conn.inflight >= server_.config_.max_pipeline_depth ||
-                      pending_out >= server_.config_.max_output_bytes;
-    const bool under =
-        conn.inflight <= server_.config_.max_pipeline_depth / 2 &&
-        pending_out <= server_.config_.max_output_bytes / 2;
-    if (!conn.paused && over && !conn.peer_eof && !conn.poisoned && !draining_) {
-        conn.paused = true;
-        server_.backpressure_pauses_.fetch_add(1, std::memory_order_relaxed);
-    } else if (conn.paused && under) {
-        conn.paused = false;
-    }
-
-    if (conn_finished(conn)) {
+    // Once reads have ended (EOF, desync, or server drain), the
+    // connection lives only to deliver what it is still owed; the loop
+    // above left no complete frame unanswered unless the output is
+    // still pending.
+    if (!reads_open(conn) && conn.out_offset == conn.out.size()) {
         close_conn(conn);
         return;
     }
@@ -463,8 +410,7 @@ void EpollLoop::update_conn(Conn& conn)
 void EpollLoop::set_interest(Conn& conn)
 {
     std::uint32_t wanted = EPOLLRDHUP;
-    if (!conn.paused && !conn.peer_eof && !conn.poisoned && !draining_)
-        wanted |= EPOLLIN;
+    if (!conn.paused && reads_open(conn)) wanted |= EPOLLIN;
     if (conn.out_offset < conn.out.size()) wanted |= EPOLLOUT;
     if (wanted == conn.armed_events) return;
     epoll_apply(epoll_fd_, EPOLL_CTL_MOD, conn.fd, wanted, conn.id);
@@ -478,10 +424,8 @@ void EpollLoop::close_conn(Conn& conn)
     ::close(conn.fd);
     conn.fd = -1;
     server_.note_conn_closed(id);
-    server_.active_connections_.fetch_sub(1, std::memory_order_relaxed);
+    server_.active_connections_.fetch_sub(1, std::memory_order_acq_rel);
     conns_.erase(id); // destroys `conn`
 }
 
 } // namespace ccq
-
-#endif // __linux__

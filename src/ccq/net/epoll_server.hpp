@@ -1,36 +1,36 @@
-// The event-loop backend of the serving front-end (Linux only).
+// One event loop of the serving front-end.
 //
-// One EpollLoop multiplexes every connection of a Server through a
-// single epoll readiness loop: sockets are nonblocking, each connection
-// reassembles frames incrementally (a frame may arrive across many
-// EPOLLIN events), decoded requests are dispatched to a fixed pool of
-// worker threads, and replies are queued per connection and flushed on
-// writability — in request order, whatever order the workers finish in.
+// Server::run() starts `ServerConfig::workers` of these, one thread
+// each.  Every loop has its own epoll set and its own connections; all
+// loops share the one listening socket, registered with EPOLLEXCLUSIVE
+// so an incoming connection wakes one idle loop rather than all of
+// them.  Whichever loop accepts, connections are dealt out round-robin
+// in accept order (the others get theirs through hand_over()), so a
+// burst of connects spreads over every loop; the owning loop keeps a
+// connection for its whole life.
+// Sockets are nonblocking and each connection reassembles frames
+// incrementally (a frame may arrive across many EPOLLIN events).  The
+// loop answers each complete frame inline — Server::process_frame on
+// the loop thread, no queue, no worker handoff — and appends the framed
+// reply to the connection's output buffer, so replies leave in request
+// order by construction.
 //
-// Backpressure is the congested-clique discipline applied to one host:
-// a connection may have at most `max_pipeline_depth` requests in flight
-// and at most `max_output_bytes` of queued response bytes; beyond
-// either bound the loop simply stops reading that socket (the kernel's
-// receive window then pushes back on the peer) until the queue drains.
-// Slow readers therefore cost one bounded buffer, not unbounded memory.
-//
-// The loop produces byte-identical responses to the threads backend by
-// construction: both call the same Server::process_frame.
+// Backpressure is the output-byte cap alone: once `max_output_bytes`
+// of replies are queued toward a connection, the loop stops reading and
+// answering it (the kernel's receive window then pushes back on the
+// peer) until the queue drains below half.  Slow readers therefore cost
+// one bounded buffer, not unbounded memory.
 #ifndef CCQ_NET_EPOLL_SERVER_HPP
 #define CCQ_NET_EPOLL_SERVER_HPP
 
-#ifdef __linux__
-
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ccq/net/protocol.hpp"
@@ -41,46 +41,29 @@ namespace ccq {
 class EpollLoop {
 public:
     /// Binds to a listening Server (friend access to its counters,
-    /// config, and process_frame).  run() serves until the server stops.
-    explicit EpollLoop(Server& server);
+    /// config, and process_frame) as loop number `index`.  run() serves
+    /// until the server stops.
+    EpollLoop(Server& server, int index);
     ~EpollLoop();
     EpollLoop(const EpollLoop&) = delete;
     EpollLoop& operator=(const EpollLoop&) = delete;
 
-    /// The readiness loop: accept, read, dispatch, flush — until
-    /// Server::request_stop(), then drain in-flight requests and return.
+    /// The readiness loop: accept, read, answer, flush — until
+    /// Server::request_stop(), then flush what is owed and return.
     void run();
 
-private:
-    struct Task {
-        std::uint64_t conn_id = 0;
-        std::uint64_t seq = 0;
-        std::string body;
-        /// Dispatch time: the start of the request's queue-wait stage
-        /// (flight recorder + queue-wait histogram).
-        std::chrono::steady_clock::time_point enqueued{};
-    };
-    struct Completion {
-        std::uint64_t conn_id = 0;
-        std::uint64_t seq = 0;
-        std::string reply;
-        bool shutdown_now = false;
-        /// Identity + stage timestamps so far; the loop thread adds the
-        /// encode/flush marks and commits it once the bytes are out.
-        PendingRequest record;
-    };
+    /// Gives this loop a connection another loop accepted (connection
+    /// `id`, nonblocking `fd`).  Callable from any thread.
+    void hand_over(int fd, std::uint64_t id);
 
-    /// Per-connection state, owned exclusively by the loop thread.
+private:
+    /// Per-connection state, owned exclusively by this loop's thread.
     struct Conn {
         int fd = -1;
         std::uint64_t id = 0;
         FrameDecoder decoder;
         std::string out;             ///< framed replies awaiting the socket
         std::size_t out_offset = 0;  ///< flushed prefix of `out`
-        std::uint64_t next_dispatch_seq = 0; ///< seq given to the next request
-        std::uint64_t next_write_seq = 0;    ///< seq whose reply flushes next
-        std::map<std::uint64_t, Completion> ready; ///< out-of-order replies
-        int inflight = 0;     ///< dispatched requests without a flushed reply
         bool paused = false;  ///< reads stopped for backpressure
         bool peer_eof = false;  ///< peer sent EOF; flush replies, then close
         bool poisoned = false;  ///< framing desync; stop reading, flush, close
@@ -96,45 +79,44 @@ private:
     };
 
     void accept_ready();
+    /// Registers the connections other loops handed over.
+    void adopt_handed();
+    void adopt_conn(int fd, std::uint64_t id);
     void conn_readable(Conn& conn);
-    void conn_writable(Conn& conn);
-    /// Pops complete frames from the decoder and dispatches them while
-    /// the connection has pipeline/output headroom.
-    void drain_decoder(Conn& conn);
-    void dispatch(Conn& conn, std::string body);
-    void apply_completions();
+    /// Answers complete frames from the decoder, in order, while the
+    /// connection's queued output is under the cap.
+    void answer_frames(Conn& conn);
     void flush(Conn& conn);
-    /// Reconciles epoll interest + pause state with the connection's
-    /// queue sizes; closes it when it has nothing left to live for.
+    /// Answers and flushes what it can, reconciles epoll interest and
+    /// pause state with the output queue, and closes the connection
+    /// when it has nothing left to live for.
     void update_conn(Conn& conn);
     void close_conn(Conn& conn);
-    [[nodiscard]] bool conn_finished(const Conn& conn) const;
+    /// False once the peer sent EOF, the framing desynced, or the
+    /// server is draining: the connection only delivers what it owes.
+    [[nodiscard]] bool reads_open(const Conn& conn) const
+    {
+        return !conn.peer_eof && !conn.poisoned && !draining_;
+    }
     void set_interest(Conn& conn);
     void begin_drain();
-    void worker_loop();
 
     Server& server_;
+    obs::Counter* dealt_; ///< ccq_loop_connections_total{loop=index}
     int epoll_fd_ = -1;
-    int wakeup_fd_ = -1; ///< eventfd: request_stop + worker completions
+    int wakeup_fd_ = -1; ///< the Server's stop eventfd
+    int handoff_fd_ = -1; ///< this loop's eventfd: hand_over() queued a connection
+    std::mutex handed_mutex_;
+    std::vector<std::pair<int, std::uint64_t>> handed_; ///< (fd, id), guarded
     int listener_fd_ = -1;
     bool listener_armed_ = false;
     std::chrono::steady_clock::time_point listener_rearm_at_{};
     bool draining_ = false;
     std::chrono::steady_clock::time_point drain_deadline_{};
 
-    std::uint64_t next_conn_id_ = 2; ///< 0 = listener, 1 = wakeup eventfd
     std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
-
-    std::vector<std::thread> workers_;
-    std::mutex queue_mutex_;
-    std::condition_variable queue_cv_;
-    std::deque<Task> queue_;
-    bool workers_stop_ = false; ///< guarded by queue_mutex_
-    std::mutex completion_mutex_;
-    std::vector<Completion> completions_;
 };
 
 } // namespace ccq
 
-#endif // __linux__
 #endif // CCQ_NET_EPOLL_SERVER_HPP

@@ -128,7 +128,7 @@ struct ServerStats {
     bool has_routing = false;
     // --- stats v2 fields (PR 6).  Encoded after has_routing; a v1
     // server's reply simply ends early and decoders leave the defaults.
-    std::uint64_t backpressure_pauses = 0; ///< epoll backend EPOLLIN pauses
+    std::uint64_t backpressure_pauses = 0; ///< output-cap read pauses
     double build_total_rounds = 0.0;       ///< snapshot RoundLedger summary
     std::uint64_t build_total_words = 0;   ///< ditto, machine words sent
     // --- stats v3 fields (sparse serving).  Same nesting rule: a

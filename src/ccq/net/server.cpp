@@ -1,17 +1,17 @@
 #include "ccq/net/server.hpp"
 
-#include <unistd.h>
-#ifdef __linux__
 #include <sys/eventfd.h>
-#endif
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <thread>
 #include <utility>
 
+#include "ccq/common/parallel.hpp"
 #include "ccq/matrix/engine.hpp"
 #include "ccq/net/epoll_server.hpp"
 #include "ccq/obs/log.hpp"
@@ -55,18 +55,6 @@ void append_json_path_result(std::string& out, NodeId from, NodeId to, const Pat
 
 } // namespace
 
-IoBackend parse_io_backend(const std::string& name)
-{
-    if (name == "threads") return IoBackend::threads;
-    if (name == "epoll") return IoBackend::epoll;
-    throw std::runtime_error("unknown io backend '" + name + "' (threads|epoll)");
-}
-
-const char* io_backend_name(IoBackend backend) noexcept
-{
-    return backend == IoBackend::epoll ? "epoll" : "threads";
-}
-
 Server::Server(std::shared_ptr<const QueryEngine> engine, ServerConfig config)
     : engine_(std::move(engine)), config_(std::move(config)), flight_(config_.flight_records)
 {
@@ -104,9 +92,6 @@ void Server::init_metrics()
     conns_closed_ = &registry_.counter(kConns, kConnsHelp, {{"event", "closed"}});
     conns_shed_ = &registry_.counter(kConns, kConnsHelp, {{"event", "shed"}});
     conns_poisoned_ = &registry_.counter(kConns, kConnsHelp, {{"event", "poisoned"}});
-    queue_wait_us_ = &registry_.histogram(
-        "ccq_queue_wait_us",
-        "Microseconds a decoded request waited for a worker (epoll backend only).");
 
     // Values that already live in ServerStats atomics / the engine are
     // rendered at scrape time instead of being double-counted.
@@ -128,7 +113,7 @@ void Server::init_metrics()
                            "counter");
         obs::append_sample(out, "ccq_errors_total", {}, s.errors);
         obs::append_header(out, "ccq_backpressure_pauses_total",
-                           "Times the epoll backend paused reading a connection.", "counter");
+                           "Times a connection's reads paused for backpressure.", "counter");
         obs::append_sample(out, "ccq_backpressure_pauses_total", {}, s.backpressure_pauses);
         const CacheStats cache = engine_->cache_stats();
         obs::append_header(out, "ccq_cache_events_total",
@@ -235,15 +220,17 @@ void Server::add_bytes_read(std::uint64_t n) noexcept { bytes_read_->add(n); }
 
 void Server::add_bytes_written(std::uint64_t n) noexcept { bytes_written_->add(n); }
 
-void Server::record_queue_wait(std::int64_t us) noexcept { queue_wait_us_->record(us); }
-
 Server::~Server()
 {
-    // Backstop for callers that never ran or whose run() threw before
-    // its own drain.  (If run() is still executing on another thread,
+    // Backstop for callers that never ran, or that still serve a stream.
+    // (If run() or serve_stream() is still executing on another thread,
     // outliving the Server is the caller's lifetime bug; the embedded
-    // pattern — tests, bench — joins the run() thread first.)
-    drain();
+    // pattern — tests, bench — joins that thread first.)
+    request_stop();
+    {
+        std::lock_guard<std::mutex> lock(streams_mutex_);
+        for (Stream* stream : active_streams_) stream->interrupt();
+    }
     // The wakeup eventfd stays open for the Server's whole lifetime so
     // request_stop() can never race a close; this is the only close.
     const int wake = loop_wakeup_fd_.exchange(-1, std::memory_order_acq_rel);
@@ -267,8 +254,8 @@ void Server::request_stop() noexcept
 {
     stop_.store(true, std::memory_order_release);
     if (listener_.has_value()) listener_->close();
-    // Wake the epoll backend's loop too: write(2) is async-signal-safe,
-    // exactly like the shutdown(2) inside listener close.
+    // Wake the event loops too: write(2) is async-signal-safe, exactly
+    // like the shutdown(2) inside listener close.
     const int wake = loop_wakeup_fd_.load(std::memory_order_acquire);
     if (wake >= 0) {
         const std::uint64_t one = 1;
@@ -279,30 +266,50 @@ void Server::request_stop() noexcept
 void Server::run()
 {
     CCQ_EXPECT(listener_.has_value(), "Server::run: call listen() first");
-    if (config_.io == IoBackend::epoll)
-        run_epoll();
-    else
-        run_threads();
-}
-
-void Server::run_epoll()
-{
-#ifdef __linux__
-    // Create (once) and publish the wakeup eventfd before the loop
-    // exists.  The Server owns it and ~Server closes it: request_stop()
-    // may write it from any thread or signal handler at any point in
-    // the Server's lifetime, so it must never be closed while a
-    // concurrent writer could still hold the value.
+    // Create (once) and publish the stop eventfd before any loop exists.
+    // The Server owns it and ~Server closes it: request_stop() may write
+    // it from any thread or signal handler at any point in the Server's
+    // lifetime, so it must never be closed while a concurrent writer
+    // could still hold the value.
     if (loop_wakeup_fd_.load(std::memory_order_relaxed) < 0) {
         const int wake = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
         if (wake < 0) throw net_error("eventfd: " + std::string(std::strerror(errno)));
         loop_wakeup_fd_.store(wake, std::memory_order_release);
     }
-    EpollLoop loop(*this);
-    loop.run();
-#else
-    throw net_error("the epoll backend requires Linux (use IoBackend::threads)");
-#endif
+
+    std::vector<std::unique_ptr<EpollLoop>> loops;
+    const int loop_count = resolved_thread_count(config_.workers);
+    for (int i = 0; i < loop_count; ++i) loops.push_back(std::make_unique<EpollLoop>(*this, i));
+    for (const std::unique_ptr<EpollLoop>& loop : loops) loops_.push_back(loop.get());
+
+    // Loop 0 runs on the calling thread, the rest on their own.  A loop
+    // that fails stops the others; the first failure is rethrown once
+    // every loop has returned.
+    std::mutex failure_mutex;
+    std::exception_ptr failure;
+    const auto run_loop = [&](EpollLoop& loop) {
+        try {
+            loop.run();
+        } catch (...) {
+            request_stop();
+            std::lock_guard<std::mutex> lock(failure_mutex);
+            if (!failure) failure = std::current_exception();
+        }
+    };
+    std::vector<std::thread> threads;
+    try {
+        for (std::size_t i = 1; i < loops.size(); ++i)
+            threads.emplace_back(run_loop, std::ref(*loops[i]));
+    } catch (...) {
+        request_stop();
+        for (std::thread& thread : threads) thread.join();
+        loops_.clear();
+        throw;
+    }
+    run_loop(*loops[0]);
+    for (std::thread& thread : threads) thread.join();
+    loops_.clear();
+    if (failure) std::rethrow_exception(failure);
 }
 
 void Server::shed_connection(TcpStream& stream)
@@ -318,100 +325,6 @@ void Server::shed_connection(TcpStream& stream)
     }
 }
 
-void Server::run_threads()
-{
-    try {
-        while (!stopping()) {
-            int transient_errno = 0;
-            std::unique_ptr<TcpStream> stream = listener_->accept_transient(transient_errno);
-            if (stream == nullptr) {
-                if (transient_errno == 0) break; // listener closed
-                // EMFILE/ENFILE: descriptors free up as connections
-                // close; log, breathe, keep the listener alive.
-                CCQ_LOG_WARN("accept failed (%s); still listening",
-                             std::strerror(transient_errno));
-                std::this_thread::sleep_for(std::chrono::milliseconds(50));
-                continue;
-            }
-            if (config_.max_connections > 0 &&
-                active_connections_.load(std::memory_order_acquire) >=
-                    static_cast<std::uint64_t>(config_.max_connections)) {
-                shed_connection(*stream);
-                continue; // stream destruction closes the shed socket
-            }
-            const std::uint64_t conn_id =
-                connections_accepted_.fetch_add(1, std::memory_order_relaxed) + 1;
-            reap_finished_handlers();
-            std::lock_guard<std::mutex> lock(handlers_mutex_);
-            TcpStream* raw = stream.get();
-            auto done = std::make_shared<std::atomic<bool>>(false);
-            handlers_.push_back(
-                {std::thread([this, owned = std::move(stream), done, conn_id]() mutable {
-                     handle_connection(std::move(owned), conn_id);
-                     done->store(true, std::memory_order_release);
-                 }),
-                 done});
-            active_streams_.push_back(raw);
-        }
-    } catch (...) {
-        drain(); // an accept failure must not leave handlers unjoined
-        throw;
-    }
-    drain();
-}
-
-void Server::reap_finished_handlers()
-{
-    std::vector<std::thread> finished;
-    {
-        std::lock_guard<std::mutex> lock(handlers_mutex_);
-        std::erase_if(handlers_, [&](Handler& handler) {
-            if (!handler.done->load(std::memory_order_acquire)) return false;
-            finished.push_back(std::move(handler.thread));
-            return true;
-        });
-    }
-    // Joins are instant (the threads have finished) but still happen
-    // outside the lock, matching drain()'s ordering.
-    for (std::thread& thread : finished)
-        if (thread.joinable()) thread.join();
-}
-
-void Server::drain()
-{
-    request_stop();
-    {
-        std::lock_guard<std::mutex> lock(handlers_mutex_);
-        for (Stream* stream : active_streams_) stream->interrupt();
-    }
-    std::vector<Handler> handlers;
-    {
-        std::lock_guard<std::mutex> lock(handlers_mutex_);
-        handlers.swap(handlers_);
-    }
-    for (Handler& handler : handlers)
-        if (handler.thread.joinable()) handler.thread.join();
-}
-
-void Server::handle_connection(std::unique_ptr<TcpStream> stream, std::uint64_t conn_id)
-{
-    active_connections_.fetch_add(1, std::memory_order_relaxed);
-    note_conn_opened(conn_id);
-    try {
-        while (serve_one(*stream, conn_id)) {
-        }
-    } catch (const std::exception& error) {
-        // Transport failure or framing desync: nothing sensible can be
-        // sent on this connection anymore; drop it.
-        note_conn_poisoned(conn_id, error.what());
-    }
-    note_conn_closed(conn_id);
-    active_connections_.fetch_sub(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(handlers_mutex_);
-    const auto it = std::find(active_streams_.begin(), active_streams_.end(), stream.get());
-    if (it != active_streams_.end()) active_streams_.erase(it);
-}
-
 void Server::serve_stream(Stream& stream)
 {
     active_connections_.fetch_add(1, std::memory_order_relaxed);
@@ -419,15 +332,15 @@ void Server::serve_stream(Stream& stream)
         connections_accepted_.fetch_add(1, std::memory_order_relaxed) + 1;
     note_conn_opened(conn_id);
     {
-        // Register so request_stop()/drain() can interrupt a blocked
-        // read on this connection too, exactly like accepted ones.
-        std::lock_guard<std::mutex> lock(handlers_mutex_);
+        // Register so ~Server can interrupt a blocked read on this
+        // connection.
+        std::lock_guard<std::mutex> lock(streams_mutex_);
         active_streams_.push_back(&stream);
     }
     const auto deregister = [&] {
         note_conn_closed(conn_id);
         active_connections_.fetch_sub(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(handlers_mutex_);
+        std::lock_guard<std::mutex> lock(streams_mutex_);
         const auto it = std::find(active_streams_.begin(), active_streams_.end(), &stream);
         if (it != active_streams_.end()) active_streams_.erase(it);
     };
@@ -444,7 +357,6 @@ void Server::serve_stream(Stream& stream)
 std::string Server::process_frame(const std::string& body, bool& shutdown_now,
                                   PendingRequest* pending)
 {
-    shutdown_now = false;
     using clock = std::chrono::steady_clock;
     const clock::time_point t0 = clock::now();
 
@@ -455,8 +367,14 @@ std::string Server::process_frame(const std::string& body, bool& shutdown_now,
     bool tagged = false;
     Request request;
     bool decoded = true;
-    std::string reply;
     bool json_body = false;
+    Status status = Status::ok;
+    std::string reply;
+    // Error replies go out in the caller's own mode, binary or JSON.
+    const auto reject = [&](Status why, const std::string& message) {
+        status = why;
+        reply = json_body ? json_error_reply(why, message) : encode_error_reply(why, message);
+    };
     try {
         if (std::optional<TraceContext> envelope = split_trace_envelope(inner)) {
             trace = *envelope;
@@ -466,11 +384,9 @@ std::string Server::process_frame(const std::string& body, bool& shutdown_now,
         request = decode_request(inner);
     } catch (const protocol_error& error) {
         // The frame boundary is intact (the caller consumed exactly the
-        // declared bytes), so answer the error — in the caller's own
-        // mode — and keep the connection.
+        // declared bytes), so answer the error and keep the connection.
         decoded = false;
-        reply = json_body ? json_error_reply(Status::malformed, error.what())
-                          : encode_error_reply(Status::malformed, error.what());
+        reject(Status::malformed, error.what());
     }
     const clock::time_point t1 = clock::now();
 
@@ -478,18 +394,16 @@ std::string Server::process_frame(const std::string& body, bool& shutdown_now,
         try {
             if (stopping() && request.op != Opcode::shutdown)
                 throw request_rejected{Status::shutting_down, "server is shutting down"};
-            reply = request.json ? answer_json(request) : answer(request);
+            const Answer result = answer(request);
+            reply = request.json ? render_json(request, result) : render_binary(request, result);
         } catch (const request_rejected& rejected) {
-            reply = request.json ? json_error_reply(rejected.status, rejected.message)
-                                 : encode_error_reply(rejected.status, rejected.message);
+            reject(rejected.status, rejected.message);
         } catch (const std::exception& error) {
-            reply = request.json ? json_error_reply(Status::internal, error.what())
-                                 : encode_error_reply(Status::internal, error.what());
+            reject(Status::internal, error.what());
         }
     }
 
-    const bool ok = decoded && (request.json ? reply.rfind("{\"error\"", 0) != 0
-                                             : split_reply(reply).first == Status::ok);
+    const bool ok = status == Status::ok;
     (ok ? frames_served_ : errors_).fetch_add(1, std::memory_order_relaxed);
     const clock::time_point t2 = clock::now();
     if (config_.metrics) {
@@ -505,14 +419,11 @@ std::string Server::process_frame(const std::string& body, bool& shutdown_now,
         pending->rec.trace_id = tagged ? trace.trace_id : 0;
         pending->rec.sampled = tagged && trace.sampled;
         pending->rec.opcode = decoded ? static_cast<std::uint8_t>(request.op) : 0;
-        pending->rec.status =
-            request.json || !decoded
-                ? static_cast<std::uint8_t>(ok ? Status::ok : Status::malformed)
-                : static_cast<std::uint8_t>(split_reply(reply).first);
+        pending->rec.status = static_cast<std::uint8_t>(status);
         pending->rec.request_bytes = static_cast<std::uint32_t>(4 + body.size());
     }
 
-    shutdown_now = decoded && ok && request.op == Opcode::shutdown;
+    shutdown_now = ok && request.op == Opcode::shutdown;
     return reply;
 }
 
@@ -544,8 +455,7 @@ void Server::commit_request(PendingRequest& pending,
                             std::chrono::steady_clock::time_point flush_end)
 {
     obs::RequestRecord& rec = pending.rec;
-    const bool queued = pending.enqueued != std::chrono::steady_clock::time_point{};
-    rec.queue_us = queued ? stage_us(pending.enqueued, pending.decode_start) : 0;
+    rec.queue_us = stage_us(pending.enqueued, pending.decode_start);
     rec.decode_us = stage_us(pending.decode_start, pending.decode_end);
     rec.execute_us = stage_us(pending.decode_end, pending.execute_end);
     rec.encode_us = stage_us(pending.encode_start, pending.encode_end);
@@ -556,7 +466,7 @@ void Server::commit_request(PendingRequest& pending,
         // The whole chain is emitted here, after the flush, with the
         // timestamps captured along the way — one connected trace per
         // sampled request.
-        if (queued) emit_request_span("req/queue", pending.enqueued, pending.decode_start, rec);
+        emit_request_span("req/queue", pending.enqueued, pending.decode_start, rec);
         emit_request_span("req/decode", pending.decode_start, pending.decode_end, rec);
         emit_request_span("req/execute", pending.decode_end, pending.execute_end, rec);
         emit_request_span("req/encode", pending.encode_start, pending.encode_end, rec);
@@ -586,7 +496,7 @@ bool Server::serve_one(Stream& stream, std::uint64_t conn_id)
 
     PendingRequest pending;
     pending.rec.conn_id = conn_id;
-    // No dispatch queue in this backend: the queue stage is the instant
+    // Requests run where they arrive: the queue stage is the instant
     // between frame arrival and decode.
     pending.enqueued = clock::now();
     bool shutdown_now = false;
@@ -620,8 +530,8 @@ void check_range(NodeId v, int n)
 
 /// The shutdown auth gate: with a configured token, a control frame
 /// missing it (or carrying the wrong one) is rejected as `forbidden` and
-/// never reaches the request_stop() path in serve_one (which only fires
-/// on an ok shutdown reply).
+/// never reaches the request_stop() path (which only fires on an ok
+/// shutdown reply).
 void check_shutdown_token(const ServerConfig& config, const Request& request)
 {
     if (!config.shutdown_token.empty() && request.token != config.shutdown_token)
@@ -631,19 +541,19 @@ void check_shutdown_token(const ServerConfig& config, const Request& request)
 
 } // namespace
 
-std::string Server::answer(const Request& request)
+Server::Answer Server::answer(const Request& request)
 {
     const int n = engine_->node_count();
     switch (request.op) {
-    case Opcode::ping: return encode_ping_reply();
+    case Opcode::ping: return Ack{};
     case Opcode::shutdown:
         check_shutdown_token(config_, request);
-        return encode_ok_reply();
+        return Ack{};
     case Opcode::distance:
         check_range(request.from, n);
         check_range(request.to, n);
         distance_queries_.fetch_add(1, std::memory_order_relaxed);
-        return encode_distance_reply(engine_->distance(request.from, request.to));
+        return engine_->distance(request.from, request.to);
     case Opcode::path:
         check_range(request.from, n);
         check_range(request.to, n);
@@ -651,20 +561,20 @@ std::string Server::answer(const Request& request)
             throw request_rejected{Status::unsupported,
                                    "snapshot has no routing tables (rebuild with routing)"};
         path_queries_.fetch_add(1, std::memory_order_relaxed);
-        return encode_path_reply(engine_->path(request.from, request.to));
+        return engine_->path(request.from, request.to);
     case Opcode::k_nearest:
         check_range(request.from, n);
         if (request.k < 0)
             throw request_rejected{Status::out_of_range, "k must be >= 0"};
         knearest_queries_.fetch_add(1, std::memory_order_relaxed);
-        return encode_nearest_reply(engine_->nearest_targets(request.from, request.k));
+        return engine_->nearest_targets(request.from, request.k);
     case Opcode::batch_distances: {
         for (const PointQuery& q : request.pairs) {
             check_range(q.from, n);
             check_range(q.to, n);
         }
         batch_items_.fetch_add(request.pairs.size(), std::memory_order_relaxed);
-        return encode_batch_distances_reply(engine_->batch_distances(request.pairs));
+        return engine_->batch_distances(request.pairs);
     }
     case Opcode::batch_paths: {
         for (const PointQuery& q : request.pairs) {
@@ -675,29 +585,46 @@ std::string Server::answer(const Request& request)
             throw request_rejected{Status::unsupported,
                                    "snapshot has no routing tables (rebuild with routing)"};
         batch_items_.fetch_add(request.pairs.size(), std::memory_order_relaxed);
-        return encode_batch_paths_reply(engine_->batch_paths(request.pairs));
+        return engine_->batch_paths(request.pairs);
     }
-    case Opcode::stats: return encode_stats_reply(stats());
-    case Opcode::metrics: return encode_metrics_reply(metrics_text());
-    case Opcode::flight: return encode_flight_reply(flight_.snapshot());
+    case Opcode::stats: return stats();
+    case Opcode::metrics: return metrics_text();
+    case Opcode::flight: return flight_.snapshot();
     case Opcode::json: break; // unreachable: decode never yields a bare json op
     }
     throw request_rejected{Status::malformed, "unhandled opcode"};
 }
 
-std::string Server::answer_json(const Request& request)
+std::string Server::render_binary(const Request& request, const Answer& answer)
 {
-    // Compute through the same validation/dispatch as the binary path so
-    // both modes agree, then render the result as JSON.
+    switch (request.op) {
+    case Opcode::ping: return encode_ping_reply();
+    case Opcode::shutdown: return encode_ok_reply();
+    case Opcode::distance: return encode_distance_reply(std::get<Weight>(answer));
+    case Opcode::path: return encode_path_reply(std::get<PathResult>(answer));
+    case Opcode::k_nearest:
+        return encode_nearest_reply(std::get<std::vector<NearTarget>>(answer));
+    case Opcode::batch_distances:
+        return encode_batch_distances_reply(std::get<std::vector<Weight>>(answer));
+    case Opcode::batch_paths:
+        return encode_batch_paths_reply(std::get<std::vector<PathResult>>(answer));
+    case Opcode::stats: return encode_stats_reply(std::get<ServerStats>(answer));
+    case Opcode::metrics: return encode_metrics_reply(std::get<std::string>(answer));
+    case Opcode::flight:
+        return encode_flight_reply(std::get<std::vector<obs::RequestRecord>>(answer));
+    case Opcode::json: break;
+    }
+    throw request_rejected{Status::malformed, "unhandled opcode"};
+}
+
+std::string Server::render_json(const Request& request, const Answer& answer)
+{
     switch (request.op) {
     case Opcode::ping:
-        (void)answer(Request{});
         return "{\"op\":\"ping\",\"protocol\":" + std::to_string(kProtocolVersion) + "}";
-    case Opcode::shutdown:
-        check_shutdown_token(config_, request);
-        return "{\"op\":\"shutdown\",\"ok\":true}";
+    case Opcode::shutdown: return "{\"op\":\"shutdown\",\"ok\":true}";
     case Opcode::distance: {
-        const Weight d = decode_distance_reply(split_reply(answer(request)).second);
+        const Weight d = std::get<Weight>(answer);
         const bool reachable = is_finite(d);
         return "{\"op\":\"distance\",\"from\":" + std::to_string(request.from) +
                ",\"to\":" + std::to_string(request.to) +
@@ -705,15 +632,13 @@ std::string Server::answer_json(const Request& request)
                ",\"distance\":" + std::to_string(reachable ? d : -1) + "}";
     }
     case Opcode::path: {
-        const PathResult path = decode_path_reply(split_reply(answer(request)).second);
         std::string out = "{\"op\":\"path\",\"result\":";
-        append_json_path_result(out, request.from, request.to, path);
+        append_json_path_result(out, request.from, request.to, std::get<PathResult>(answer));
         out += '}';
         return out;
     }
     case Opcode::k_nearest: {
-        const std::vector<NearTarget> nearest =
-            decode_nearest_reply(split_reply(answer(request)).second);
+        const auto& nearest = std::get<std::vector<NearTarget>>(answer);
         std::string out = "{\"op\":\"k_nearest\",\"from\":" + std::to_string(request.from) +
                           ",\"nearest\":[";
         for (std::size_t i = 0; i < nearest.size(); ++i) {
@@ -725,8 +650,7 @@ std::string Server::answer_json(const Request& request)
         return out;
     }
     case Opcode::batch_distances: {
-        const std::vector<Weight> distances =
-            decode_batch_distances_reply(split_reply(answer(request)).second);
+        const auto& distances = std::get<std::vector<Weight>>(answer);
         std::string out = "{\"op\":\"batch_distances\",\"results\":[";
         for (std::size_t i = 0; i < distances.size(); ++i) {
             if (i > 0) out += ',';
@@ -736,8 +660,7 @@ std::string Server::answer_json(const Request& request)
         return out;
     }
     case Opcode::batch_paths: {
-        const std::vector<PathResult> paths =
-            decode_batch_paths_reply(split_reply(answer(request)).second);
+        const auto& paths = std::get<std::vector<PathResult>>(answer);
         std::string out = "{\"op\":\"batch_paths\",\"results\":[";
         for (std::size_t i = 0; i < paths.size(); ++i) {
             if (i > 0) out += ',';
@@ -747,7 +670,7 @@ std::string Server::answer_json(const Request& request)
         return out;
     }
     case Opcode::stats: {
-        const ServerStats s = stats();
+        const ServerStats& s = std::get<ServerStats>(answer);
         std::string out = "{\"op\":\"stats\"";
         out += ",\"connections_accepted\":" + std::to_string(s.connections_accepted);
         out += ",\"connections_rejected\":" + std::to_string(s.connections_rejected);
@@ -774,9 +697,9 @@ std::string Server::answer_json(const Request& request)
     }
     case Opcode::metrics:
         return "{\"op\":\"metrics\",\"content_type\":\"text/plain; version=0.0.4\",\"text\":\"" +
-               json_escape(metrics_text()) + "\"}";
+               json_escape(std::get<std::string>(answer)) + "\"}";
     case Opcode::flight: {
-        const std::vector<obs::RequestRecord> records = flight_.snapshot();
+        const auto& records = std::get<std::vector<obs::RequestRecord>>(answer);
         std::string out = "{\"op\":\"flight\",\"records\":[";
         for (std::size_t i = 0; i < records.size(); ++i) {
             const obs::RequestRecord& r = records[i];

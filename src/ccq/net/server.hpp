@@ -2,17 +2,20 @@
 //
 // One Server multiplexes any number of client connections onto a single
 // immutable QueryEngine (whose own batch entry points fan out on the
-// shared ccq::ThreadPool).  Each accepted connection gets a handler
-// thread running the request/response loop; the engine's concurrency
-// guarantees make that safe without any per-query locking in this
-// layer.  A connection can also be served inline from any Stream —
-// that is the stdin/stdout mode of ccq_served.
+// shared ccq::ThreadPool).  run() starts `ServerConfig::workers` epoll
+// event loops (net/epoll_server.hpp) that share the listening socket;
+// accepted connections are dealt out over the loops round-robin, and
+// each loop answers its own connections' requests inline, so no request
+// ever crosses a thread.  The engine's concurrency
+// guarantees make the loops safe without any per-query locking in this
+// layer.  A connection can also be served inline from any Stream — that
+// is the stdin/stdout mode of ccq_served.  Linux is the one platform.
 //
 // Shutdown is graceful and can come from three places: a shutdown
 // control frame on any connection, request_stop() (signal-handler safe),
 // or destroying the Server.  In every case the listener closes first,
-// in-flight requests finish, blocked reads are interrupted, and run()
-// joins every handler before returning.
+// queued replies flush, blocked reads are interrupted, and run() joins
+// every loop before returning.
 #ifndef CCQ_NET_SERVER_HPP
 #define CCQ_NET_SERVER_HPP
 
@@ -22,7 +25,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
+#include <variant>
 #include <vector>
 
 #include "ccq/net/protocol.hpp"
@@ -38,38 +41,17 @@ class EpollLoop;
 /// Per-request identity + stage timestamps, carried from frame arrival
 /// to the flushed reply and then committed to the flight recorder (and,
 /// for sampled requests, rendered as a span chain in the trace).  The
-/// backend fills conn_id/enqueued before process_frame and the encode/
+/// caller fills conn_id/enqueued before process_frame and the encode/
 /// flush marks after; process_frame fills everything in between.
 struct PendingRequest {
     obs::RequestRecord rec;
-    std::chrono::steady_clock::time_point enqueued{};     ///< queued for a worker
+    std::chrono::steady_clock::time_point enqueued{};     ///< frame complete
     std::chrono::steady_clock::time_point decode_start{}; ///< process_frame entry
     std::chrono::steady_clock::time_point decode_end{};
     std::chrono::steady_clock::time_point execute_end{};
     std::chrono::steady_clock::time_point encode_start{};
     std::chrono::steady_clock::time_point encode_end{};
 };
-
-/// How Server::run() multiplexes connections.
-enum class IoBackend {
-    threads, ///< one blocking handler thread per connection (portable)
-    epoll,   ///< one readiness loop + fixed worker pool (Linux only)
-};
-
-/// epoll where it exists (the ~100k-connection backend), threads elsewhere.
-[[nodiscard]] constexpr IoBackend default_io_backend() noexcept
-{
-#ifdef __linux__
-    return IoBackend::epoll;
-#else
-    return IoBackend::threads;
-#endif
-}
-
-/// Parses "threads" / "epoll" (the ccq_served/--io spelling); throws
-/// std::runtime_error on anything else.
-[[nodiscard]] IoBackend parse_io_backend(const std::string& name);
-[[nodiscard]] const char* io_backend_name(IoBackend backend) noexcept;
 
 struct ServerConfig {
     std::string host = "127.0.0.1";
@@ -80,24 +62,16 @@ struct ServerConfig {
     /// behavior (fine for stdio/loopback embeddings, not for shared
     /// ports — see docs/PROTOCOL.md).
     std::string shutdown_token;
-    /// Connection multiplexing backend; both speak the identical
-    /// protocol and produce identical bytes for identical requests.
-    IoBackend io = default_io_backend();
     /// Load shedding: beyond this many concurrent connections a new
     /// connection is answered with one `busy` error frame and closed.
     /// 0 = unlimited.
     int max_connections = 0;
-    /// Worker threads of the epoll backend's fixed pool (0 = one per
-    /// hardware thread).  Ignored by the threads backend, which is
-    /// per-connection by construction.
+    /// Event loops run() starts, one thread each (0 = one per hardware
+    /// thread).  A loop answers its connections' requests itself.
     int workers = 0;
-    /// Backpressure (epoll backend): a connection with this many decoded
-    /// requests awaiting their response stops being read until responses
-    /// drain — pipelining depth, not a hard protocol limit.
-    int max_pipeline_depth = 128;
-    /// Backpressure (epoll backend): once this many response bytes are
-    /// queued toward a slow reader, the connection stops being read
-    /// until the queue drains below half.
+    /// Backpressure: once this many response bytes are queued toward a
+    /// slow reader, the connection stops being read and answered until
+    /// the queue drains below half.
     std::size_t max_output_bytes = 4u << 20;
     /// Per-request metric recording (per-op counters, latency
     /// histograms, byte counters).  The `metrics` scrape op always
@@ -127,8 +101,8 @@ public:
     /// The bound port; valid after listen().
     [[nodiscard]] int port() const;
 
-    /// Accept loop: serves until a shutdown frame or request_stop(),
-    /// then drains handlers.  Call listen() first.
+    /// Runs the event loops until a shutdown frame or request_stop(),
+    /// then drains them.  Call listen() first.
     void run();
 
     /// Serves one connection inline until EOF or shutdown (stdio mode).
@@ -145,9 +119,8 @@ public:
 
     [[nodiscard]] ServerStats stats() const;
 
-    /// Times the epoll backend paused a connection's reads for
-    /// backpressure (pipelining depth or output-queue bytes).  Also on
-    /// the wire since stats v2.
+    /// Times a connection's queued replies reached max_output_bytes and
+    /// its reads paused for backpressure.  Also on the wire since stats v2.
     [[nodiscard]] std::uint64_t backpressure_pauses() const noexcept
     {
         return backpressure_pauses_.load(std::memory_order_relaxed);
@@ -164,24 +137,21 @@ public:
 private:
     friend class EpollLoop;
 
-    /// A connection-handler thread plus its completion marker, so the
-    /// accept loop can reap finished handlers without blocking on live
-    /// ones.
-    struct Handler {
-        std::thread thread;
-        std::shared_ptr<std::atomic<bool>> done;
-    };
+    /// What answer() computed, before an encoder renders it: the ping/
+    /// shutdown acknowledgement, a distance, a path, k-nearest targets,
+    /// batch distances, batch paths, stats, scrape text or flight records.
+    struct Ack {};
+    using Answer = std::variant<Ack, Weight, PathResult, std::vector<NearTarget>,
+                                std::vector<Weight>, std::vector<PathResult>, ServerStats,
+                                std::string, std::vector<obs::RequestRecord>>;
 
-    void run_threads();
-    void run_epoll();
-    void handle_connection(std::unique_ptr<TcpStream> stream, std::uint64_t conn_id);
     /// One request/response exchange; returns false when the connection
     /// should close (EOF or shutdown frame).
     bool serve_one(Stream& stream, std::uint64_t conn_id);
     /// The whole request pipeline for one intact frame body: strip the
     /// optional trace envelope, decode, validate, dispatch, render —
-    /// identical for every backend, so the threads and epoll paths
-    /// cannot diverge byte-wise.  Sets `shutdown_now` when the frame
+    /// shared by the event loops and serve_stream, so the two cannot
+    /// diverge byte-wise.  Sets `shutdown_now` when the frame
     /// was an authorized shutdown whose ok acknowledgement is the
     /// returned reply.  When `pending` is given, its record and
     /// decode/execute timestamps are filled in.
@@ -195,13 +165,16 @@ private:
                         std::chrono::steady_clock::time_point flush_end);
     /// Sheds one over-limit connection: best-effort busy frame + close.
     void shed_connection(TcpStream& stream);
-    [[nodiscard]] std::string answer(const Request& request);
-    [[nodiscard]] std::string answer_json(const Request& request);
-    /// Joins handlers that have already finished (cheap; called per
-    /// accept so a long-lived server does not accumulate dead threads).
-    void reap_finished_handlers();
+    /// The one typed dispatch: validates a decoded request, counts it
+    /// and runs it on the engine.  Throws request_rejected (server.cpp)
+    /// for a typed error reply.
+    [[nodiscard]] Answer answer(const Request& request);
+    /// The two renderings of an ok answer: the binary reply body, and
+    /// the JSON debug mode's reply text.
+    [[nodiscard]] static std::string render_binary(const Request& request, const Answer& answer);
+    [[nodiscard]] static std::string render_json(const Request& request, const Answer& answer);
 
-    // --- observability hooks shared by both backends ------------------
+    // --- observability hooks ------------------------------------------
     void init_metrics();
     /// Per-request accounting called from process_frame.
     void record_request(std::size_t op_index, bool ok, std::int64_t latency_us) noexcept;
@@ -213,28 +186,25 @@ private:
     void note_conn_poisoned(std::uint64_t conn_id, const char* reason);
     void add_bytes_read(std::uint64_t n) noexcept;
     void add_bytes_written(std::uint64_t n) noexcept;
-    /// Dispatch-queue wait of the epoll backend's worker pool.
-    void record_queue_wait(std::int64_t us) noexcept;
-    /// Full teardown: stop, interrupt blocked reads, join every handler.
-    /// Joins happen outside handlers_mutex_ so finishing handlers can
-    /// still deregister themselves.
-    void drain();
 
     std::shared_ptr<const QueryEngine> engine_;
     ServerConfig config_;
     std::optional<TcpListener> listener_;
     std::atomic<bool> stop_{false};
-    /// The epoll backend's wakeup eventfd; request_stop() writes it
-    /// (async-signal-safe) so a signal interrupts epoll_wait the way
-    /// listener_->close() interrupts accept().  Created lazily by
-    /// run_epoll(), owned by the Server, and closed only in ~Server —
-    /// never while the loop winds down — so a concurrent
-    /// request_stop() can never write a closed (or reused) fd.
+    /// The event loops' stop eventfd; request_stop() writes it
+    /// (async-signal-safe) and it stays readable from then on, so every
+    /// loop's epoll_wait wakes.  Created lazily by run(), owned by the
+    /// Server, and closed only in ~Server — never while the loops wind
+    /// down — so a concurrent request_stop() can never write a closed
+    /// (or reused) fd.
     std::atomic<int> loop_wakeup_fd_{-1};
+    /// The event loops, set by run() before any of them starts and
+    /// cleared once all have joined; accepted connections are dealt
+    /// out over them.
+    std::vector<EpollLoop*> loops_;
 
-    std::mutex handlers_mutex_;
-    std::vector<Handler> handlers_;
-    std::vector<Stream*> active_streams_; ///< guarded by handlers_mutex_
+    std::mutex streams_mutex_;
+    std::vector<Stream*> active_streams_; ///< serve_stream's, for ~Server
 
     std::chrono::steady_clock::time_point started_ = std::chrono::steady_clock::now();
     std::atomic<std::uint64_t> connections_accepted_{0};
@@ -267,7 +237,6 @@ private:
     obs::Counter* conns_closed_ = nullptr;
     obs::Counter* conns_shed_ = nullptr;
     obs::Counter* conns_poisoned_ = nullptr;
-    obs::Histogram* queue_wait_us_ = nullptr;
 };
 
 } // namespace ccq

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 
@@ -187,7 +186,7 @@ bool raise_fd_limit(std::size_t need) noexcept
 TcpListener::TcpListener(const std::string& host, int port)
 {
     const sockaddr_in requested = make_address(host, port);
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (fd_ < 0) throw net_error(errno_text("socket"));
     const int one = 1;
     ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -220,42 +219,8 @@ TcpListener::~TcpListener()
     if (fd_ >= 0) ::close(fd_);
 }
 
-std::unique_ptr<TcpStream> TcpListener::accept()
-{
-    int transient_errno = 0;
-    std::unique_ptr<TcpStream> stream = accept_transient(transient_errno);
-    if (stream == nullptr && transient_errno != 0)
-        throw net_error("accept: " + std::string(std::strerror(transient_errno)));
-    return stream;
-}
-
-std::unique_ptr<TcpStream> TcpListener::accept_transient(int& transient_errno)
-{
-    transient_errno = 0;
-    while (true) {
-        const int conn = ::accept(fd_, nullptr, nullptr);
-        if (conn >= 0) return std::make_unique<TcpStream>(conn);
-        if (closed_.load(std::memory_order_acquire)) return nullptr;
-        if (errno == EINTR || errno == ECONNABORTED) continue;
-        if (errno == EMFILE || errno == ENFILE) {
-            // Descriptor exhaustion is transient (connections close, the
-            // limit rises): report it so the server can log and continue
-            // instead of tearing the listener down.
-            transient_errno = errno;
-            return nullptr;
-        }
-        // After close() the kernel fails accept (EINVAL on Linux); any
-        // other error on a closed listener is also a clean stop — checked
-        // above.  The rest is a real listener failure.
-        throw net_error(errno_text("accept"));
-    }
-}
-
-void TcpListener::set_nonblocking(bool nonblocking) { set_fd_nonblocking(fd_, nonblocking); }
-
 void TcpListener::close() noexcept
 {
-    closed_.store(true, std::memory_order_release);
     if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR); // async-signal-safe unblock
 }
 

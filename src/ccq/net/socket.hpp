@@ -1,19 +1,18 @@
-// Minimal blocking transport for the serving protocol: a byte-stream
-// abstraction plus POSIX TCP and file-descriptor implementations.
+// Minimal transport for the serving protocol: a byte-stream abstraction
+// plus POSIX TCP and file-descriptor implementations.
 //
-// The protocol layer (net/protocol.hpp) frames messages over a Stream;
-// the Server accepts TcpStreams from a TcpListener or serves a single
-// FdStream (stdin/stdout mode).  Everything is blocking — the server
-// multiplexes by handing each accepted connection to its own handler —
-// and shutdown is cooperative: interrupt() unblocks a peer stuck in
-// read()/write() so graceful teardown never hangs.
+// The protocol layer (net/protocol.hpp) frames messages over a Stream.
+// Streams are blocking — the client side and the stdin/stdout mode of
+// the Server use them as is — and shutdown is cooperative: interrupt()
+// unblocks a peer stuck in read()/write() so graceful teardown never
+// hangs.  The Server's event loops take raw nonblocking descriptors
+// from the TcpListener instead.
 //
 // IPv4 only, numeric addresses plus "localhost"; all errors surface as
 // net_error with errno context.
 #ifndef CCQ_NET_SOCKET_HPP
 #define CCQ_NET_SOCKET_HPP
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
@@ -113,7 +112,8 @@ void set_fd_nonblocking(int fd, bool nonblocking);
 /// was raised; never throws — callers surface EMFILE naturally later.
 bool raise_fd_limit(std::size_t need) noexcept;
 
-/// A listening TCP socket (SO_REUSEADDR; port 0 picks an ephemeral port).
+/// A nonblocking listening TCP socket for readiness loops (SO_REUSEADDR;
+/// port 0 picks an ephemeral port).
 class TcpListener {
 public:
     TcpListener(const std::string& host, int port);
@@ -124,34 +124,16 @@ public:
     /// The bound port (useful after binding port 0).
     [[nodiscard]] int port() const noexcept { return port_; }
 
-    /// Blocks for the next connection; returns nullptr once close() has
-    /// been called (from any thread, including a signal handler).
-    /// Transient resource exhaustion (EMFILE/ENFILE) throws net_error;
-    /// servers that must keep listening use accept_transient instead.
-    [[nodiscard]] std::unique_ptr<TcpStream> accept();
-
-    /// accept() that classifies failures instead of tearing down:
-    /// returns a stream on success; nullptr with transient_errno == 0
-    /// once close() has been called; nullptr with transient_errno set to
-    /// EMFILE/ENFILE when the process/system is out of descriptors (the
-    /// caller logs, sheds, or backs off — the listener stays usable).
-    /// ECONNABORTED/EINTR are retried internally; anything else throws.
-    [[nodiscard]] std::unique_ptr<TcpStream> accept_transient(int& transient_errno);
-
-    /// Unblocks accept() and stops accepting.  Async-signal-safe.
+    /// Stops accepting: shutdown(2), which also wakes every readiness
+    /// loop watching the listener.  Async-signal-safe.
     void close() noexcept;
 
     /// The raw listening descriptor (owned) — for readiness loops.
     [[nodiscard]] int native_handle() const noexcept { return fd_; }
 
-    /// Switches the listener between blocking accepts (default) and the
-    /// nonblocking accepts a readiness loop needs.
-    void set_nonblocking(bool nonblocking);
-
 private:
     int fd_ = -1;
     int port_ = 0;
-    std::atomic<bool> closed_{false};
 };
 
 } // namespace ccq

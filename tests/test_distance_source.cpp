@@ -85,7 +85,9 @@ TEST(DistanceSource, DenseAndMappedAnswerBitwiseIdenticallyToTheSnapshot)
             EXPECT_EQ(mapped_engine.distance(u, v), expected);
             EXPECT_EQ(dense_row[static_cast<std::size_t>(v)], expected);
             EXPECT_EQ(mapped_row[static_cast<std::size_t>(v)], expected);
-            if (u != v) EXPECT_EQ(dense_engine.path(u, v), mapped_engine.path(u, v));
+            if (u != v) {
+                EXPECT_EQ(dense_engine.path(u, v), mapped_engine.path(u, v));
+            }
         }
         EXPECT_EQ(dense_engine.nearest_targets(u, 5), mapped_engine.nearest_targets(u, 5));
     }

@@ -585,7 +585,7 @@ TEST(ObsPerf, CountersWorkOrDegradeGracefully)
     obs::PerfCounters perf;
     perf.start();
     volatile std::uint64_t sink = 0;
-    for (std::uint64_t i = 0; i < 100000; ++i) sink += i * i;
+    for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i * i;
     const obs::PerfCounts counts = perf.stop();
     if (counts.available) {
         EXPECT_GT(counts.instructions, 0u);

@@ -4,12 +4,13 @@
 // The load-bearing tests are equivalence tests: every answer served
 // over the socket protocol — against the compressed codec-v2 snapshot,
 // mmap-loaded — must be bitwise identical to the in-process QueryEngine
-// answer against the raw v1 snapshot, and the two connection backends
-// (blocking thread-per-connection vs the epoll event loop) must produce
-// bitwise-identical reply bytes for identical request bytes.  Every
-// Server test therefore runs under both backends via TEST_P.
+// answer against the raw v1 snapshot, and the reply bytes must be the
+// in-process encoding of that answer however many event loops serve
+// the connections.  Every Server test therefore runs under one and
+// under four loops via TEST_P.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <chrono>
@@ -81,30 +82,47 @@ private:
     std::thread thread_;
 };
 
-/// Every Server test runs once per connection backend; the two must be
-/// behaviorally indistinguishable through the whole suite.
-class ServerBackends : public ::testing::TestWithParam<IoBackend> {
+/// The value of one exposition sample ("name{labels}" or bare "name"),
+/// or nullopt when the sample line is absent.
+[[nodiscard]] std::optional<double> sample_value(const std::string& text,
+                                                 const std::string& sample)
+{
+    const std::string haystack = "\n" + text;
+    const std::string needle = "\n" + sample + " ";
+    const std::size_t pos = haystack.find(needle);
+    if (pos == std::string::npos) return std::nullopt;
+    return std::stod(haystack.substr(pos + needle.size()));
+}
+
+/// Connections each of a server's `loops` event loops took on
+/// (ccq_loop_connections_total{loop=...}).
+[[nodiscard]] std::vector<double> connections_per_loop(const Server& server, int loops)
+{
+    const std::string text = server.metrics_text();
+    std::vector<double> counts;
+    for (int i = 0; i < loops; ++i)
+        counts.push_back(
+            sample_value(text, "ccq_loop_connections_total{loop=\"" + std::to_string(i) + "\"}")
+                .value_or(-1.0));
+    return counts;
+}
+
+/// Every Server test runs once per event-loop count; one loop and four
+/// must be behaviorally indistinguishable through the whole suite.
+class ServerBackends : public ::testing::TestWithParam<int> {
 protected:
     [[nodiscard]] static ServerConfig backend_config()
     {
         ServerConfig config;
-        config.io = GetParam();
+        config.workers = GetParam();
         return config;
     }
 };
 
-#ifdef __linux__
-INSTANTIATE_TEST_SUITE_P(Io, ServerBackends,
-                         ::testing::Values(IoBackend::threads, IoBackend::epoll),
-                         [](const ::testing::TestParamInfo<IoBackend>& info) {
-                             return io_backend_name(info.param);
+INSTANTIATE_TEST_SUITE_P(Loops, ServerBackends, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                             return "loops" + std::to_string(info.param);
                          });
-#else
-INSTANTIATE_TEST_SUITE_P(Io, ServerBackends, ::testing::Values(IoBackend::threads),
-                         [](const ::testing::TestParamInfo<IoBackend>& info) {
-                             return io_backend_name(info.param);
-                         });
-#endif
 
 TEST_P(ServerBackends, AnswersBitwiseIdenticalToTheEngine)
 {
@@ -144,69 +162,79 @@ TEST_P(ServerBackends, AnswersBitwiseIdenticalToTheEngine)
     return replies;
 }
 
-TEST(Server, BackendsProduceBitwiseIdenticalReplies)
+TEST_P(ServerBackends, PipelinedRepliesAreTheEngineAnswersBitwise)
 {
-#ifndef __linux__
-    GTEST_SKIP() << "epoll backend is Linux-only";
-#else
-    // The tentpole acceptance criterion, stated directly: identical
-    // request bytes in, identical reply bytes out, whichever backend.
+    // Identical request bytes in, the in-process encoding of the
+    // engine's answer out — binary and JSON alike, in request order,
+    // with the whole script written before the first reply is read.
     const BuiltOracle built = build(InstanceSpec{GraphFamily::clustered, 32, 9});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
 
     std::vector<std::string> bodies;
-    const auto add = [&](Request request) { bodies.push_back(encode_request(request)); };
+    std::vector<std::string> expected;
+    const auto add = [&](Request request, std::string reply) {
+        bodies.push_back(encode_request(request));
+        expected.push_back(std::move(reply));
+    };
     Request ping;
     ping.op = Opcode::ping;
-    add(ping);
+    add(ping, encode_ping_reply());
     for (NodeId u = 0; u < 32; u += 5)
         for (NodeId v = 0; v < 32; v += 7) {
             Request distance;
             distance.op = Opcode::distance;
             distance.from = u;
             distance.to = v;
-            add(distance);
+            add(distance, encode_distance_reply(engine->distance(u, v)));
             Request path;
             path.op = Opcode::path;
             path.from = u;
             path.to = v;
-            add(path);
+            add(path, encode_path_reply(engine->path(u, v)));
         }
     Request nearest;
     nearest.op = Opcode::k_nearest;
     nearest.from = 3;
     nearest.k = 6;
-    add(nearest);
+    add(nearest, encode_nearest_reply(engine->nearest_targets(3, 6)));
     Request batch;
     batch.op = Opcode::batch_distances;
     for (NodeId u = 0; u < 32; ++u) batch.pairs.push_back({u, static_cast<NodeId>(31 - u)});
-    add(batch);
+    add(batch, encode_batch_distances_reply(engine->batch_distances(batch.pairs)));
     Request bad;
     bad.op = Opcode::distance;
     bad.from = 4000; // typed out_of_range error
-    add(bad);
-    bodies.emplace_back("\xee\xee\xee"); // malformed, answered not dropped
-    bodies.emplace_back(R"({"op":"distance","from":1,"to":30})"); // JSON debug mode
-    bodies.emplace_back(R"({"op":"nonsense"})");                  // JSON error
+    add(bad, encode_error_reply(Status::out_of_range, "node 4000 outside [0, 32)"));
+    const Weight d = engine->distance(1, 30);
+    const std::string json_distance =
+        "{\"op\":\"distance\",\"from\":1,\"to\":30,\"reachable\":" +
+        std::string(is_finite(d) ? "true" : "false") +
+        ",\"distance\":" + std::to_string(is_finite(d) ? d : -1) + "}";
+    const std::vector<std::string> unchecked = {
+        "\xee\xee\xee",                          // malformed, answered not dropped
+        R"({"op":"distance","from":1,"to":30})", // JSON debug mode
+        R"({"op":"nonsense"})",                  // JSON error
+    };
+    bodies.insert(bodies.end(), unchecked.begin(), unchecked.end());
 
-    std::vector<std::string> from_threads;
-    std::vector<std::string> from_epoll;
-    {
-        ServerConfig config;
-        config.io = IoBackend::threads;
-        RunningServer running(engine, config);
-        from_threads = raw_replies(running.port(), bodies);
+    RunningServer running(engine, backend_config());
+    const std::unique_ptr<TcpStream> stream = TcpStream::connect("127.0.0.1", running.port());
+    std::string burst;
+    for (const std::string& body : bodies) burst += encode_frame(body);
+    stream->write_all(burst.data(), burst.size());
+    std::vector<std::string> replies;
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+        std::optional<std::string> reply = read_frame(*stream);
+        ASSERT_TRUE(reply.has_value()) << "reply " << i;
+        replies.push_back(std::move(*reply));
     }
-    {
-        ServerConfig config;
-        config.io = IoBackend::epoll;
-        RunningServer running(engine, config);
-        from_epoll = raw_replies(running.port(), bodies);
-    }
-    ASSERT_EQ(from_threads.size(), from_epoll.size());
-    for (std::size_t i = 0; i < from_threads.size(); ++i)
-        ASSERT_EQ(from_threads[i], from_epoll[i]) << "request " << i;
-#endif
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_EQ(replies[i], expected[i]) << "request " << i;
+    const std::size_t tail = expected.size();
+    EXPECT_EQ(split_reply(replies[tail]).first, Status::malformed);
+    EXPECT_EQ(replies[tail + 1], json_distance);
+    EXPECT_EQ(replies[tail + 2].rfind("{\"error\":{\"status\":\"malformed\"", 0), 0u)
+        << replies[tail + 2];
 }
 
 TEST_P(ServerBackends, RoundTripEquivalenceAcrossCodecV2AndMmap)
@@ -367,18 +395,15 @@ TEST_P(ServerBackends, SlowLorisByteAtATimeStillGetsAnswered)
     }
 }
 
-#ifdef __linux__
 TEST(Server, StalledReaderIsPausedNotBuffered)
 {
     // Backpressure: a client that floods requests without reading its
-    // replies must get its reads paused (bounded pipeline, bounded output
-    // queue), while other connections stay responsive — and every reply
-    // must still arrive, in order, once the reader catches up.
+    // replies must get its reads paused (bounded output queue), while
+    // other connections stay responsive — and every reply must still
+    // arrive, in order, once the reader catches up.
     const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 20, 4});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     ServerConfig config;
-    config.io = IoBackend::epoll;
-    config.max_pipeline_depth = 4;
     config.max_output_bytes = 1024;
     RunningServer running(engine, config);
 
@@ -394,7 +419,7 @@ TEST(Server, StalledReaderIsPausedNotBuffered)
     }
     stall->write_all(burst.data(), burst.size()); // ...and read nothing
 
-    // The pipeline cap guarantees pauses while the flood drains.
+    // The output cap guarantees pauses while the flood drains.
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (running.server().backpressure_pauses() == 0 &&
            std::chrono::steady_clock::now() < deadline)
@@ -421,9 +446,8 @@ TEST(Server, StalledReaderIsPausedNotBuffered)
 
 TEST(Server, EventLoopHoldsAThousandIdleConnections)
 {
-    // The reason the event loop exists: >=1024 concurrent connections on
-    // one loop without a thread per connection.  (The blocking backend
-    // would need 1100 handler threads for this.)
+    // The reason the event loops exist: >=1024 concurrent connections
+    // on a few loops without a thread per connection.
     constexpr std::size_t kConnections = 1100;
     if (!raise_fd_limit(2 * kConnections + 256))
         GTEST_SKIP() << "cannot raise RLIMIT_NOFILE high enough";
@@ -431,8 +455,7 @@ TEST(Server, EventLoopHoldsAThousandIdleConnections)
     const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     ServerConfig config;
-    config.io = IoBackend::epoll;
-    config.workers = 2; // a fixed pool, however many connections land
+    config.workers = 2; // two loops, however many connections land
     RunningServer running(engine, config);
 
     std::vector<std::unique_ptr<TcpStream>> idle;
@@ -461,7 +484,6 @@ TEST(Server, EventLoopHoldsAThousandIdleConnections)
     ASSERT_TRUE(reply.has_value());
     EXPECT_EQ(split_reply(*reply).first, Status::ok);
 }
-#endif // __linux__
 
 TEST_P(ServerBackends, MaxConnectionsShedsWithTypedBusyStatus)
 {
@@ -507,6 +529,70 @@ TEST_P(ServerBackends, MaxConnectionsShedsWithTypedBusyStatus)
         }
     }
     EXPECT_GE(running.server().stats().connections_rejected, 1u);
+}
+
+TEST(Server, MaxConnectionsIsExactAcrossLoops)
+{
+    // Four loops accept concurrently from one listener; the limit is one
+    // server-wide reservation, so exactly max_connections stay live and
+    // every other connect is told `busy`.
+    constexpr int kLimit = 8;
+    constexpr int kConnects = 32;
+    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    ServerConfig config;
+    config.workers = 4;
+    config.max_connections = kLimit;
+    RunningServer running(std::make_shared<const QueryEngine>(built.snapshot), config);
+
+    std::vector<std::unique_ptr<TcpStream>> streams(kConnects);
+    {
+        std::vector<std::thread> connectors;
+        for (int i = 0; i < kConnects; ++i)
+            connectors.emplace_back([&, i] {
+                streams[static_cast<std::size_t>(i)] =
+                    TcpStream::connect("127.0.0.1", running.port());
+            });
+        for (std::thread& connector : connectors) connector.join();
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    const auto handled = [&] {
+        const ServerStats stats = running.server().stats();
+        return stats.connections_accepted + stats.connections_rejected;
+    };
+    while (handled() < static_cast<std::uint64_t>(kConnects) &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const ServerStats stats = running.server().stats();
+    EXPECT_EQ(stats.connections_accepted, static_cast<std::uint64_t>(kLimit));
+    EXPECT_EQ(stats.connections_rejected, static_cast<std::uint64_t>(kConnects - kLimit));
+    EXPECT_EQ(stats.active_connections, static_cast<std::uint64_t>(kLimit));
+
+    // Client side: a shed connection has its busy frame waiting; a live
+    // one has nothing to read until it asks.
+    int busy = 0;
+    int live = 0;
+    for (const std::unique_ptr<TcpStream>& stream : streams) {
+        pollfd readable = {stream->native_handle(), POLLIN, 0};
+        if (::poll(&readable, 1, 200) == 1) {
+            const std::optional<std::string> reply = read_frame(*stream);
+            ASSERT_TRUE(reply.has_value());
+            EXPECT_EQ(split_reply(*reply).first, Status::busy);
+            EXPECT_EQ(read_frame(*stream), std::nullopt) << "server must close after shedding";
+            ++busy;
+        } else {
+            write_frame(*stream, encode_request(Request{}));
+            const std::optional<std::string> reply = read_frame(*stream);
+            ASSERT_TRUE(reply.has_value());
+            EXPECT_EQ(split_reply(*reply).first, Status::ok);
+            ++live;
+        }
+    }
+    EXPECT_EQ(live, kLimit);
+    EXPECT_EQ(busy, kConnects - kLimit);
+    // The limit held across loops: whichever loops won the accepts, the
+    // live connections were dealt out round-robin, two to each, and
+    // each answered its ping above from the loop that owns it.
+    EXPECT_EQ(connections_per_loop(running.server(), 4), std::vector<double>(4, 2.0));
 }
 
 TEST_P(ServerBackends, ClientPoolReusesConnections)
@@ -635,18 +721,6 @@ TEST_P(ServerBackends, JsonDebugModeAnswersJson)
     EXPECT_EQ(scrape.rfind("{\"op\":\"metrics\"", 0), 0u) << scrape;
     EXPECT_NE(scrape.find("text/plain"), std::string::npos) << scrape;
     EXPECT_NE(scrape.find("ccq_requests_total"), std::string::npos) << scrape;
-}
-
-/// The value of one exposition sample ("name{labels}" or bare "name"),
-/// or nullopt when the sample line is absent.
-[[nodiscard]] std::optional<double> sample_value(const std::string& text,
-                                                 const std::string& sample)
-{
-    const std::string haystack = "\n" + text;
-    const std::string needle = "\n" + sample + " ";
-    const std::size_t pos = haystack.find(needle);
-    if (pos == std::string::npos) return std::nullopt;
-    return std::stod(haystack.substr(pos + needle.size()));
 }
 
 TEST_P(ServerBackends, MetricsScrapeCountsScriptedWorkloadExactly)
@@ -842,9 +916,8 @@ TEST_P(ServerBackends, RequestStopUnblocksIdleConnections)
     const int port = server.listen();
     std::thread accept_thread([&server] { server.run(); });
 
-    // An idle client parks a handler in a blocking read (threads) or an
-    // armed epoll interest (epoll); request_stop must still drain
-    // everything without hanging.
+    // An idle client parks an armed epoll interest on its loop;
+    // request_stop must still drain everything without hanging.
     Client idle = Client::connect("127.0.0.1", port);
     EXPECT_EQ(idle.ping(), kProtocolVersion);
     server.request_stop();

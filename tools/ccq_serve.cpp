@@ -73,7 +73,7 @@ int usage(const char* argv0)
                  "  %s bench --snapshot <file> [--queries <n>] [--warmup <n>] [--threads <n>]\n"
                  "       [--net <connections> | --connections <n>] [--rate <qps>]\n"
                  "       [--trace-every <n>]\n"
-                 "       [--io threads|epoll] [--mmap] [--no-recode] [--no-metrics]"
+                 "       [--mmap] [--no-recode] [--no-metrics]"
                  " [--metrics-ab]\n"
                  "       [--mix distance|path|mixed] [--seed <n>] [--out <json>]\n"
                  "  %s bench --oracle-ablation [--sizes <n1,n2,...>] [--family <name>]\n"
@@ -910,9 +910,6 @@ int cmd_bench(Args& args)
     std::size_t trace_every = 0; // 0 = no trace envelopes
     if (const std::optional<std::string> every = args.value("--trace-every"))
         trace_every = static_cast<std::size_t>(std::stoull(*every));
-    IoBackend io = default_io_backend();
-    if (const std::optional<std::string> backend = args.value("--io"))
-        io = parse_io_backend(*backend);
     const bool use_mmap = args.flag("--mmap");
     const bool no_recode = args.flag("--no-recode");
     const bool no_metrics = args.flag("--no-metrics");
@@ -1059,7 +1056,6 @@ int cmd_bench(Args& args)
                 ? std::make_shared<const QueryEngine>(mapped, QueryEngineConfig{})
                 : std::make_shared<const QueryEngine>(shared_snapshot, QueryEngineConfig{});
         ServerConfig server_config;
-        server_config.io = io;
         server_config.metrics = metrics_on;
         Server server(engine, server_config);
         const int port = server.listen();
@@ -1092,9 +1088,9 @@ int cmd_bench(Args& args)
             char rate_label[32] = "";
             if (rate > 0.0)
                 std::snprintf(rate_label, sizeof rate_label, " rate=%.0f", rate);
-            std::printf("network io=%s connections=%d%s  %.0f queries/s  "
+            std::printf("network connections=%d%s  %.0f queries/s  "
                         "p50=%.1fus p99=%.1fus p99.9=%.1fus\n",
-                        io_backend_name(io), net_runs.back().threads, rate_label,
+                        net_runs.back().threads, rate_label,
                         net_runs.back().qps, net_runs.back().p50_us,
                         net_runs.back().p99_us, net_runs.back().p99_9_us);
         }
@@ -1123,9 +1119,9 @@ int cmd_bench(Args& args)
                 ? (measured.off_qps - measured.on_qps) / measured.off_qps * 100.0
                 : 0.0;
         ab = measured;
-        std::printf("metrics A/B io=%s connections=%d  on=%.0f qps, off=%.0f qps, "
+        std::printf("metrics A/B connections=%d  on=%.0f qps, off=%.0f qps, "
                     "overhead=%.2f%%\n",
-                    io_backend_name(io), net_connections, ab->on_qps, ab->off_qps,
+                    net_connections, ab->on_qps, ab->off_qps,
                     ab->overhead_pct);
     }
 
@@ -1190,8 +1186,7 @@ int cmd_bench(Args& args)
             std::snprintf(buffer, sizeof(buffer), "%.1f", rate);
             rate_text = buffer;
         }
-        json += "  \"net\": {\"io\": \"" + std::string(io_backend_name(io)) +
-                "\", \"mode\": \"" + (rate > 0.0 ? "open" : "closed") +
+        json += std::string("  \"net\": {\"mode\": \"") + (rate > 0.0 ? "open" : "closed") +
                 "\", \"connections\": " + std::to_string(net_connections) +
                 ", \"rate\": " + rate_text + ", \"runs\": [";
         for (std::size_t i = 0; i < net_runs.size(); ++i) {

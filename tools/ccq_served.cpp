@@ -28,6 +28,7 @@
 #include <optional>
 #include <string>
 
+#include "ccq/common/parallel.hpp"
 #include "ccq/net/server.hpp"
 #include "ccq/net/socket.hpp"
 #include "ccq/obs/log.hpp"
@@ -56,7 +57,7 @@ int usage()
                  "usage: ccq_served --snapshot <file> [--host <ip>] [--port <n>]\n"
                  "       [--port-file <file>] [--mmap] [--stdio] [--threads <n>]\n"
                  "       [--cache <entries>] [--shutdown-token <t>]\n"
-                 "       [--io threads|epoll] [--max-connections <n>] [--workers <n>]\n"
+                 "       [--max-connections <n>] [--workers <n>]\n"
                  "       [--log-level error|warn|info|debug] [--trace-out <file>]\n"
                  "       [--no-metrics] [--flight-records <n>] [--slow-query-us <t>]\n");
     return 1;
@@ -72,8 +73,6 @@ int run(Args& args)
         config.port = std::stoi(*port);
     if (const std::optional<std::string> token = args.value("--shutdown-token"))
         config.shutdown_token = *token;
-    if (const std::optional<std::string> io = args.value("--io"))
-        config.io = parse_io_backend(*io);
     if (const std::optional<std::string> max_conns = args.value("--max-connections"))
         config.max_connections = std::stoi(*max_conns);
     if (const std::optional<std::string> workers = args.value("--workers"))
@@ -149,8 +148,8 @@ int run(Args& args)
         if (!out) throw std::runtime_error("cannot write port file " + *port_file);
         out << port << "\n";
     }
-    std::printf("ccq_served: listening on %s:%d (%s backend)\n", config.host.c_str(), port,
-                io_backend_name(config.io));
+    std::printf("ccq_served: listening on %s:%d (%d event loops)\n", config.host.c_str(), port,
+                resolved_thread_count(config.workers));
     std::fflush(stdout);
     try {
         server.run();
