@@ -1,11 +1,23 @@
 #include "ccq/core/routing.hpp"
 
-#include <queue>
+#include <algorithm>
+#include <atomic>
+#include <string>
 #include <utility>
 
-#include "ccq/graph/exact.hpp"
+#include "ccq/graph/dijkstra.hpp"
+#include "ccq/obs/trace.hpp"
 
 namespace ccq {
+
+namespace {
+
+/// Per-thread tile of toward-columns: about 1 MiB, at most 64
+/// destinations wide so small graphs still split across threads.
+constexpr std::size_t kTileBytes = std::size_t{1} << 20;
+constexpr std::size_t kMaxBlock = 64;
+
+} // namespace
 
 std::vector<NodeId> RoutingTables::route(NodeId from, NodeId to) const
 {
@@ -25,44 +37,59 @@ std::vector<NodeId> RoutingTables::route(NodeId from, NodeId to) const
     return path;
 }
 
-RoutingTables build_routing_tables(const Graph& backbone)
+RoutingTables build_routing_tables(const Graph& backbone, const EngineConfig& engine)
 {
     CCQ_EXPECT(!backbone.is_directed(), "build_routing_tables: undirected backbone required");
     const int n = backbone.node_count();
-    std::vector<NodeId> next(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), -1);
+    const int threads = engine.resolved_threads();
+    obs::TraceSpan span("routing/build", "core",
+                        "{\"n\":" + std::to_string(n) + ",\"threads\":" +
+                            std::to_string(threads) + "}");
+    const std::size_t row = static_cast<std::size_t>(n);
+    std::vector<NodeId> next(row * row, -1);
 
-    // One Dijkstra per destination over the backbone; the parent pointers
+    // One Dijkstra per destination over the backbone; the tight-arc hops
     // toward the destination are exactly the next hops.  (Each node can
-    // do this locally once the backbone is broadcast.)
-    for (NodeId dest = 0; dest < n; ++dest) {
-        std::vector<Weight> dist(static_cast<std::size_t>(n), kInfinity);
-        std::vector<NodeId> toward(static_cast<std::size_t>(n), -1);
-        dist[static_cast<std::size_t>(dest)] = 0;
-        using Item = std::pair<Weight, NodeId>;
-        std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
-        queue.emplace(0, dest);
-        while (!queue.empty()) {
-            const auto [d, u] = queue.top();
-            queue.pop();
-            if (d != dist[static_cast<std::size_t>(u)]) continue;
-            for (const Edge& e : backbone.neighbors(u)) {
-                const Weight cand = saturating_add(d, e.weight);
-                Weight& cur = dist[static_cast<std::size_t>(e.to)];
-                // Deterministic tie-break by hop id keeps tables stable.
-                if (cand < cur ||
-                    (cand == cur && toward[static_cast<std::size_t>(e.to)] > u)) {
-                    cur = cand;
-                    toward[static_cast<std::size_t>(e.to)] = u;
-                    queue.emplace(cand, e.to);
-                }
-            }
-        }
-        for (NodeId u = 0; u < n; ++u) {
-            if (u == dest) continue;
-            next[static_cast<std::size_t>(u) * static_cast<std::size_t>(n) +
-                 static_cast<std::size_t>(dest)] = toward[static_cast<std::size_t>(u)];
-        }
+    // do this locally once the backbone is broadcast.)  Destinations run
+    // in blocks: a task gathers its block's toward-columns into a tile,
+    // then writes the tile row-major into `next`, one run of cells per
+    // node instead of one cell per n-stride.
+    const ArcTable arcs(backbone);
+    const int block = static_cast<int>(
+        std::clamp<std::size_t>(kTileBytes / (std::max<std::size_t>(row, 1) * sizeof(NodeId)),
+                                1, kMaxBlock));
+    // Each task's scratch is allocated here, on the calling thread: freed,
+    // it returns to this thread's heap, where the snapshot built next
+    // reuses it, instead of staying parked in a pool worker's arena.
+    struct TaskScratch {
+        DijkstraScratch dijkstra;
+        std::vector<NodeId> tile;
+    };
+    const int tasks = std::max(1, std::min(threads, (n + block - 1) / block));
+    std::vector<TaskScratch> scratch(static_cast<std::size_t>(tasks));
+    for (TaskScratch& s : scratch) {
+        s.dijkstra.dist.reserve(row);
+        s.dijkstra.toward.reserve(row);
+        s.dijkstra.heap.reset(n);
+        s.tile.resize(static_cast<std::size_t>(block) * row);
     }
+    std::atomic<std::size_t> claimed{0};
+    parallel_chunks(threads, 0, n, block, [&](int d0, int d1) {
+        TaskScratch& mine = scratch[claimed.fetch_add(1)];
+        std::vector<NodeId>& tile = mine.tile;
+        for (NodeId b0 = d0; b0 < d1; b0 += block) {
+            const std::size_t width = static_cast<std::size_t>(std::min(block, d1 - b0));
+            for (std::size_t j = 0; j < width; ++j) {
+                // toward[dest] stays -1, which is the table's "u == v" cell.
+                dijkstra(arcs, b0 + static_cast<NodeId>(j), mine.dijkstra, /*with_toward=*/true);
+                for (std::size_t u = 0; u < row; ++u)
+                    tile[u * width + j] = mine.dijkstra.toward[u];
+            }
+            for (std::size_t u = 0; u < row; ++u)
+                std::copy_n(tile.begin() + static_cast<std::ptrdiff_t>(u * width), width,
+                            next.begin() + static_cast<std::ptrdiff_t>(u * row + b0));
+        }
+    });
     return RoutingTables(n, std::move(next));
 }
 

@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "ccq/common/parallel.hpp"
 #include "ccq/graph/graph.hpp"
 #include "ccq/matrix/dense.hpp"
 
@@ -61,7 +62,13 @@ private:
 /// communication graph whose edges every node knows, e.g. the broadcast
 /// spanner).  Routes followed through the tables have length exactly
 /// d_backbone(u, v), hence within the backbone's stretch of d_G.
-[[nodiscard]] RoutingTables build_routing_tables(const Graph& backbone);
+///
+/// next_hop(u, v) is the smallest-id neighbour w of u with
+/// w(u,w) + d(w,v) == d(u,v), a value independent of heap order, so the
+/// tables are bitwise identical for every `engine.threads`.  Destinations
+/// run in blocks of up to 64 across the engine's threads.
+[[nodiscard]] RoutingTables build_routing_tables(const Graph& backbone,
+                                                 const EngineConfig& engine = {});
 
 /// Total length of a route under graph `g` (kInfinity for an empty or
 /// broken route).

@@ -6,42 +6,29 @@
 #include <tuple>
 #include <utility>
 
+#include "ccq/graph/dijkstra.hpp"
+
 namespace ccq {
 
 std::vector<Weight> dijkstra_from(const Graph& g, NodeId source)
 {
     CCQ_EXPECT(g.is_valid_node(source), "dijkstra_from: source out of range");
-    const int n = g.node_count();
-    std::vector<Weight> dist(static_cast<std::size_t>(n), kInfinity);
-    dist[static_cast<std::size_t>(source)] = 0;
-
-    using Item = std::pair<Weight, NodeId>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
-    queue.emplace(0, source);
-    while (!queue.empty()) {
-        const auto [d, u] = queue.top();
-        queue.pop();
-        if (d != dist[static_cast<std::size_t>(u)]) continue; // stale entry
-        for (const Edge& e : g.neighbors(u)) {
-            const Weight cand = saturating_add(d, e.weight);
-            Weight& cur = dist[static_cast<std::size_t>(e.to)];
-            if (cand < cur) {
-                cur = cand;
-                queue.emplace(cand, e.to);
-            }
-        }
-    }
-    return dist;
+    DijkstraScratch scratch;
+    dijkstra(g, source, scratch);
+    return std::move(scratch.dist);
 }
 
 DistanceMatrix exact_apsp(const Graph& g, const EngineConfig& engine)
 {
     const int n = g.node_count();
     DistanceMatrix result(n);
+    const ArcTable arcs(g);
     parallel_chunks(engine.resolved_threads(), 0, n, 1, [&](int s0, int s1) {
+        DijkstraScratch scratch;
         for (NodeId s = s0; s < s1; ++s) {
-            const std::vector<Weight> dist = dijkstra_from(g, s);
-            for (NodeId v = 0; v < n; ++v) result.at(s, v) = dist[static_cast<std::size_t>(v)];
+            dijkstra(arcs, s, scratch);
+            std::copy(scratch.dist.begin(), scratch.dist.end(),
+                      result.data() + static_cast<std::size_t>(s) * static_cast<std::size_t>(n));
         }
     });
     return result;

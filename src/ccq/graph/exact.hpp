@@ -16,10 +16,12 @@
 namespace ccq {
 
 /// Single-source shortest path lengths (works for both orientations).
+/// One run of the graph/dijkstra.hpp kernel; loops over many sources
+/// should build one ArcTable and reuse a DijkstraScratch instead.
 [[nodiscard]] std::vector<Weight> dijkstra_from(const Graph& g, NodeId source);
 
-/// All-pairs shortest paths via n Dijkstra runs; sources are independent
-/// and run in parallel per `engine`.
+/// All-pairs shortest paths via n Dijkstra runs over one ArcTable;
+/// sources are independent and run in parallel per `engine`.
 [[nodiscard]] DistanceMatrix exact_apsp(const Graph& g, const EngineConfig& engine = {});
 
 /// All-pairs shortest paths via Floyd–Warshall (O(n^3), for cross-checks).

@@ -66,10 +66,25 @@ TEST(Exact, ShorterMultiHopBeatsDirectEdge)
 
 TEST(Exact, DijkstraMatchesFloydWarshallOnRandomGraphs)
 {
+    // Weights 0..3 add zero-weight edges and many equal-cost ties; the
+    // directed copy keeps each edge as one arc u -> v (u <= v).
     for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-        Rng rng(seed);
-        const Graph g = erdos_renyi(40, 0.15, WeightRange{1, 50}, rng, /*connected=*/false);
-        EXPECT_EQ(exact_apsp(g), exact_apsp_floyd_warshall(g)) << "seed " << seed;
+        for (const WeightRange weights : {WeightRange{1, 50}, WeightRange{0, 3}}) {
+            Rng rng(seed);
+            const Graph g = erdos_renyi(40, 0.15, weights, rng, /*connected=*/false);
+            const Graph directed =
+                graph_from_edges(g.node_count(), Orientation::directed, g.edge_list());
+            for (const Graph* graph : {&g, &directed}) {
+                const DistanceMatrix truth = exact_apsp_floyd_warshall(*graph);
+                EXPECT_EQ(exact_apsp(*graph), truth) << "seed " << seed;
+                for (NodeId s = 0; s < graph->node_count(); ++s) {
+                    const std::vector<Weight> row = dijkstra_from(*graph, s);
+                    for (NodeId v = 0; v < graph->node_count(); ++v)
+                        EXPECT_EQ(row[static_cast<std::size_t>(v)], truth.at(s, v))
+                            << "seed " << seed << " " << s << "->" << v;
+                }
+            }
+        }
     }
 }
 

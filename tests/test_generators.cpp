@@ -4,17 +4,12 @@
 
 #include "ccq/graph/generators.hpp"
 #include "ccq/graph/metrics.hpp"
+#include "test_helpers.hpp"
 
 namespace ccq {
 namespace {
 
-constexpr GraphFamily kAllFamilies[] = {
-    GraphFamily::path,          GraphFamily::cycle,
-    GraphFamily::star,          GraphFamily::grid,
-    GraphFamily::tree,          GraphFamily::erdos_renyi_sparse,
-    GraphFamily::erdos_renyi_dense, GraphFamily::geometric,
-    GraphFamily::barabasi_albert,   GraphFamily::clustered,
-};
+using testing::kAllFamilies;
 
 TEST(Generators, AllFamiliesProduceConnectedGraphsInWeightRange)
 {

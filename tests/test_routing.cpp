@@ -2,12 +2,117 @@
 // and stretch guarantees when routing along a spanner backbone.
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <string>
+#include <utility>
+
 #include "ccq/core/routing.hpp"
 #include "ccq/spanner/baswana_sen.hpp"
 #include "test_helpers.hpp"
 
 namespace ccq {
 namespace {
+
+/// The original builder, kept as the reference the blocked, parallel one
+/// must match cell for cell: one std::priority_queue Dijkstra per
+/// destination that pushes on every improvement and on every tie won by
+/// a smaller hop id.
+std::vector<NodeId> reference_next_hops(const Graph& backbone)
+{
+    const int n = backbone.node_count();
+    std::vector<NodeId> next(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), -1);
+    for (NodeId dest = 0; dest < n; ++dest) {
+        std::vector<Weight> dist(static_cast<std::size_t>(n), kInfinity);
+        std::vector<NodeId> toward(static_cast<std::size_t>(n), -1);
+        dist[static_cast<std::size_t>(dest)] = 0;
+        using Item = std::pair<Weight, NodeId>;
+        std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
+        queue.emplace(0, dest);
+        while (!queue.empty()) {
+            const auto [d, u] = queue.top();
+            queue.pop();
+            if (d != dist[static_cast<std::size_t>(u)]) continue;
+            for (const Edge& e : backbone.neighbors(u)) {
+                const Weight cand = saturating_add(d, e.weight);
+                Weight& cur = dist[static_cast<std::size_t>(e.to)];
+                if (cand < cur ||
+                    (cand == cur && toward[static_cast<std::size_t>(e.to)] > u)) {
+                    cur = cand;
+                    toward[static_cast<std::size_t>(e.to)] = u;
+                    queue.emplace(cand, e.to);
+                }
+            }
+        }
+        for (NodeId u = 0; u < n; ++u) {
+            if (u == dest) continue;
+            next[static_cast<std::size_t>(u) * static_cast<std::size_t>(n) +
+                 static_cast<std::size_t>(dest)] = toward[static_cast<std::size_t>(u)];
+        }
+    }
+    return next;
+}
+
+/// Every next_hop cell of build_routing_tables(g) under 1 and 4 threads
+/// equals the reference.
+void expect_identical_to_reference(const Graph& g, const std::string& name)
+{
+    const int n = g.node_count();
+    const std::vector<NodeId> want = reference_next_hops(g);
+    for (const int threads : {1, 4}) {
+        const RoutingTables tables = build_routing_tables(g, EngineConfig{threads, 64});
+        ASSERT_EQ(tables.size(), n) << name;
+        std::size_t mismatches = 0;
+        for (NodeId u = 0; u < n; ++u) {
+            for (NodeId v = 0; v < n; ++v) {
+                const NodeId expected =
+                    want[static_cast<std::size_t>(u) * static_cast<std::size_t>(n) +
+                         static_cast<std::size_t>(v)];
+                if (tables.next_hop(u, v) != expected && mismatches++ < 5)
+                    ADD_FAILURE() << name << " threads=" << threads << ": next_hop(" << u
+                                  << ", " << v << ") = " << tables.next_hop(u, v)
+                                  << ", reference " << expected;
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << name << " threads=" << threads;
+    }
+}
+
+TEST(Routing, BitwiseIdenticalToReferenceOnEveryFamily)
+{
+    // Three seeds per family; the narrow weight ranges (including 0)
+    // make equal-cost ties common, which is where the hop rule decides.
+    // None of the sizes is a multiple of the 64-destination block.
+    struct Case {
+        std::uint64_t seed;
+        int n;
+        WeightRange weights;
+    };
+    constexpr Case kCases[] = {{1, 300, {1, 100}}, {2, 193, {1, 4}}, {3, 131, {0, 3}}};
+    for (const GraphFamily family : testing::kAllFamilies) {
+        for (const Case& c : kCases) {
+            Rng rng(c.seed);
+            const Graph g = make_family_instance(family, c.n, c.weights, rng);
+            expect_identical_to_reference(g, std::string(family_name(family)) + " seed " +
+                                                 std::to_string(c.seed));
+        }
+    }
+}
+
+TEST(Routing, BitwiseIdenticalToReferenceOnCornerCases)
+{
+    for (const testing::NamedGraph& c : testing::corner_case_graphs(Orientation::undirected))
+        expect_identical_to_reference(c.graph, c.name);
+}
+
+TEST(Routing, BitwiseIdenticalAcrossBlockBoundaries)
+{
+    // Sizes around one and two 64-destination blocks, disconnected.
+    for (const int n : {63, 64, 65, 129}) {
+        Rng rng(static_cast<std::uint64_t>(n));
+        const Graph g = erdos_renyi(n, 2.0 / n, WeightRange{0, 2}, rng, /*connected=*/false);
+        expect_identical_to_reference(g, "er n=" + std::to_string(n));
+    }
+}
 
 TEST(Routing, HandCheckedPath)
 {

@@ -225,10 +225,12 @@ int cmd_build(Args& args)
     const auto t1 = std::chrono::steady_clock::now();
 
     std::optional<RoutingTables> routing;
-    if (with_routing) routing = build_routing_tables(g);
+    if (with_routing) routing = build_routing_tables(g, options.engine);
+    const auto t2 = std::chrono::steady_clock::now();
     const OracleSnapshot snapshot = OracleSnapshot::from_result(
         g, oracle.result(), options.seed, routing ? &*routing : nullptr);
     save_snapshot(*out, snapshot, codec);
+    const auto t3 = std::chrono::steady_clock::now();
 
     if (trace_out) {
         oracle.result().ledger.emit_trace_totals();
@@ -237,10 +239,14 @@ int cmd_build(Args& args)
                     obs::Tracer::global().event_count());
     }
 
-    const double build_s = std::chrono::duration<double>(t1 - t0).count();
+    const auto seconds = [](auto from, auto to) {
+        return std::chrono::duration<double>(to - from).count();
+    };
     std::printf("built %s oracle: n=%d m=%zu stretch<=%.2f rounds=%.1f (%.2fs)\n",
                 oracle.algorithm().c_str(), g.node_count(), g.edge_count(),
-                oracle.claimed_stretch(), oracle.simulated_rounds(), build_s);
+                oracle.claimed_stretch(), oracle.simulated_rounds(), seconds(t0, t1));
+    std::printf("wall: oracle %.2fs, routing %.2fs, snapshot write %.2fs\n", seconds(t0, t1),
+                seconds(t1, t2), seconds(t2, t3));
     std::printf("snapshot: %s (codec=v%u, %llu bytes, routing=%s)\n", out->c_str(),
                 static_cast<std::uint32_t>(codec),
                 static_cast<unsigned long long>(std::filesystem::file_size(*out)),
