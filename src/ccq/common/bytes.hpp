@@ -11,6 +11,7 @@
 #ifndef CCQ_COMMON_BYTES_HPP
 #define CCQ_COMMON_BYTES_HPP
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -71,13 +72,28 @@ inline void put_string(std::string& out, std::string_view s)
 // --- varints ----------------------------------------------------------------
 
 /// LEB128: 7 bits per byte, high bit = continuation; at most 10 bytes.
-inline void put_varint_u64(std::string& out, std::uint64_t v)
+/// Writes through a raw pointer (for encoders that size their output
+/// first with varint_size) and returns one past the last byte written.
+inline char* put_varint_u64(char* out, std::uint64_t v)
 {
     while (v >= 0x80) {
-        out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+        *out++ = static_cast<char>((v & 0x7f) | 0x80);
         v >>= 7;
     }
-    out.push_back(static_cast<char>(v));
+    *out++ = static_cast<char>(v);
+    return out;
+}
+
+inline void put_varint_u64(std::string& out, std::uint64_t v)
+{
+    char bytes[10];
+    out.append(bytes, put_varint_u64(bytes, v));
+}
+
+/// Bytes put_varint_u64 writes for `v`: ceil(significant bits / 7).
+[[nodiscard]] inline std::size_t varint_size(std::uint64_t v)
+{
+    return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
 /// Zigzag maps small-magnitude signed values to small unsigned ones.

@@ -123,7 +123,7 @@ DistanceMatrix large_bandwidth_impl(const Graph& g, const ApspOptions& options, 
     const SubgraphApspResult skeleton_apsp =
         apsp_via_full_broadcast(skeleton.graph, transport, "skeleton-apsp", options.engine);
     const DistanceMatrix eta = extend_skeleton_estimate(skeleton, skeleton_apsp.estimate, rows,
-                                                        transport, "extend");
+                                                        transport, "extend", options.engine);
 
     // Lemma 6.1: 7 * l * a^2 with l = 1, a = eta0_stretch.
     if (claimed != nullptr) *claimed = 7.0 * eta0_stretch * eta0_stretch;
@@ -202,7 +202,7 @@ ApspResult apsp_general(const Graph& g, const ApspOptions& options)
 
     // Step 4: extend back to G (Lemma 3.4: factor 7 * l, a = 1).
     result.estimate = extend_skeleton_estimate(skeleton, delta_gs, nearest.rows, transport,
-                                               "extend");
+                                               "extend", options.engine);
     result.claimed_stretch = 7.0 * inner_claimed;
     return result;
 }

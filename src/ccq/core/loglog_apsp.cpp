@@ -83,7 +83,7 @@ ApspResult apsp_loglog(const Graph& g, const ApspOptions& options)
 
     // Step 6: extension (Lemma 3.4: factor 7 * l).
     result.estimate = extend_skeleton_estimate(skeleton, skeleton_apsp.estimate, nearest.rows,
-                                               transport, "extend");
+                                               transport, "extend", options.engine);
     result.claimed_stretch = 7.0 * skeleton_apsp.claimed_stretch;
     return result;
 }

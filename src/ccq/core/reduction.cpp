@@ -112,7 +112,7 @@ ReductionOutcome reduce_approximation(const Graph& g, const DistanceMatrix& delt
 
     // Step 5: extend to the full graph (Lemma 3.4: factor 7*l with a = 1).
     outcome.estimate = extend_skeleton_estimate(skeleton, skeleton_apsp.estimate, nearest.rows,
-                                                transport, "extend");
+                                                transport, "extend", options.engine);
     outcome.trace.claimed_stretch = 7.0 * skeleton_apsp.claimed_stretch;
     return outcome;
 }

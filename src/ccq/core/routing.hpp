@@ -13,6 +13,7 @@
 #ifndef CCQ_CORE_ROUTING_HPP
 #define CCQ_CORE_ROUTING_HPP
 
+#include <span>
 #include <vector>
 
 #include "ccq/common/parallel.hpp"
@@ -41,6 +42,15 @@ public:
         CCQ_EXPECT(valid(from) && valid(to), "RoutingTables::next_hop: out of range");
         return next_hop_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
                          static_cast<std::size_t>(to)];
+    }
+
+    /// Next hops from `from` toward every destination, indexed by
+    /// destination (row `from` of the table).
+    [[nodiscard]] std::span<const NodeId> row(NodeId from) const
+    {
+        CCQ_EXPECT(valid(from), "RoutingTables::row: out of range");
+        return {next_hop_.data() + static_cast<std::size_t>(from) * static_cast<std::size_t>(n_),
+                static_cast<std::size_t>(n_)};
     }
 
     /// Follows next hops from `from` to `to`.  Returns the node sequence

@@ -12,9 +12,12 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <span>
+#include <type_traits>
 #include <utility>
 
 #include "ccq/common/bytes.hpp"
+#include "ccq/common/parallel.hpp"
 #include "ccq/obs/trace.hpp"
 
 namespace ccq {
@@ -27,14 +30,33 @@ constexpr std::size_t kFooterBytes = 8;
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
+/// FNV-1a 64, fed in file order: hashing a payload in pieces gives the
+/// same digest as hashing it whole.
+class Fnv1a {
+public:
+    void update(std::string_view bytes) noexcept
+    {
+        // A local keeps the hash in a register: a store to the member
+        // could alias the char input, forcing a reload per byte.
+        std::uint64_t hash = hash_;
+        for (const char c : bytes) {
+            hash ^= static_cast<unsigned char>(c);
+            hash *= kFnvPrime;
+        }
+        hash_ = hash;
+    }
+
+    [[nodiscard]] std::uint64_t digest() const noexcept { return hash_; }
+
+private:
+    std::uint64_t hash_ = kFnvOffset;
+};
+
 [[nodiscard]] std::uint64_t fnv1a(std::string_view bytes)
 {
-    std::uint64_t hash = kFnvOffset;
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= kFnvPrime;
-    }
-    return hash;
+    Fnv1a hash;
+    hash.update(bytes);
+    return hash.digest();
 }
 
 // --- shared payload pieces --------------------------------------------------
@@ -78,23 +100,9 @@ void encode_meta(std::string& payload, const SnapshotMeta& meta)
 }
 
 // --- version 1: fixed-width cells -------------------------------------------
-
-[[nodiscard]] std::string encode_payload_v1(const OracleSnapshot& snapshot)
-{
-    const int n = snapshot.meta.node_count;
-    std::string payload;
-    const std::size_t cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-    payload.reserve(64 + snapshot.meta.algorithm.size() + cells * (snapshot.has_routing ? 12 : 8));
-
-    encode_meta(payload, snapshot.meta);
-    for (NodeId u = 0; u < n; ++u)
-        for (NodeId v = 0; v < n; ++v) put_i64(payload, snapshot.estimate.at(u, v));
-    put_u32(payload, snapshot.has_routing ? 1 : 0);
-    if (snapshot.has_routing)
-        for (NodeId u = 0; u < n; ++u)
-            for (NodeId v = 0; v < n; ++v) put_i32(payload, snapshot.routing.next_hop(u, v));
-    return payload;
-}
+//
+// Payload: meta, n^2 x i64 estimate cells row-major, u32 routing flag,
+// and (when set) n^2 x i32 next hops row-major.
 
 // Decoded-cell invariants, enforced by BOTH codecs at load time.  The
 // dense engine's raw-add kernels assume every stored cell is in
@@ -164,25 +172,6 @@ void check_next_hop(std::int64_t value, int n)
 // prev starting at 0.  Every cell takes at least one byte, so a valid
 // section's blob holds at least n bytes per row — the pre-allocation
 // bound used against forged node counts.
-
-template <class Cell>
-void encode_v2_rows(std::string& payload, int n, const Cell* cells)
-{
-    std::string blob;
-    std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-    for (int u = 0; u < n; ++u) {
-        std::int64_t prev = 0;
-        const Cell* row = cells + static_cast<std::size_t>(u) * static_cast<std::size_t>(n);
-        for (int v = 0; v < n; ++v) {
-            const std::int64_t value = static_cast<std::int64_t>(row[v]);
-            put_varint_i64(blob, value - prev);
-            prev = value;
-        }
-        offsets[static_cast<std::size_t>(u) + 1] = blob.size();
-    }
-    for (const std::uint64_t offset : offsets) put_u64(payload, offset);
-    payload += blob;
-}
 
 /// A validated v2 section: absolute blob position plus row offsets.
 struct V2Section {
@@ -276,25 +265,6 @@ void decode_hop_row(std::string_view row_bytes, int n, NodeId* out)
     return payload.substr(section.blob_offset + begin, end - begin);
 }
 
-[[nodiscard]] std::string encode_payload_v2(const OracleSnapshot& snapshot)
-{
-    const int n = snapshot.meta.node_count;
-    std::string payload;
-    encode_meta(payload, snapshot.meta);
-    encode_v2_rows(payload, n, snapshot.estimate.data());
-    put_u32(payload, snapshot.has_routing ? 1 : 0);
-    if (snapshot.has_routing) {
-        // RoutingTables exposes per-cell access only; gather rows once.
-        std::vector<NodeId> hops(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-        for (NodeId u = 0; u < n; ++u)
-            for (NodeId v = 0; v < n; ++v)
-                hops[static_cast<std::size_t>(u) * static_cast<std::size_t>(n) +
-                     static_cast<std::size_t>(v)] = snapshot.routing.next_hop(u, v);
-        encode_v2_rows(payload, n, hops.data());
-    }
-    return payload;
-}
-
 [[nodiscard]] OracleSnapshot decode_payload_v2(std::string_view payload)
 {
     ByteReader reader(payload);
@@ -343,21 +313,171 @@ void decode_hop_row(std::string_view row_bytes, int n, NodeId* out)
                             std::to_string(kSnapshotFormatVersion) + ")");
 }
 
-void write_envelope(std::ostream& out, SnapshotFormat format, std::string_view payload,
-                    const char* who)
+/// Writes one envelope whose payload arrives in pieces: the header
+/// (the payload length must be known upfront), then each piece, hashed
+/// in file order, then the checksum footer.
+class EnvelopeWriter {
+public:
+    EnvelopeWriter(std::ostream& out, SnapshotFormat format, std::uint64_t payload_size,
+                   const char* who)
+        : out_(out), payload_size_(payload_size), who_(who)
+    {
+        std::string header;
+        header.append(kMagic.data(), kMagic.size());
+        put_u32(header, format_version(format));
+        put_u64(header, payload_size);
+        put(header);
+    }
+
+    void write(std::string_view bytes)
+    {
+        hash_.update(bytes);
+        written_ += bytes.size();
+        put(bytes);
+    }
+
+    void finish()
+    {
+        CCQ_CHECK(written_ == payload_size_, "EnvelopeWriter: payload size mismatch");
+        std::string footer;
+        put_u64(footer, hash_.digest());
+        put(footer);
+    }
+
+private:
+    void put(std::string_view bytes)
+    {
+        out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        if (!out_) throw snapshot_io_error(std::string(who_) + ": stream write failed");
+    }
+
+    std::ostream& out_;
+    std::uint64_t payload_size_;
+    std::uint64_t written_ = 0;
+    const char* who_;
+    Fnv1a hash_;
+};
+
+// --- dense writer (v1 and v2) -----------------------------------------------
+//
+// The estimate and the routing table are each one section of n rows.  A
+// sizing pass computes every row's encoded length (fixed for v1, a sum
+// of varint sizes for v2) in parallel, which yields the v2 offset table
+// and the payload length the header needs.  Rows are then encoded in
+// parallel in batches of about kBatchBytes, each row at its own offset,
+// and every batch is hashed and written in row order — so the bytes do
+// not depend on the thread count, and one batch is all the encoded
+// output held at a time.
+
+constexpr std::uint64_t kBatchBytes = 4 << 20;
+
+/// value - prev with wrap-around semantics, the inverse of wrapping_add:
+/// the writer trusts its caller, so a forged out-of-range cell must
+/// encode (for the reader to reject) without signed-overflow UB.
+[[nodiscard]] std::int64_t wrapping_sub(std::int64_t value, std::int64_t prev)
 {
-    std::string header;
-    header.append(kMagic.data(), kMagic.size());
-    put_u32(header, format_version(format));
-    put_u64(header, payload.size());
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(value) -
+                                      static_cast<std::uint64_t>(prev));
+}
 
-    std::string footer;
-    put_u64(footer, fnv1a(payload));
+template <class Cell>
+[[nodiscard]] std::uint64_t v2_row_size(std::span<const Cell> row)
+{
+    std::uint64_t bytes = 0;
+    std::int64_t prev = 0;
+    for (const Cell cell : row) {
+        const auto value = static_cast<std::int64_t>(cell);
+        bytes += varint_size(zigzag_encode(wrapping_sub(value, prev)));
+        prev = value;
+    }
+    return bytes;
+}
 
-    out.write(header.data(), static_cast<std::streamsize>(header.size()));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.write(footer.data(), static_cast<std::streamsize>(footer.size()));
-    if (!out) throw snapshot_io_error(std::string(who) + ": stream write failed");
+template <class Cell>
+char* encode_v2_row(std::span<const Cell> row, char* out)
+{
+    std::int64_t prev = 0;
+    for (const Cell cell : row) {
+        const auto value = static_cast<std::int64_t>(cell);
+        out = put_varint_u64(out, zigzag_encode(wrapping_sub(value, prev)));
+        prev = value;
+    }
+    return out;
+}
+
+template <class Cell>
+char* encode_v1_row(std::span<const Cell> row, char* out)
+{
+    for (const Cell cell : row) {
+        const auto bits = static_cast<std::make_unsigned_t<Cell>>(cell);
+        for (std::size_t i = 0; i < sizeof(Cell); ++i)
+            *out++ = static_cast<char>((bits >> (8 * i)) & 0xff);
+    }
+    return out;
+}
+
+/// Byte offsets of a section's rows relative to its first row: n+1
+/// entries, row u in [offsets[u], offsets[u+1]).  `row_of(u)` is a
+/// span of n cells.
+template <class RowOf>
+[[nodiscard]] std::vector<std::uint64_t> row_offsets(int n, SnapshotFormat format, int threads,
+                                                     const RowOf& row_of)
+{
+    std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+    if (format == SnapshotFormat::v1_raw) {
+        using Cell = typename std::invoke_result_t<const RowOf&, NodeId>::value_type;
+        const std::uint64_t row_bytes = static_cast<std::uint64_t>(n) * sizeof(Cell);
+        for (std::size_t u = 1; u < offsets.size(); ++u) offsets[u] = u * row_bytes;
+        return offsets;
+    }
+    parallel_chunks(threads, 0, n, 1, [&](int begin, int end) {
+        for (NodeId u = begin; u < end; ++u)
+            offsets[static_cast<std::size_t>(u) + 1] = v2_row_size(row_of(u));
+    });
+    for (std::size_t u = 1; u < offsets.size(); ++u) offsets[u] += offsets[u - 1];
+    return offsets;
+}
+
+/// Encoded bytes of a section: v2 adds its u64 offset table.
+[[nodiscard]] std::uint64_t section_bytes(const std::vector<std::uint64_t>& offsets,
+                                          SnapshotFormat format)
+{
+    return offsets.back() + (format == SnapshotFormat::v2_compressed ? 8 * offsets.size() : 0);
+}
+
+template <class RowOf>
+void write_section(EnvelopeWriter& sink, SnapshotFormat format,
+                   const std::vector<std::uint64_t>& offsets, int threads, const RowOf& row_of)
+{
+    const bool v2 = format == SnapshotFormat::v2_compressed;
+    if (v2) {
+        std::string table;
+        table.reserve(8 * offsets.size());
+        for (const std::uint64_t offset : offsets) put_u64(table, offset);
+        sink.write(table);
+    }
+    const int n = static_cast<int>(offsets.size()) - 1;
+    std::string batch;
+    for (int first = 0; first < n;) {
+        int last = first + 1;
+        while (last < n && offsets[static_cast<std::size_t>(last) + 1] -
+                                   offsets[static_cast<std::size_t>(first)] <=
+                               kBatchBytes)
+            ++last;
+        const std::uint64_t base = offsets[static_cast<std::size_t>(first)];
+        batch.resize(static_cast<std::size_t>(offsets[static_cast<std::size_t>(last)] - base));
+        parallel_chunks(threads, first, last, 1, [&](int begin, int end) {
+            for (NodeId u = begin; u < end; ++u) {
+                char* out = batch.data() + (offsets[static_cast<std::size_t>(u)] - base);
+                char* row_end = v2 ? encode_v2_row(row_of(u), out) : encode_v1_row(row_of(u), out);
+                CCQ_CHECK(row_end ==
+                              batch.data() + (offsets[static_cast<std::size_t>(u) + 1] - base),
+                          "write_snapshot: row size mismatch");
+            }
+        });
+        sink.write(batch);
+        first = last;
+    }
 }
 
 struct Envelope {
@@ -462,10 +582,15 @@ OracleSnapshot OracleSnapshot::from_result(const Graph& source, const ApspResult
     return snapshot;
 }
 
-void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot, SnapshotFormat format)
+void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot, SnapshotFormat format,
+                    const EngineConfig& engine)
 {
-    obs::TraceSpan span("snapshot/write", "serve");
     const SnapshotMeta& meta = snapshot.meta;
+    const int n = meta.node_count;
+    const int threads = engine.resolved_threads();
+    obs::TraceSpan span("snapshot/write", "serve",
+                        "{\"n\":" + std::to_string(n) + ",\"threads\":" +
+                            std::to_string(threads) + "}");
     CCQ_EXPECT(meta.node_count == snapshot.estimate.size(),
                "write_snapshot: meta/estimate node count mismatch");
     CCQ_EXPECT(!snapshot.has_routing || snapshot.routing.size() == meta.node_count,
@@ -473,9 +598,31 @@ void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot, SnapshotF
     CCQ_EXPECT(format == SnapshotFormat::v1_raw || format == SnapshotFormat::v2_compressed,
                "write_snapshot: dense snapshots are v1 or v2 (v3 is write_sparse_snapshot)");
 
-    const std::string payload = format == SnapshotFormat::v1_raw ? encode_payload_v1(snapshot)
-                                                                 : encode_payload_v2(snapshot);
-    write_envelope(out, format, payload, "write_snapshot");
+    const auto estimate_row = [&](NodeId u) {
+        return std::span<const Weight>(snapshot.estimate.data() + static_cast<std::size_t>(u) *
+                                                                      static_cast<std::size_t>(n),
+                                       static_cast<std::size_t>(n));
+    };
+    const auto hop_row = [&](NodeId u) { return snapshot.routing.row(u); };
+
+    std::string head;
+    encode_meta(head, meta);
+    std::string routing_flag;
+    put_u32(routing_flag, snapshot.has_routing ? 1 : 0);
+    const std::vector<std::uint64_t> estimate_offsets =
+        row_offsets(n, format, threads, estimate_row);
+    std::vector<std::uint64_t> hop_offsets;
+    if (snapshot.has_routing) hop_offsets = row_offsets(n, format, threads, hop_row);
+
+    const std::uint64_t payload_size =
+        head.size() + section_bytes(estimate_offsets, format) + routing_flag.size() +
+        (snapshot.has_routing ? section_bytes(hop_offsets, format) : 0);
+    EnvelopeWriter sink(out, format, payload_size, "write_snapshot");
+    sink.write(head);
+    write_section(sink, format, estimate_offsets, threads, estimate_row);
+    sink.write(routing_flag);
+    if (snapshot.has_routing) write_section(sink, format, hop_offsets, threads, hop_row);
+    sink.finish();
 }
 
 OracleSnapshot read_snapshot(std::istream& in)
@@ -492,11 +639,12 @@ OracleSnapshot read_snapshot(std::istream& in)
     return decode_payload(envelope.version, envelope.payload);
 }
 
-void save_snapshot(const std::string& path, const OracleSnapshot& snapshot, SnapshotFormat format)
+void save_snapshot(const std::string& path, const OracleSnapshot& snapshot, SnapshotFormat format,
+                   const EngineConfig& engine)
 {
     std::ofstream out(path, std::ios::binary);
     if (!out) throw snapshot_io_error("save_snapshot: cannot open " + path);
-    write_snapshot(out, snapshot, format);
+    write_snapshot(out, snapshot, format, engine);
     out.flush();
     if (!out) throw snapshot_io_error("save_snapshot: write to " + path + " failed");
 }
@@ -680,8 +828,10 @@ void write_sparse_snapshot(std::ostream& out, const SparseSnapshot& snapshot)
 {
     obs::TraceSpan span("snapshot/write_sparse", "serve");
     CCQ_EXPECT(snapshot.meta.node_count >= 0, "write_sparse_snapshot: negative node count");
-    write_envelope(out, SnapshotFormat::v3_spanner, encode_payload_v3(snapshot),
-                   "write_sparse_snapshot");
+    const std::string payload = encode_payload_v3(snapshot);
+    EnvelopeWriter sink(out, SnapshotFormat::v3_spanner, payload.size(), "write_sparse_snapshot");
+    sink.write(payload);
+    sink.finish();
 }
 
 SparseSnapshot read_sparse_snapshot(std::istream& in)

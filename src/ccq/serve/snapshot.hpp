@@ -117,12 +117,18 @@ struct OracleSnapshot {
                                                     const RoutingTables* routing = nullptr);
 };
 
+/// Writes a dense (v1 or v2) snapshot.  Rows are encoded in parallel
+/// batches over `engine.threads` and streamed in row order with the
+/// checksum computed as they go; the bytes are identical for every
+/// thread count.
 void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot,
-                    SnapshotFormat format = SnapshotFormat::v1_raw);
+                    SnapshotFormat format = SnapshotFormat::v1_raw,
+                    const EngineConfig& engine = {});
 [[nodiscard]] OracleSnapshot read_snapshot(std::istream& in);
 
 void save_snapshot(const std::string& path, const OracleSnapshot& snapshot,
-                   SnapshotFormat format = SnapshotFormat::v1_raw);
+                   SnapshotFormat format = SnapshotFormat::v1_raw,
+                   const EngineConfig& engine = {});
 [[nodiscard]] OracleSnapshot load_snapshot(const std::string& path);
 
 /// A persisted sparse oracle (format v3): the spanner edge list plus the

@@ -151,7 +151,8 @@ SkeletonGraph build_skeleton(const Graph& g, const SparseMatrix& nk_rows, double
 DistanceMatrix extend_skeleton_estimate(const SkeletonGraph& skeleton,
                                         const DistanceMatrix& delta_gs,
                                         const SparseMatrix& nk_rows,
-                                        CliqueTransport& transport, std::string_view phase)
+                                        CliqueTransport& transport, std::string_view phase,
+                                        const EngineConfig& engine)
 {
     const int n = static_cast<int>(skeleton.center.size());
     const int s = skeleton.size();
@@ -170,40 +171,68 @@ DistanceMatrix extend_skeleton_estimate(const SkeletonGraph& skeleton,
                               sparse_product_rounds(1.0, static_cast<double>(s),
                                                     static_cast<double>(n), n));
 
-    // B[s_a][v] = delta_GS(s_a, c(v)) + delta(v, c(v)).
-    DistanceMatrix eta(n);
-    for (NodeId u = 0; u < n; ++u) {
-        const int cu = skeleton.member_index[static_cast<std::size_t>(
-            skeleton.center[static_cast<std::size_t>(u)])];
-        const Weight du = skeleton.center_delta[static_cast<std::size_t>(u)];
-        for (NodeId v = 0; v < n; ++v) {
-            const int cv = skeleton.member_index[static_cast<std::size_t>(
-                skeleton.center[static_cast<std::size_t>(v)])];
-            const Weight dv = skeleton.center_delta[static_cast<std::size_t>(v)];
-            eta.at(u, v) = saturating_add(du, saturating_add(
-                                                  delta_gs.at(static_cast<NodeId>(cu),
-                                                              static_cast<NodeId>(cv)),
-                                                  dv));
+    // eta is symmetric: min-symmetrize delta_GS once at |S| x |S| rather
+    // than eta at n x n.  saturating_add is monotone and commutative on
+    // [0, kInfinity], so min(eta(u,v), eta(v,u)) equals eta built from
+    // min(delta_GS(a,b), delta_GS(b,a)).
+    DistanceMatrix gs = delta_gs;
+    for (NodeId a = 0; a < s; ++a)
+        for (NodeId b = a + 1; b < s; ++b) {
+            const Weight m = min_weight(gs.at(a, b), gs.at(b, a));
+            gs.at(a, b) = m;
+            gs.at(b, a) = m;
         }
+
+    // c(v) as a compact skeleton index, so a row gathers from one
+    // delta_GS row.
+    std::vector<int> center_index(static_cast<std::size_t>(n));
+    for (std::size_t v = 0; v < center_index.size(); ++v) {
+        center_index[v] = skeleton.member_index[static_cast<std::size_t>(skeleton.center[v])];
+        CCQ_EXPECT(center_index[v] >= 0, "extend_skeleton_estimate: center outside the skeleton");
     }
 
-    // Pairs covered by the k-nearest sets use delta directly (taking the
-    // minimum keeps both the soundness and the upper bound).
-    for (NodeId u = 0; u < n; ++u)
-        for (const SparseEntry& e : nk_rows[static_cast<std::size_t>(u)]) {
-            eta.relax(u, e.node, e.dist);
-            eta.relax(e.node, u, e.dist);
+    // Pairs covered by the k-nearest sets use delta directly, in both
+    // directions (taking the minimum keeps both the soundness and the
+    // upper bound).  Row u's overlay is Ñk(u) plus every w with u in
+    // Ñk(w): the latter, grouped by u, is the transpose of nk_rows.
+    std::vector<std::size_t> incoming_begin(static_cast<std::size_t>(n) + 1, 0);
+    for (const SparseRow& row : nk_rows)
+        for (const SparseEntry& e : row) {
+            CCQ_EXPECT(e.node >= 0 && e.node < n,
+                       "extend_skeleton_estimate: row node out of range");
+            ++incoming_begin[static_cast<std::size_t>(e.node) + 1];
         }
-    eta.set_diagonal_zero();
+    for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v)
+        incoming_begin[v + 1] += incoming_begin[v];
+    std::vector<SparseEntry> incoming(incoming_begin.back());
+    {
+        std::vector<std::size_t> next(incoming_begin.begin(), incoming_begin.end() - 1);
+        for (NodeId w = 0; w < n; ++w)
+            for (const SparseEntry& e : nk_rows[static_cast<std::size_t>(w)])
+                incoming[next[static_cast<std::size_t>(e.node)]++] = SparseEntry{w, e.dist};
+    }
 
-    // Symmetrize (eta is symmetric in exact arithmetic; the overlay above
-    // can introduce one-sided improvements).
-    for (NodeId u = 0; u < n; ++u)
-        for (NodeId v = u + 1; v < n; ++v) {
-            const Weight m = min_weight(eta.at(u, v), eta.at(v, u));
-            eta.at(u, v) = m;
-            eta.at(v, u) = m;
+    // Every cell is written once by the task that owns its row.
+    DistanceMatrix eta = DistanceMatrix::uninitialized(n);
+    parallel_chunks(engine.resolved_threads(), 0, n, 1, [&](int begin, int end) {
+        for (NodeId u = begin; u < end; ++u) {
+            Weight* row = eta.data() + static_cast<std::size_t>(u) * static_cast<std::size_t>(n);
+            const Weight du = skeleton.center_delta[static_cast<std::size_t>(u)];
+            const Weight* gs_row =
+                gs.data() + static_cast<std::size_t>(center_index[static_cast<std::size_t>(u)]) *
+                                static_cast<std::size_t>(s);
+            for (NodeId v = 0; v < n; ++v)
+                row[v] = saturating_add(
+                    du, saturating_add(gs_row[center_index[static_cast<std::size_t>(v)]],
+                                       skeleton.center_delta[static_cast<std::size_t>(v)]));
+            for (const SparseEntry& e : nk_rows[static_cast<std::size_t>(u)])
+                row[e.node] = min_weight(row[e.node], e.dist);
+            for (std::size_t i = incoming_begin[static_cast<std::size_t>(u)];
+                 i < incoming_begin[static_cast<std::size_t>(u) + 1]; ++i)
+                row[incoming[i].node] = min_weight(row[incoming[i].node], incoming[i].dist);
+            row[u] = 0;
         }
+    });
     return eta;
 }
 

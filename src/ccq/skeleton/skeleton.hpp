@@ -52,12 +52,14 @@ struct SkeletonGraph {
 /// Extends an l-approximation `delta_gs` of APSP on G_S (indexed by the
 /// compact skeleton ids) to the full graph: the eta of Lemma 6.1.  The
 /// result is symmetric and satisfies eta >= d and (per Lemma 6.4)
-/// eta <= 7*l*a^2*d.
+/// eta <= 7*l*a^2*d.  Rows are filled in parallel over `engine.threads`;
+/// the result is bitwise identical for every thread count.
 [[nodiscard]] DistanceMatrix extend_skeleton_estimate(const SkeletonGraph& skeleton,
                                                       const DistanceMatrix& delta_gs,
                                                       const SparseMatrix& nk_rows,
                                                       CliqueTransport& transport,
-                                                      std::string_view phase);
+                                                      std::string_view phase,
+                                                      const EngineConfig& engine = {});
 
 /// Upper bound on |S| promised by Lemma 6.1: c * n * max(1, ln k) / k.
 [[nodiscard]] double skeleton_size_bound(int n, int k, double constant = 4.0);

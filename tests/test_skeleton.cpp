@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "ccq/skeleton/hitting_set.hpp"
 #include "ccq/skeleton/skeleton.hpp"
@@ -239,6 +240,133 @@ TEST(Skeleton, SingletonRowsMakeEveryNodeSkeleton)
     const DistanceMatrix eta = extend_skeleton_estimate(skeleton, exact_apsp(skeleton.graph),
                                                         rows, transport, "ext");
     testing::expect_valid_approximation(exact, eta, 7.0, "k=1");
+}
+
+// --- the parallel extension against the serial original --------------------
+
+/// The extension as first written, serially: fill eta cell by cell from
+/// delta_GS as given, overlay the k-nearest entries both ways, zero the
+/// diagonal, then min-symmetrize all n^2 cells.  The library's
+/// row-parallel version must match it bitwise.
+DistanceMatrix reference_extend(const SkeletonGraph& skeleton, const DistanceMatrix& delta_gs,
+                                const SparseMatrix& nk_rows)
+{
+    const int n = static_cast<int>(skeleton.center.size());
+    const auto compact = [&](NodeId u) {
+        return static_cast<NodeId>(skeleton.member_index[static_cast<std::size_t>(
+            skeleton.center[static_cast<std::size_t>(u)])]);
+    };
+    DistanceMatrix eta(n);
+    for (NodeId u = 0; u < n; ++u)
+        for (NodeId v = 0; v < n; ++v)
+            eta.at(u, v) = saturating_add(
+                skeleton.center_delta[static_cast<std::size_t>(u)],
+                saturating_add(delta_gs.at(compact(u), compact(v)),
+                               skeleton.center_delta[static_cast<std::size_t>(v)]));
+    for (NodeId u = 0; u < n; ++u)
+        for (const SparseEntry& e : nk_rows[static_cast<std::size_t>(u)]) {
+            eta.relax(u, e.node, e.dist);
+            eta.relax(e.node, u, e.dist);
+        }
+    eta.set_diagonal_zero();
+    for (NodeId u = 0; u < n; ++u)
+        for (NodeId v = u + 1; v < n; ++v) {
+            const Weight m = min_weight(eta.at(u, v), eta.at(v, u));
+            eta.at(u, v) = m;
+            eta.at(v, u) = m;
+        }
+    return eta;
+}
+
+void expect_extend_matches_reference(const SkeletonGraph& skeleton,
+                                     const DistanceMatrix& delta_gs, const SparseMatrix& rows,
+                                     const std::string& context)
+{
+    const DistanceMatrix want = reference_extend(skeleton, delta_gs, rows);
+    const int n = static_cast<int>(rows.size());
+    for (const int threads : {1, 4}) {
+        RoundLedger ledger;
+        CliqueTransport transport(std::max(1, n), CostModel::standard(), ledger);
+        const DistanceMatrix eta = extend_skeleton_estimate(skeleton, delta_gs, rows, transport,
+                                                            "ext", EngineConfig{threads, 64});
+        ASSERT_EQ(eta.size(), n) << context;
+        std::size_t mismatches = 0;
+        for (NodeId u = 0; u < n; ++u)
+            for (NodeId v = 0; v < n; ++v)
+                if (eta.at(u, v) != want.at(u, v) && mismatches++ < 5)
+                    ADD_FAILURE() << context << " threads=" << threads << ": eta(" << u << ", "
+                                  << v << ") = " << eta.at(u, v) << ", reference "
+                                  << want.at(u, v);
+        EXPECT_EQ(mismatches, 0u) << context << " threads=" << threads;
+    }
+}
+
+/// Rows with one-sided estimates: delta(u,v) = d(u,v) + (7u + v) mod 3,
+/// so Ñk(u) and Ñk(v) disagree on the pair and the overlay is
+/// asymmetric before the final symmetrization.
+SparseMatrix perturbed_rows(SparseMatrix rows)
+{
+    for (std::size_t u = 0; u < rows.size(); ++u) {
+        for (SparseEntry& e : rows[u])
+            if (e.node != static_cast<NodeId>(u))
+                e.dist += static_cast<Weight>((7 * u + static_cast<std::size_t>(e.node)) % 3);
+        std::sort(rows[u].begin(), rows[u].end(), entry_less);
+    }
+    return rows;
+}
+
+/// Builds the skeleton over `rows` and checks the extension of exact
+/// delta_GS and of delta_GS with its upper triangle doubled (an
+/// asymmetric l-approximation).
+void expect_extend_matches_reference_on(const Graph& g, const SparseMatrix& rows,
+                                        std::uint64_t seed, const std::string& context)
+{
+    RoundLedger ledger;
+    CliqueTransport transport(std::max(1, g.node_count()), CostModel::standard(), ledger);
+    Rng rng(seed);
+    const SkeletonGraph skeleton = build_skeleton(g, rows, 1.0, rng, transport, "sk");
+    DistanceMatrix delta_gs = exact_apsp(skeleton.graph);
+    expect_extend_matches_reference(skeleton, delta_gs, rows, context + " exact G_S");
+    for (NodeId a = 0; a < delta_gs.size(); ++a)
+        for (NodeId b = a + 1; b < delta_gs.size(); ++b)
+            delta_gs.at(a, b) = saturating_add(delta_gs.at(a, b), delta_gs.at(a, b));
+    expect_extend_matches_reference(skeleton, delta_gs, rows, context + " asymmetric G_S");
+}
+
+TEST(SkeletonExtend, BitwiseIdenticalToReferenceOnEveryFamily)
+{
+    for (const GraphFamily family : testing::kAllFamilies) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            Rng rng(seed);
+            const Graph g = make_family_instance(family, 97, WeightRange{1, 50}, rng);
+            const SparseMatrix rows =
+                exact_k_nearest_rows(exact_apsp(g), std::max(2, g.node_count() / 8));
+            const std::string context =
+                std::string(family_name(family)) + " seed " + std::to_string(seed);
+            expect_extend_matches_reference_on(g, rows, seed, context);
+            expect_extend_matches_reference_on(g, perturbed_rows(rows), seed,
+                                               context + " perturbed rows");
+        }
+    }
+}
+
+TEST(SkeletonExtend, BitwiseIdenticalOnDisconnectedGraphsAroundChunkSizes)
+{
+    // Sparse enough to fall apart into components, so centers in
+    // different components sit at kInfinity in delta_GS.
+    for (const int n : {63, 64, 65}) {
+        Rng rng(static_cast<std::uint64_t>(n));
+        const Graph g = erdos_renyi(n, 1.5 / n, WeightRange{1, 3}, rng, /*connected=*/false);
+        const DistanceMatrix exact = exact_apsp(g);
+        ASSERT_TRUE(std::any_of(exact.data(), exact.data() + n * n,
+                                [](Weight w) { return !is_finite(w); }))
+            << "n=" << n << " is connected";
+        const SparseMatrix rows = exact_k_nearest_rows(exact, 4);
+        expect_extend_matches_reference_on(g, rows, static_cast<std::uint64_t>(n),
+                                           "er n=" + std::to_string(n));
+        expect_extend_matches_reference_on(g, perturbed_rows(rows), static_cast<std::uint64_t>(n),
+                                           "er n=" + std::to_string(n) + " perturbed rows");
+    }
 }
 
 } // namespace

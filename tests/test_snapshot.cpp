@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <string>
 #include <sstream>
 #include <thread>
 
+#include "ccq/common/bytes.hpp"
 #include "ccq/core/baselines.hpp"
 #include "ccq/core/routing.hpp"
 #include "ccq/serve/query_engine.hpp"
@@ -295,6 +297,173 @@ TEST(Snapshot, FromResultValidatesSizes)
 TEST(Snapshot, LoadFailsOnMissingFile)
 {
     EXPECT_THROW((void)load_snapshot("/nonexistent/ccq.snap"), snapshot_io_error);
+}
+
+// --- byte identity against the whole-payload encoder -----------------------
+//
+// write_snapshot encodes rows in parallel batches and streams them with
+// an incremental checksum.  Its bytes must equal those of the encoder
+// it replaced, kept here: the whole payload built in one string, cell
+// by cell, then wrapped in the envelope.
+
+void reference_meta(std::string& payload, const SnapshotMeta& meta)
+{
+    put_i32(payload, meta.node_count);
+    put_u64(payload, meta.edge_count);
+    put_u32(payload, meta.directed ? 1 : 0);
+    put_i64(payload, meta.max_weight);
+    put_string(payload, meta.algorithm);
+    put_f64(payload, meta.claimed_stretch);
+    put_f64(payload, meta.total_rounds);
+    put_u64(payload, meta.total_words);
+    put_u64(payload, meta.build_seed);
+}
+
+std::string reference_payload_v1(const OracleSnapshot& snapshot)
+{
+    const int n = snapshot.meta.node_count;
+    std::string payload;
+    reference_meta(payload, snapshot.meta);
+    for (NodeId u = 0; u < n; ++u)
+        for (NodeId v = 0; v < n; ++v) put_i64(payload, snapshot.estimate.at(u, v));
+    put_u32(payload, snapshot.has_routing ? 1 : 0);
+    if (snapshot.has_routing)
+        for (NodeId u = 0; u < n; ++u)
+            for (NodeId v = 0; v < n; ++v) put_i32(payload, snapshot.routing.next_hop(u, v));
+    return payload;
+}
+
+template <class Cell>
+void reference_v2_rows(std::string& payload, int n, const std::vector<Cell>& cells)
+{
+    std::string blob;
+    std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+    for (int u = 0; u < n; ++u) {
+        std::int64_t prev = 0;
+        for (int v = 0; v < n; ++v) {
+            const auto value = static_cast<std::int64_t>(
+                cells[static_cast<std::size_t>(u) * static_cast<std::size_t>(n) +
+                      static_cast<std::size_t>(v)]);
+            // value - prev, wrapping: forged cells must encode without UB.
+            put_varint_i64(blob, static_cast<std::int64_t>(static_cast<std::uint64_t>(value) -
+                                                           static_cast<std::uint64_t>(prev)));
+            prev = value;
+        }
+        offsets[static_cast<std::size_t>(u) + 1] = blob.size();
+    }
+    for (const std::uint64_t offset : offsets) put_u64(payload, offset);
+    payload += blob;
+}
+
+std::string reference_payload_v2(const OracleSnapshot& snapshot)
+{
+    const int n = snapshot.meta.node_count;
+    std::string payload;
+    reference_meta(payload, snapshot.meta);
+    std::vector<Weight> estimate;
+    std::vector<NodeId> hops;
+    for (NodeId u = 0; u < n; ++u)
+        for (NodeId v = 0; v < n; ++v) {
+            estimate.push_back(snapshot.estimate.at(u, v));
+            if (snapshot.has_routing) hops.push_back(snapshot.routing.next_hop(u, v));
+        }
+    reference_v2_rows(payload, n, estimate);
+    put_u32(payload, snapshot.has_routing ? 1 : 0);
+    if (snapshot.has_routing) reference_v2_rows(payload, n, hops);
+    return payload;
+}
+
+std::string reference_bytes(const OracleSnapshot& snapshot, SnapshotFormat codec)
+{
+    const std::string payload = codec == SnapshotFormat::v1_raw ? reference_payload_v1(snapshot)
+                                                                : reference_payload_v2(snapshot);
+    std::string bytes = "CCQSNAP\n";
+    put_u32(bytes, format_version(codec));
+    put_u64(bytes, payload.size());
+    bytes += payload;
+    put_u64(bytes, 0);
+    rehash(bytes);
+    return bytes;
+}
+
+/// A synthetic snapshot of any size: estimate cells mix zeros, small and
+/// large distances and kInfinity; next hops are anything in [-1, n).
+OracleSnapshot random_snapshot(int n, std::uint64_t seed, bool with_routing)
+{
+    Rng rng(seed);
+    OracleSnapshot snapshot;
+    snapshot.meta.node_count = n;
+    snapshot.meta.edge_count = static_cast<std::uint64_t>(n) * 3;
+    snapshot.meta.algorithm = "synthetic";
+    snapshot.meta.claimed_stretch = 7.5;
+    snapshot.meta.total_rounds = 42.25;
+    snapshot.meta.total_words = 12345;
+    snapshot.meta.build_seed = seed;
+    snapshot.estimate = DistanceMatrix(n);
+    for (NodeId u = 0; u < n; ++u)
+        for (NodeId v = 0; v < n; ++v) {
+            const std::int64_t pick = rng.uniform_int(0, 9);
+            snapshot.estimate.at(u, v) = pick == 0   ? kInfinity
+                                         : pick == 1 ? rng.uniform_int(0, kInfinity - 1)
+                                                     : rng.uniform_int(0, 300);
+        }
+    if (with_routing) {
+        std::vector<NodeId> hops(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+        for (NodeId& hop : hops) hop = static_cast<NodeId>(rng.uniform_int(-1, n - 1));
+        snapshot.has_routing = true;
+        snapshot.routing = RoutingTables(n, std::move(hops));
+    }
+    return snapshot;
+}
+
+void expect_bytes_match_reference(const OracleSnapshot& snapshot, const std::string& context)
+{
+    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
+        const std::string want = reference_bytes(snapshot, codec);
+        for (const int threads : {1, 4}) {
+            std::ostringstream out(std::ios::binary);
+            write_snapshot(out, snapshot, codec, EngineConfig{threads, 64});
+            const std::string got = out.str();
+            EXPECT_EQ(got.size(), want.size())
+                << context << " " << snapshot_format_name(codec) << " threads=" << threads;
+            EXPECT_TRUE(got == want)
+                << context << " " << snapshot_format_name(codec) << " threads=" << threads;
+        }
+    }
+}
+
+TEST(SnapshotWriter, BytesMatchTheReferenceEncoderForEveryThreadCount)
+{
+    // 1100 nodes span several 4 MiB write batches in both codecs.
+    for (const int n : {0, 1, 63, 64, 65, 129, 1100}) {
+        const OracleSnapshot with_routing =
+            random_snapshot(n, static_cast<std::uint64_t>(n) + 1, true);
+        expect_bytes_match_reference(with_routing, "n=" + std::to_string(n) + " routing");
+        OracleSnapshot without_routing = with_routing;
+        without_routing.has_routing = false;
+        without_routing.routing = RoutingTables();
+        expect_bytes_match_reference(without_routing, "n=" + std::to_string(n) + " no routing");
+    }
+    expect_bytes_match_reference(make_snapshot(InstanceSpec{GraphFamily::clustered, 48, 5}),
+                                 "built oracle");
+}
+
+TEST(SnapshotWriter, ForgedCellsAndHopsMatchTheReferenceEncoder)
+{
+    // The writer trusts its caller: out-of-range cells and hops are
+    // written as given (the reader rejects them), in the same bytes.
+    for (const Weight bad : {kInfinity + 1, kInfinity + 12345, Weight{-1},
+                             std::numeric_limits<Weight>::max(),
+                             std::numeric_limits<Weight>::min()})
+        expect_bytes_match_reference(snapshot_with_bad_cell(bad),
+                                     "bad cell " + std::to_string(bad));
+    OracleSnapshot forged = make_snapshot(InstanceSpec{GraphFamily::tree, 10, 4});
+    std::vector<NodeId> hops(100, -1);
+    hops[5] = 10;
+    hops[17] = std::numeric_limits<NodeId>::min();
+    hops[42] = std::numeric_limits<NodeId>::max();
+    forged.routing = RoutingTables(10, std::move(hops));
+    expect_bytes_match_reference(forged, "bad hops");
 }
 
 // --- codec v2 (compressed) --------------------------------------------------

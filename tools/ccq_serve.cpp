@@ -229,7 +229,7 @@ int cmd_build(Args& args)
     const auto t2 = std::chrono::steady_clock::now();
     const OracleSnapshot snapshot = OracleSnapshot::from_result(
         g, oracle.result(), options.seed, routing ? &*routing : nullptr);
-    save_snapshot(*out, snapshot, codec);
+    save_snapshot(*out, snapshot, codec, options.engine);
     const auto t3 = std::chrono::steady_clock::now();
 
     if (trace_out) {
