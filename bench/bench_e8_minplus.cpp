@@ -414,4 +414,82 @@ BENCHMARK(BM_SparseMinPlusEngineThreads)
     ->ArgsProduct({{32, 128}, {1, 4}})
     ->Unit(benchmark::kMillisecond);
 
+// ---- bounded filtered product ----------------------------------------------
+//
+// The Lemma 5.5 shape of the paper's k-nearest phase: k-nearest rows of
+// er_sparse at n = 4096 with k = 64 (six filtered squarings of the
+// adjacency rows, as compute_k_nearest runs them), squared through the
+// filtered product, whose per-row cut-off skips every candidate above
+// the row's k-th candidate distance.  `identical` compares against
+// filter_k_smallest of the naive reference product, computed once
+// outside the timed loop.
+
+constexpr int kFilteredN = 4096;
+constexpr int kFilteredK = 64;
+
+const SparseMatrix& knearest_operand()
+{
+    static const SparseMatrix rows = [] {
+        const Graph g = ccq::bench::make_graph(kFilteredN, 42);
+        const EngineConfig config{4, 64};
+        SparseMatrix r = filter_k_smallest(adjacency_rows(g), kFilteredK);
+        for (int i = 0; i < 6; ++i)
+            r = min_plus_product_filtered(r, r, kFilteredN, kFilteredK, config);
+        return r;
+    }();
+    return rows;
+}
+
+struct FilteredReference {
+    SparseMatrix product;
+    double ms = 0.0;
+};
+
+const FilteredReference& filtered_reference()
+{
+    static const FilteredReference reference = [] {
+        const SparseMatrix& rows = knearest_operand();
+        FilteredReference r;
+        const auto start = std::chrono::steady_clock::now();
+        r.product = filter_k_smallest(min_plus_product_reference(rows, rows, kFilteredN),
+                                      kFilteredK);
+        const auto stop = std::chrono::steady_clock::now();
+        r.ms = std::chrono::duration<double, std::milli>(stop - start).count();
+        return r;
+    }();
+    return reference;
+}
+
+void BM_SparseMinPlusFiltered(benchmark::State& state)
+{
+    const EngineConfig config{static_cast<int>(state.range(0)), 64};
+    const SparseMatrix& rows = knearest_operand();
+    const FilteredReference& reference = filtered_reference();
+    SparseMatrix product;
+    const auto start = std::chrono::steady_clock::now();
+    std::int64_t iterations = 0;
+    for (auto _ : state) {
+        product = min_plus_product_filtered(rows, rows, kFilteredN, kFilteredK, config);
+        benchmark::DoNotOptimize(product);
+        ++iterations;
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    const double product_ms =
+        std::chrono::duration<double, std::milli>(stop - start).count() /
+        static_cast<double>(iterations > 0 ? iterations : 1);
+
+    state.counters["n"] = kFilteredN;
+    state.counters["k"] = kFilteredK;
+    state.counters["threads"] = static_cast<double>(config.threads);
+    state.counters["rho_in"] = average_density(rows);
+    state.counters["identical"] = product == reference.product ? 1.0 : 0.0;
+    state.counters["reference_ms"] = reference.ms;
+    state.counters["speedup_vs_reference"] = reference.ms / product_ms;
+}
+BENCHMARK(BM_SparseMinPlusFiltered)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
 } // namespace

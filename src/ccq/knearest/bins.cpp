@@ -89,13 +89,17 @@ SparseRow helper_candidates(const std::unordered_map<NodeId, std::vector<BinReco
             relax(e.node, e.dist, frontier);
         }
     }
-    // Hops 2..h: any held edge.
+    // Hops 2..h: any held edge.  Each hop extends the previous hop's
+    // distances, read before it relaxes anything: a value lowered during
+    // this hop already spans `hop` arcs and must not be extended again.
     for (int hop = 2; hop <= h && !frontier.empty(); ++hop) {
+        std::vector<Weight> start(frontier.size());
+        for (std::size_t i = 0; i < frontier.size(); ++i) start[i] = best.at(frontier[i]);
         std::vector<NodeId> next;
-        for (const NodeId x : frontier) {
-            const auto it = edges_by_source.find(x);
+        for (std::size_t i = 0; i < frontier.size(); ++i) {
+            const auto it = edges_by_source.find(frontier[i]);
             if (it == edges_by_source.end()) continue;
-            const Weight dx = best.at(x);
+            const Weight dx = start[i];
             for (const BinRecord& e : it->second)
                 relax(e.node, saturating_add(dx, e.dist), next);
         }

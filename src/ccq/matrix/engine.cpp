@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -118,21 +119,75 @@ void pack_rows(const Weight* src, Weight32* dst, int n, int r0, int r1)
         *out = is_finite(*cell) ? static_cast<Weight32>(*cell) : kInfinity32;
 }
 
-/// Relaxes row u of a*b into the dense scratch `best`, recording touched
-/// columns.  Byte-for-byte the reference row loop, shared by the plain
-/// and filtered sparse paths.
-void relax_sparse_row(const SparseMatrix& a, const SparseMatrix& b, std::size_t u,
+/// Largest finite weight: the cut-off of an unfiltered row, so the one
+/// relax loop below also stops at saturated candidates.
+constexpr Weight kMaxFinite = kInfinity - 1;
+
+/// Cut-off τ(u) of row u of a*b under the keep-smallest filter
+/// (docs/ENGINE.md, "Bounded filtered products"): every via whose B row
+/// holds at least `keep` entries supplies `keep` distinct nodes at
+/// distance <= via.dist + B[via][keep-1].dist, so no candidate above the
+/// minimum of those sums survives the filter.  keep < 0 (plain product)
+/// bounds nothing but saturation; keep == 0 admits no candidate at all.
+[[nodiscard]] Weight row_bound(const SparseRow& a_row, const SparseMatrix& b, int keep)
+{
+    if (keep < 0) return kMaxFinite;
+    if (keep == 0) return -1;
+    Weight bound = kMaxFinite;
+    for (const SparseEntry& via : a_row) {
+        if (via.dist >= bound) break; // weights are >= 0: no later via can lower it
+        const SparseRow& hops = b[static_cast<std::size_t>(via.node)];
+        if (std::cmp_less(hops.size(), keep)) continue;
+        const Weight kth = hops[static_cast<std::size_t>(keep) - 1].dist;
+        bound = std::min(bound, saturating_add(via.dist, kth));
+    }
+    return bound;
+}
+
+/// Relaxes one row of a*b into the dense scratch `best`, recording
+/// touched columns, and stops at the first via and the first candidate
+/// above `bound` — both operands are canonical, so everything after them
+/// is larger still.  Ties at the bound are relaxed.  Since bound <=
+/// kMaxFinite, a saturated candidate is never relaxed.
+void relax_sparse_row(const SparseRow& a_row, const SparseMatrix& b, Weight bound,
                       std::vector<Weight>& best, std::vector<NodeId>& touched)
 {
     touched.clear();
-    for (const SparseEntry& via : a[u]) {
+    for (const SparseEntry& via : a_row) {
+        if (via.dist > bound) break;
         for (const SparseEntry& hop : b[static_cast<std::size_t>(via.node)]) {
             const Weight cand = saturating_add(via.dist, hop.dist);
+            if (cand > bound) break;
             Weight& cell = best[static_cast<std::size_t>(hop.node)];
             if (cell == kInfinity) touched.push_back(hop.node);
             cell = min_weight(cell, cand);
         }
     }
+}
+
+/// True when every row of `m` is canonical over [0, n): sorted by
+/// (dist, id), unique nodes, every dist finite and >= 0.  The bounded
+/// relax loop relies on all of it.
+[[nodiscard]] bool rows_canonical(const SparseMatrix& m, int n, int threads)
+{
+    std::atomic<bool> ok{true};
+    parallel_chunks(threads, 0, static_cast<int>(m.size()), 1, [&](int r0, int r1) {
+        std::vector<int> seen(static_cast<std::size_t>(n), -1); // node -> last row holding it
+        for (int r = r0; r < r1 && ok.load(std::memory_order_relaxed); ++r) {
+            const SparseRow& row = m[static_cast<std::size_t>(r)];
+            for (std::size_t i = 0; i < row.size(); ++i) {
+                const SparseEntry& e = row[i];
+                if (e.node < 0 || e.node >= n || e.dist < 0 || !is_finite(e.dist) ||
+                    seen[static_cast<std::size_t>(e.node)] == r ||
+                    (i > 0 && !entry_less(row[i - 1], e))) {
+                    ok.store(false, std::memory_order_relaxed);
+                    return;
+                }
+                seen[static_cast<std::size_t>(e.node)] = r;
+            }
+        }
+    });
+    return ok.load();
 }
 
 /// Drains the scratch into a canonical row; keep >= 0 applies the
@@ -150,29 +205,33 @@ SparseRow collect_sparse_row(std::vector<Weight>& best, std::vector<NodeId>& tou
     if (keep >= 0 && std::cmp_less(keep, row.size())) {
         std::nth_element(row.begin(), row.begin() + keep, row.end(), entry_less);
         row.resize(static_cast<std::size_t>(keep));
+        row.shrink_to_fit(); // the kept rows outlive the product; hold k, not every candidate
     }
     std::sort(row.begin(), row.end(), entry_less);
     return row;
 }
 
-/// Shared driver for the plain (keep = -1) and filtered sparse products.
+/// Shared body of the plain (keep = -1) and filtered sparse products:
+/// one bounded relax loop, whose cut-off is the only difference.
 SparseMatrix sparse_product_impl(const SparseMatrix& a, const SparseMatrix& b, int n, int keep,
                                  const EngineConfig& engine)
 {
     CCQ_EXPECT(a.size() == b.size(), "min_plus_product(sparse): size mismatch");
     CCQ_EXPECT(std::cmp_less_equal(a.size(), static_cast<std::size_t>(n)),
                "min_plus_product(sparse): n too small");
+    const int threads = engine.resolved_threads();
+    CCQ_EXPECT(rows_canonical(a, n, threads) && rows_canonical(b, n, threads),
+               "min_plus_product(sparse): operand rows must be canonical");
     SparseMatrix result(a.size());
-    parallel_chunks(engine.resolved_threads(), 0, static_cast<int>(a.size()), 1,
-                    [&](int row_begin, int row_end) {
-                        std::vector<Weight> best(static_cast<std::size_t>(n), kInfinity);
-                        std::vector<NodeId> touched;
-                        for (int u = row_begin; u < row_end; ++u) {
-                            relax_sparse_row(a, b, static_cast<std::size_t>(u), best, touched);
-                            result[static_cast<std::size_t>(u)] =
-                                collect_sparse_row(best, touched, keep);
-                        }
-                    });
+    parallel_chunks(threads, 0, static_cast<int>(a.size()), 1, [&](int row_begin, int row_end) {
+        std::vector<Weight> best(static_cast<std::size_t>(n), kInfinity);
+        std::vector<NodeId> touched;
+        for (int u = row_begin; u < row_end; ++u) {
+            const SparseRow& a_row = a[static_cast<std::size_t>(u)];
+            relax_sparse_row(a_row, b, row_bound(a_row, b, keep), best, touched);
+            result[static_cast<std::size_t>(u)] = collect_sparse_row(best, touched, keep);
+        }
+    });
     return result;
 }
 
@@ -343,11 +402,19 @@ SparseMatrix min_plus_product_reference(const SparseMatrix& a, const SparseMatri
     CCQ_EXPECT(std::cmp_less_equal(a.size(), static_cast<std::size_t>(n)),
                "min_plus_product(sparse): n too small");
     SparseMatrix result(a.size());
-    std::vector<Weight> best(static_cast<std::size_t>(n), kInfinity);
-    std::vector<NodeId> touched;
     for (std::size_t u = 0; u < a.size(); ++u) {
-        relax_sparse_row(a, b, u, best, touched);
-        result[u] = collect_sparse_row(best, touched, /*keep=*/-1);
+        std::map<NodeId, Weight> best;
+        for (const SparseEntry& via : a[u]) {
+            for (const SparseEntry& hop : b[static_cast<std::size_t>(via.node)]) {
+                const Weight cand = saturating_add(via.dist, hop.dist);
+                if (!is_finite(cand)) continue;
+                const auto [it, inserted] = best.try_emplace(hop.node, cand);
+                if (!inserted) it->second = std::min(it->second, cand);
+            }
+        }
+        SparseRow& row = result[u];
+        for (const auto& [node, dist] : best) row.push_back(SparseEntry{node, dist});
+        std::sort(row.begin(), row.end(), entry_less);
     }
     return result;
 }

@@ -72,14 +72,18 @@ struct EngineCounters {
                                               const EngineConfig& engine);
 
 /// Row-parallel sparse product (rows of the result are independent; each
-/// worker keeps its own dense scratch accumulator).
+/// worker keeps its own dense scratch accumulator).  Both operands must
+/// be canonical (sorted by (dist, id), unique nodes in [0, n), finite
+/// dists >= 0), checked once per product (throws check_error); so are
+/// the result rows.  Saturated candidates are never relaxed.
 [[nodiscard]] SparseMatrix min_plus_product(const SparseMatrix& a, const SparseMatrix& b, int n,
                                             const EngineConfig& engine);
 
 /// Sparse product with the Lemma 5.5 row filter fused into the kernel:
 /// each result row keeps only its k smallest entries (ties by node id).
 /// Identical to filter_k_smallest(min_plus_product(a, b, n), k) but never
-/// materializes the unfiltered rows.
+/// materializes the unfiltered rows, and stops each row at its k-th
+/// candidate distance (docs/ENGINE.md, "Bounded filtered products").
 [[nodiscard]] SparseMatrix min_plus_product_filtered(const SparseMatrix& a,
                                                      const SparseMatrix& b, int n, int k,
                                                      const EngineConfig& engine);
@@ -94,7 +98,8 @@ struct EngineCounters {
 [[nodiscard]] SparseMatrix filtered_hop_power(const SparseMatrix& a, int h, int k, int n,
                                               const EngineConfig& engine);
 
-/// Seed (naive triple-loop / per-row relax) kernels, kept as the ground
+/// Naive kernels (dense triple loop; sparse per-row ordered map of
+/// finite candidates), kept independent of the engine as the ground
 /// truth for the randomized equivalence tests and the bench ablations.
 [[nodiscard]] DistanceMatrix min_plus_product_reference(const DistanceMatrix& a,
                                                         const DistanceMatrix& b);

@@ -9,6 +9,7 @@
 #include "ccq/knearest/bins.hpp"
 #include "ccq/graph/metrics.hpp"
 #include "ccq/knearest/knearest.hpp"
+#include "ccq/matrix/engine.hpp"
 #include "test_helpers.hpp"
 
 namespace ccq {
@@ -116,6 +117,64 @@ INSTANTIATE_TEST_SUITE_P(
         KnnCase{{GraphFamily::erdos_renyi_sparse, 48, 11, 1}, 6, 2, 2},
         KnnCase{{GraphFamily::erdos_renyi_dense, 40, 12, 30}, 40, 2, 3}),
     KnnCaseName{});
+
+/// Lemma 5.5 iterations computed on the naive reference product:
+/// `iterations` rounds of filter_k_smallest(rows^h).
+SparseMatrix reference_k_nearest(const SparseMatrix& adjacency, int k, int h, int iterations)
+{
+    const int n = static_cast<int>(adjacency.size());
+    SparseMatrix rows = filter_k_smallest(adjacency, k);
+    for (int i = 0; i < iterations; ++i) {
+        SparseMatrix power = rows;
+        for (int hop = 1; hop < h; ++hop) power = min_plus_product_reference(power, rows, n);
+        rows = filter_k_smallest(power, k);
+    }
+    return rows;
+}
+
+// The bounded filtered products behind compute_k_nearest (fast path and
+// both faithful-bins branches, bins.cpp's degenerate broadcast included)
+// against the naive reference product, on every family.  Weights 0..4
+// make ties at the cut-off common, and zero-weight paths expose a bin
+// helper whose h-hop search runs past h hops.
+TEST(KNearest, BoundedProductsMatchReferenceOnEveryFamily)
+{
+    struct Params {
+        int k, h, iterations;
+    };
+    // {6, 2, 2} runs the bin scheme at n=32; {5, 6, 1} is degenerate there.
+    const Params params[] = {{6, 2, 2}, {5, 6, 1}};
+    bool ran_bins = false, ran_degenerate = false;
+    for (const GraphFamily family : testing::kAllFamilies) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            Rng rng(seed);
+            const Graph g = make_family_instance(family, 32, WeightRange{0, 4}, rng);
+            const SparseMatrix adjacency = adjacency_rows(g);
+            for (const Params& p : params) {
+                const int k = std::min(p.k, g.node_count());
+                const SparseMatrix truth =
+                    reference_k_nearest(adjacency, k, p.h, p.iterations);
+                const bool degenerate = bin_scheme_params(g.node_count(), k, p.h).degenerate;
+                (degenerate ? ran_degenerate : ran_bins) = true;
+                for (const bool faithful : {false, true}) {
+                    RoundLedger ledger;
+                    CliqueTransport transport(g.node_count(), CostModel::standard(), ledger);
+                    KNearestOptions options;
+                    options.k = p.k;
+                    options.h = p.h;
+                    options.iterations = p.iterations;
+                    options.faithful_bins = faithful;
+                    EXPECT_EQ(compute_k_nearest(adjacency, options, transport, "knn").rows,
+                              truth)
+                        << family_name(family) << " seed=" << seed << " k=" << p.k
+                        << " h=" << p.h << " faithful=" << faithful;
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(ran_bins);
+    EXPECT_TRUE(ran_degenerate);
+}
 
 TEST(KNearest, BinSchemeParamsMatchPaperFormulas)
 {
