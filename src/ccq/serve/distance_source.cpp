@@ -21,43 +21,42 @@ const char* source_kind_name(SourceKind kind) noexcept
 
 // --- DenseSnapshotSource ----------------------------------------------------
 
-DenseSnapshotSource::DenseSnapshotSource(std::shared_ptr<const OracleSnapshot> snapshot)
-    : snapshot_(std::move(snapshot))
+DenseSnapshotSource::DenseSnapshotSource(OracleSnapshot snapshot) : snapshot_(std::move(snapshot))
 {
-    CCQ_EXPECT(snapshot_ != nullptr, "DenseSnapshotSource: null snapshot");
-    CCQ_EXPECT(snapshot_->meta.node_count == snapshot_->estimate.size(),
+    CCQ_EXPECT(snapshot_.estimate != nullptr, "DenseSnapshotSource: snapshot has no estimate");
+    CCQ_EXPECT(snapshot_.meta.node_count == snapshot_.estimate->size(),
                "DenseSnapshotSource: snapshot meta/estimate mismatch");
-    CCQ_EXPECT(!snapshot_->has_routing ||
-                   snapshot_->routing.size() == snapshot_->meta.node_count,
+    CCQ_EXPECT(snapshot_.routing == nullptr ||
+                   snapshot_.routing->size() == snapshot_.meta.node_count,
                "DenseSnapshotSource: snapshot routing size mismatch");
 }
 
 Weight DenseSnapshotSource::distance(NodeId from, NodeId to) const
 {
-    return snapshot_->estimate.at(from, to);
+    return snapshot_.estimate->at(from, to);
 }
 
 void DenseSnapshotSource::fill_row(NodeId from, std::span<Weight> out) const
 {
-    const int n = snapshot_->meta.node_count;
+    const int n = snapshot_.meta.node_count;
     CCQ_EXPECT(from >= 0 && from < n, "DenseSnapshotSource::fill_row: node out of range");
     CCQ_EXPECT(out.size() == static_cast<std::size_t>(n),
                "DenseSnapshotSource::fill_row: bad row size");
     const Weight* row =
-        snapshot_->estimate.data() + static_cast<std::size_t>(from) * static_cast<std::size_t>(n);
+        snapshot_.estimate->data() + static_cast<std::size_t>(from) * static_cast<std::size_t>(n);
     std::copy_n(row, static_cast<std::size_t>(n), out.data());
 }
 
 std::vector<NodeId> DenseSnapshotSource::route(NodeId from, NodeId to) const
 {
-    CCQ_EXPECT(snapshot_->has_routing,
+    CCQ_EXPECT(snapshot_.routing != nullptr,
                "DenseSnapshotSource::route: snapshot has no routing tables");
-    return snapshot_->routing.route(from, to);
+    return snapshot_.routing->route(from, to);
 }
 
 std::uint64_t DenseSnapshotSource::stored_cells() const noexcept
 {
-    const std::uint64_t n = static_cast<std::uint64_t>(snapshot_->meta.node_count);
+    const std::uint64_t n = static_cast<std::uint64_t>(snapshot_.meta.node_count);
     return n * n;
 }
 
@@ -246,8 +245,7 @@ std::shared_ptr<const DistanceSource> open_distance_source(const std::string& pa
     if (options.prefer_mmap)
         return std::make_shared<const MappedSnapshotSource>(
             std::make_shared<const MappedSnapshot>(path));
-    return std::make_shared<const DenseSnapshotSource>(
-        std::make_shared<const OracleSnapshot>(load_snapshot(path)));
+    return std::make_shared<const DenseSnapshotSource>(load_snapshot(path));
 }
 
 } // namespace ccq

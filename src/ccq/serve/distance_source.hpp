@@ -5,7 +5,7 @@
 //
 // Three concrete sources exist today:
 //
-//   DenseSnapshotSource    an owned/shared in-memory OracleSnapshot
+//   DenseSnapshotSource    an in-memory OracleSnapshot (shared cells)
 //   MappedSnapshotSource   an mmap'd dense file (lazy v2 row decode)
 //   SpannerDistanceSource  a sparse v3 snapshot: only the spanner edge
 //                          list is stored; distances are reconstructed
@@ -88,23 +88,28 @@ public:
     [[nodiscard]] int node_count() const noexcept { return meta().node_count; }
 };
 
-/// Dense source over an owned/shared in-memory snapshot.
+/// Dense source over an in-memory snapshot.  The snapshot's cells are
+/// shared, not copied: a borrowing snapshot (OracleSnapshot::from_result)
+/// must outlive the source.
 class DenseSnapshotSource final : public DistanceSource {
 public:
-    explicit DenseSnapshotSource(std::shared_ptr<const OracleSnapshot> snapshot);
+    explicit DenseSnapshotSource(OracleSnapshot snapshot);
 
     [[nodiscard]] SourceKind kind() const noexcept override { return SourceKind::dense; }
-    [[nodiscard]] const SnapshotMeta& meta() const noexcept override { return snapshot_->meta; }
-    [[nodiscard]] bool has_routing() const noexcept override { return snapshot_->has_routing; }
+    [[nodiscard]] const SnapshotMeta& meta() const noexcept override { return snapshot_.meta; }
+    [[nodiscard]] bool has_routing() const noexcept override
+    {
+        return snapshot_.routing != nullptr;
+    }
     [[nodiscard]] Weight distance(NodeId from, NodeId to) const override;
     void fill_row(NodeId from, std::span<Weight> out) const override;
     [[nodiscard]] std::vector<NodeId> route(NodeId from, NodeId to) const override;
     [[nodiscard]] std::uint64_t stored_cells() const noexcept override;
 
-    [[nodiscard]] const OracleSnapshot& snapshot() const noexcept { return *snapshot_; }
+    [[nodiscard]] const OracleSnapshot& snapshot() const noexcept { return snapshot_; }
 
 private:
-    std::shared_ptr<const OracleSnapshot> snapshot_;
+    OracleSnapshot snapshot_;
 };
 
 /// Dense source over an mmap'd snapshot file (v1 in-place cells, v2

@@ -14,13 +14,6 @@ QueryEngine::QueryEngine(std::shared_ptr<const DistanceSource> source, QueryEngi
 }
 
 QueryEngine::QueryEngine(OracleSnapshot snapshot, QueryEngineConfig config)
-    : QueryEngine(std::make_shared<const DenseSnapshotSource>(
-                      std::make_shared<const OracleSnapshot>(std::move(snapshot))),
-                  config)
-{
-}
-
-QueryEngine::QueryEngine(std::shared_ptr<const OracleSnapshot> snapshot, QueryEngineConfig config)
     : QueryEngine(std::make_shared<const DenseSnapshotSource>(std::move(snapshot)), config)
 {
 }

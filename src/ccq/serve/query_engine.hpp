@@ -89,14 +89,11 @@ public:
     explicit QueryEngine(std::shared_ptr<const DistanceSource> source,
                          QueryEngineConfig config = {});
 
-    /// Takes ownership of the snapshot; the engine is immutable afterwards.
+    /// Serves an in-memory snapshot.  Its cells are shared, not copied,
+    /// so several engines (e.g. one per bench run, each with a cold
+    /// cache) can serve the same n^2 data; a borrowing snapshot
+    /// (OracleSnapshot::from_result) must outlive the engine.
     explicit QueryEngine(OracleSnapshot snapshot, QueryEngineConfig config = {});
-
-    /// Shares an already-loaded snapshot: several engines (e.g. one per
-    /// bench run, each with a cold cache) can serve the same n^2 data
-    /// without copying it.
-    explicit QueryEngine(std::shared_ptr<const OracleSnapshot> snapshot,
-                         QueryEngineConfig config = {});
 
     /// Serves straight from an mmap'd snapshot (lazy row decode for the
     /// compressed codec); the mapping is shared and must stay alive for

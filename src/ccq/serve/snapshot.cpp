@@ -136,16 +136,16 @@ void check_next_hop(std::int64_t value, int n)
         static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
     if (cells > reader.remaining() / 8)
         throw snapshot_io_error("read_snapshot: node count exceeds payload size");
-    snapshot.estimate = DistanceMatrix(n);
+    auto estimate = std::make_shared<DistanceMatrix>(n);
     for (NodeId u = 0; u < n; ++u)
         for (NodeId v = 0; v < n; ++v) {
             const Weight value = reader.i64();
             check_estimate_cell(value);
-            snapshot.estimate.at(u, v) = value;
+            estimate->at(u, v) = value;
         }
+    snapshot.estimate = std::move(estimate);
 
-    snapshot.has_routing = decode_flag(reader, "routing flag");
-    if (snapshot.has_routing) {
+    if (decode_flag(reader, "routing flag")) {
         if (cells > reader.remaining() / 4)
             throw snapshot_io_error("read_snapshot: routing table exceeds payload size");
         std::vector<NodeId> next_hops(static_cast<std::size_t>(cells));
@@ -153,7 +153,7 @@ void check_next_hop(std::int64_t value, int n)
             hop = reader.i32();
             check_next_hop(hop, n);
         }
-        snapshot.routing = RoutingTables(n, std::move(next_hops));
+        snapshot.routing = std::make_shared<const RoutingTables>(n, std::move(next_hops));
     }
     if (!reader.exhausted())
         throw snapshot_io_error("read_snapshot: trailing bytes after payload");
@@ -272,22 +272,22 @@ void decode_hop_row(std::string_view row_bytes, int n, NodeId* out)
     snapshot.meta = decode_meta(reader);
     const int n = snapshot.meta.node_count;
 
-    const V2Section estimate = read_v2_section(reader, n, "estimate");
-    snapshot.estimate = DistanceMatrix(n);
+    const V2Section estimate_section = read_v2_section(reader, n, "estimate");
+    auto estimate = std::make_shared<DistanceMatrix>(n);
     for (NodeId u = 0; u < n; ++u)
-        decode_weight_row(section_row(payload, estimate, u), n,
-                          snapshot.estimate.data() + static_cast<std::size_t>(u) *
-                                                         static_cast<std::size_t>(n));
+        decode_weight_row(section_row(payload, estimate_section, u), n,
+                          estimate->data() + static_cast<std::size_t>(u) *
+                                                 static_cast<std::size_t>(n));
+    snapshot.estimate = std::move(estimate);
 
-    snapshot.has_routing = decode_flag(reader, "routing flag");
-    if (snapshot.has_routing) {
+    if (decode_flag(reader, "routing flag")) {
         const V2Section routing = read_v2_section(reader, n, "routing");
         std::vector<NodeId> hops(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
         for (NodeId u = 0; u < n; ++u)
             decode_hop_row(section_row(payload, routing, u), n,
                            hops.data() + static_cast<std::size_t>(u) *
                                              static_cast<std::size_t>(n));
-        snapshot.routing = RoutingTables(n, std::move(hops));
+        snapshot.routing = std::make_shared<const RoutingTables>(n, std::move(hops));
     }
     if (!reader.exhausted())
         throw snapshot_io_error("read_snapshot: trailing bytes after payload");
@@ -360,14 +360,16 @@ private:
 
 // --- dense writer (v1 and v2) -----------------------------------------------
 //
-// The estimate and the routing table are each one section of n rows.  A
-// sizing pass computes every row's encoded length (fixed for v1, a sum
-// of varint sizes for v2) in parallel, which yields the v2 offset table
-// and the payload length the header needs.  Rows are then encoded in
-// parallel in batches of about kBatchBytes, each row at its own offset,
-// and every batch is hashed and written in row order — so the bytes do
-// not depend on the thread count, and one batch is all the encoded
-// output held at a time.
+// The estimate and the routing table are each one section of n rows,
+// read in place from the snapshot's cells.  A sizing pass computes every
+// row's encoded length (fixed for v1, a sum of varint sizes for v2) in
+// parallel, which yields the v2 offset table and the payload length the
+// header needs.  Rows are then encoded in batches of about kBatchBytes,
+// each row at its own offset, and every batch is hashed and written in
+// row order — so the bytes do not depend on the thread count.  Two batch
+// buffers alternate: while one is hashed and streamed, the next batch is
+// encoded into the other, so at most two batches of encoded output are
+// held at a time.
 
 constexpr std::uint64_t kBatchBytes = 4 << 20;
 
@@ -445,6 +447,24 @@ template <class RowOf>
     return offsets.back() + (format == SnapshotFormat::v2_compressed ? 8 * offsets.size() : 0);
 }
 
+/// Rows [starts[k], starts[k+1]) form batch k: as many whole rows as
+/// fit in kBatchBytes, and at least one.
+[[nodiscard]] std::vector<int> batch_starts(const std::vector<std::uint64_t>& offsets)
+{
+    const int n = static_cast<int>(offsets.size()) - 1;
+    std::vector<int> starts{0};
+    for (int first = 0; first < n;) {
+        int last = first + 1;
+        while (last < n && offsets[static_cast<std::size_t>(last) + 1] -
+                                   offsets[static_cast<std::size_t>(first)] <=
+                               kBatchBytes)
+            ++last;
+        starts.push_back(last);
+        first = last;
+    }
+    return starts;
+}
+
 template <class RowOf>
 void write_section(EnvelopeWriter& sink, SnapshotFormat format,
                    const std::vector<std::uint64_t>& offsets, int threads, const RowOf& row_of)
@@ -456,28 +476,92 @@ void write_section(EnvelopeWriter& sink, SnapshotFormat format,
         for (const std::uint64_t offset : offsets) put_u64(table, offset);
         sink.write(table);
     }
-    const int n = static_cast<int>(offsets.size()) - 1;
-    std::string batch;
-    for (int first = 0; first < n;) {
-        int last = first + 1;
-        while (last < n && offsets[static_cast<std::size_t>(last) + 1] -
-                                   offsets[static_cast<std::size_t>(first)] <=
-                               kBatchBytes)
-            ++last;
-        const std::uint64_t base = offsets[static_cast<std::size_t>(first)];
-        batch.resize(static_cast<std::size_t>(offsets[static_cast<std::size_t>(last)] - base));
-        parallel_chunks(threads, first, last, 1, [&](int begin, int end) {
-            for (NodeId u = begin; u < end; ++u) {
-                char* out = batch.data() + (offsets[static_cast<std::size_t>(u)] - base);
-                char* row_end = v2 ? encode_v2_row(row_of(u), out) : encode_v1_row(row_of(u), out);
-                CCQ_CHECK(row_end ==
-                              batch.data() + (offsets[static_cast<std::size_t>(u) + 1] - base),
-                          "write_snapshot: row size mismatch");
-            }
+    const std::vector<int> starts = batch_starts(offsets);
+    const int batches = static_cast<int>(starts.size()) - 1;
+    if (batches == 0) return;
+
+    const auto offset_of = [&](int row) { return offsets[static_cast<std::size_t>(row)]; };
+    const auto batch_begin = [&](int batch) { return starts[static_cast<std::size_t>(batch)]; };
+    std::array<std::string, 2> buffers;
+    // Encodes rows [begin, end) of `batch`, each at its own offset.
+    const auto encode = [&](int batch, int begin, int end) {
+        char* buffer = buffers[static_cast<std::size_t>(batch % 2)].data();
+        const std::uint64_t base = offset_of(batch_begin(batch));
+        for (NodeId u = begin; u < end; ++u) {
+            char* out = buffer + (offset_of(u) - base);
+            char* row_end = v2 ? encode_v2_row(row_of(u), out) : encode_v1_row(row_of(u), out);
+            CCQ_CHECK(row_end == buffer + (offset_of(u + 1) - base),
+                      "write_snapshot: row size mismatch");
+        }
+    };
+
+    // Step k is one pool job: task 0 hashes and streams batch k-1 (so
+    // FNV-1a sees the bytes in file order) while tasks 1.. encode row
+    // slices of batch k into the other buffer.
+    for (int step = 0; step <= batches; ++step) {
+        int begin = 0;
+        int rows = 0;
+        if (step < batches) {
+            begin = batch_begin(step);
+            rows = batch_begin(step + 1) - begin;
+            buffers[static_cast<std::size_t>(step % 2)].resize(
+                static_cast<std::size_t>(offset_of(begin + rows) - offset_of(begin)));
+        }
+        const int slices = std::min(threads, rows);
+        const auto slice_begin = [&](int slice) {
+            return begin + static_cast<int>(static_cast<std::int64_t>(rows) * slice / slices);
+        };
+        ThreadPool::shared().run(1 + slices, threads, [&](int task) {
+            if (task > 0)
+                encode(step, slice_begin(task - 1), slice_begin(task));
+            else if (step > 0)
+                sink.write(buffers[static_cast<std::size_t>((step - 1) % 2)]);
         });
-        sink.write(batch);
-        first = last;
     }
+}
+
+/// The writer's sizing pass: the meta block, each section's row
+/// offsets, and the payload length the header carries.
+struct DenseLayout {
+    std::string head;
+    std::vector<std::uint64_t> estimate_offsets;
+    std::vector<std::uint64_t> hop_offsets; ///< empty without routing
+    std::uint64_t payload_size = 0;
+};
+
+/// Row u of the estimate, in place.
+[[nodiscard]] std::span<const Weight> estimate_row(const DistanceMatrix& estimate, NodeId u)
+{
+    const auto n = static_cast<std::size_t>(estimate.size());
+    return {estimate.data() + static_cast<std::size_t>(u) * n, n};
+}
+
+[[nodiscard]] DenseLayout dense_layout(const OracleSnapshot& snapshot, SnapshotFormat format,
+                                       int threads)
+{
+    const SnapshotMeta& meta = snapshot.meta;
+    const int n = meta.node_count;
+    CCQ_EXPECT(snapshot.estimate != nullptr, "write_snapshot: snapshot has no estimate");
+    CCQ_EXPECT(n == snapshot.estimate->size(),
+               "write_snapshot: meta/estimate node count mismatch");
+    CCQ_EXPECT(snapshot.routing == nullptr || snapshot.routing->size() == n,
+               "write_snapshot: routing node count mismatch");
+    CCQ_EXPECT(format == SnapshotFormat::v1_raw || format == SnapshotFormat::v2_compressed,
+               "write_snapshot: dense snapshots are v1 or v2 (v3 is write_sparse_snapshot)");
+
+    DenseLayout layout;
+    encode_meta(layout.head, meta);
+    const DistanceMatrix& estimate = *snapshot.estimate;
+    layout.estimate_offsets = row_offsets(n, format, threads,
+                                          [&](NodeId u) { return estimate_row(estimate, u); });
+    layout.payload_size = layout.head.size() + section_bytes(layout.estimate_offsets, format) + 4;
+    if (snapshot.routing != nullptr) {
+        const RoutingTables& routing = *snapshot.routing;
+        layout.hop_offsets =
+            row_offsets(n, format, threads, [&](NodeId u) { return routing.row(u); });
+        layout.payload_size += section_bytes(layout.hop_offsets, format);
+    }
+    return layout;
 }
 
 struct Envelope {
@@ -562,6 +646,8 @@ OracleSnapshot OracleSnapshot::from_result(const Graph& source, const ApspResult
 {
     CCQ_EXPECT(source.node_count() == result.estimate.size(),
                "OracleSnapshot::from_result: graph/result size mismatch");
+    CCQ_EXPECT(routing == nullptr || routing->size() == source.node_count(),
+               "OracleSnapshot::from_result: routing size mismatch");
     OracleSnapshot snapshot;
     snapshot.meta.node_count = source.node_count();
     snapshot.meta.edge_count = source.edge_count();
@@ -572,57 +658,46 @@ OracleSnapshot OracleSnapshot::from_result(const Graph& source, const ApspResult
     snapshot.meta.total_rounds = result.ledger.total_rounds();
     snapshot.meta.total_words = result.ledger.total_words();
     snapshot.meta.build_seed = build_seed;
-    snapshot.estimate = result.estimate;
-    if (routing != nullptr) {
-        CCQ_EXPECT(routing->size() == source.node_count(),
-                   "OracleSnapshot::from_result: routing size mismatch");
-        snapshot.has_routing = true;
-        snapshot.routing = *routing;
-    }
+    // Borrowed: the aliasing constructor with an empty owner gives a
+    // handle that points at the caller's cells and never deletes them.
+    snapshot.estimate = std::shared_ptr<const DistanceMatrix>(std::shared_ptr<void>(),
+                                                              &result.estimate);
+    if (routing != nullptr)
+        snapshot.routing = std::shared_ptr<const RoutingTables>(std::shared_ptr<void>(), routing);
     return snapshot;
 }
 
 void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot, SnapshotFormat format,
                     const EngineConfig& engine)
 {
-    const SnapshotMeta& meta = snapshot.meta;
-    const int n = meta.node_count;
+    const int n = snapshot.meta.node_count;
     const int threads = engine.resolved_threads();
     obs::TraceSpan span("snapshot/write", "serve",
                         "{\"n\":" + std::to_string(n) + ",\"threads\":" +
                             std::to_string(threads) + "}");
-    CCQ_EXPECT(meta.node_count == snapshot.estimate.size(),
-               "write_snapshot: meta/estimate node count mismatch");
-    CCQ_EXPECT(!snapshot.has_routing || snapshot.routing.size() == meta.node_count,
-               "write_snapshot: routing node count mismatch");
-    CCQ_EXPECT(format == SnapshotFormat::v1_raw || format == SnapshotFormat::v2_compressed,
-               "write_snapshot: dense snapshots are v1 or v2 (v3 is write_sparse_snapshot)");
-
-    const auto estimate_row = [&](NodeId u) {
-        return std::span<const Weight>(snapshot.estimate.data() + static_cast<std::size_t>(u) *
-                                                                      static_cast<std::size_t>(n),
-                                       static_cast<std::size_t>(n));
-    };
-    const auto hop_row = [&](NodeId u) { return snapshot.routing.row(u); };
-
-    std::string head;
-    encode_meta(head, meta);
+    const DenseLayout layout = dense_layout(snapshot, format, threads);
     std::string routing_flag;
-    put_u32(routing_flag, snapshot.has_routing ? 1 : 0);
-    const std::vector<std::uint64_t> estimate_offsets =
-        row_offsets(n, format, threads, estimate_row);
-    std::vector<std::uint64_t> hop_offsets;
-    if (snapshot.has_routing) hop_offsets = row_offsets(n, format, threads, hop_row);
+    put_u32(routing_flag, snapshot.routing != nullptr ? 1 : 0);
 
-    const std::uint64_t payload_size =
-        head.size() + section_bytes(estimate_offsets, format) + routing_flag.size() +
-        (snapshot.has_routing ? section_bytes(hop_offsets, format) : 0);
-    EnvelopeWriter sink(out, format, payload_size, "write_snapshot");
-    sink.write(head);
-    write_section(sink, format, estimate_offsets, threads, estimate_row);
+    EnvelopeWriter sink(out, format, layout.payload_size, "write_snapshot");
+    sink.write(layout.head);
+    const DistanceMatrix& estimate = *snapshot.estimate;
+    write_section(sink, format, layout.estimate_offsets, threads,
+                  [&](NodeId u) { return estimate_row(estimate, u); });
     sink.write(routing_flag);
-    if (snapshot.has_routing) write_section(sink, format, hop_offsets, threads, hop_row);
+    if (snapshot.routing != nullptr) {
+        const RoutingTables& routing = *snapshot.routing;
+        write_section(sink, format, layout.hop_offsets, threads,
+                      [&](NodeId u) { return routing.row(u); });
+    }
     sink.finish();
+}
+
+std::uint64_t encoded_snapshot_bytes(const OracleSnapshot& snapshot, SnapshotFormat format,
+                                     const EngineConfig& engine)
+{
+    return kHeaderBytes + dense_layout(snapshot, format, engine.resolved_threads()).payload_size +
+           kFooterBytes;
 }
 
 OracleSnapshot read_snapshot(std::istream& in)

@@ -104,27 +104,42 @@ struct SnapshotMeta {
 
 /// A persisted distance oracle: metadata, the estimate matrix, and
 /// optionally next-hop routing tables for path reconstruction.
+///
+/// The n^2 cells are held through shared handles, so copying a snapshot
+/// is O(1) and copies share cells.  Snapshots from read_snapshot,
+/// load_snapshot and MappedSnapshot::materialize own their cells;
+/// from_result borrows the build's (see there).  The cells are const:
+/// a snapshot is immutable once assembled.
 struct OracleSnapshot {
     SnapshotMeta meta;
-    DistanceMatrix estimate;
-    bool has_routing = false;
-    RoutingTables routing; ///< meaningful only when has_routing
+    std::shared_ptr<const DistanceMatrix> estimate;
+    std::shared_ptr<const RoutingTables> routing; ///< null: no routing tables
 
-    /// Assembles a snapshot from a finished build.  `routing`, when
-    /// non-null, must have the same node count as the estimate.
+    /// Assembles a snapshot from a finished build without copying it:
+    /// the snapshot refers to `result.estimate` and `*routing` in place,
+    /// like a std::span over them.  Both must outlive the snapshot and
+    /// every copy of it (including sources and engines built from it).
+    /// `routing`, when non-null, must have the same node count as the
+    /// estimate.
     [[nodiscard]] static OracleSnapshot from_result(const Graph& source, const ApspResult& result,
                                                     std::uint64_t build_seed,
                                                     const RoutingTables* routing = nullptr);
 };
 
 /// Writes a dense (v1 or v2) snapshot.  Rows are encoded in parallel
-/// batches over `engine.threads` and streamed in row order with the
-/// checksum computed as they go; the bytes are identical for every
-/// thread count.
+/// batches over `engine.threads`; while one batch is hashed and
+/// streamed in row order, the next is encoded, so the checksum overlaps
+/// the encoding.  The bytes are identical for every thread count.
 void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot,
                     SnapshotFormat format = SnapshotFormat::v1_raw,
                     const EngineConfig& engine = {});
 [[nodiscard]] OracleSnapshot read_snapshot(std::istream& in);
+
+/// The byte length write_snapshot would produce, from the writer's
+/// sizing pass alone: no cell is encoded and nothing is buffered.
+[[nodiscard]] std::uint64_t encoded_snapshot_bytes(const OracleSnapshot& snapshot,
+                                                   SnapshotFormat format,
+                                                   const EngineConfig& engine = {});
 
 void save_snapshot(const std::string& path, const OracleSnapshot& snapshot,
                    SnapshotFormat format = SnapshotFormat::v1_raw,

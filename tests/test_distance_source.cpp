@@ -11,31 +11,19 @@
 #include <string>
 #include <vector>
 
-#include "ccq/core/baselines.hpp"
-#include "ccq/core/routing.hpp"
 #include "ccq/graph/exact.hpp"
 #include "ccq/serve/distance_source.hpp"
 #include "ccq/serve/query_engine.hpp"
 #include "ccq/serve/snapshot.hpp"
 #include "ccq/spanner/baswana_sen.hpp"
 #include "ccq/spanner/greedy.hpp"
-#include "test_helpers.hpp"
+#include "built_oracle.hpp"
 
 namespace ccq {
 namespace {
 
+using testing::BuiltOracle;
 using testing::InstanceSpec;
-
-/// A small built oracle (with routing) shared by the dense-path tests.
-OracleSnapshot make_snapshot(const InstanceSpec& spec)
-{
-    const Graph g = testing::make_instance(spec);
-    ApspOptions options;
-    options.seed = spec.seed;
-    const ApspResult result = logn_approx_apsp(g, options);
-    const RoutingTables routing = build_routing_tables(g);
-    return OracleSnapshot::from_result(g, result, options.seed, &routing);
-}
 
 SparseSnapshot sparse_round_trip(const SparseSnapshot& snapshot)
 {
@@ -52,12 +40,12 @@ TEST(DistanceSource, DenseAndMappedAnswerBitwiseIdenticallyToTheSnapshot)
     // the engines built on them agree on every distance, path, and
     // k-nearest answer.
     const InstanceSpec spec{GraphFamily::erdos_renyi_sparse, 36, 13};
-    const OracleSnapshot snapshot = make_snapshot(spec);
+    const BuiltOracle built(spec);
+    const OracleSnapshot& snapshot = built.snapshot;
     const std::string path = ::testing::TempDir() + "ccq_source_identity.snap";
     save_snapshot(path, snapshot, SnapshotFormat::v2_compressed);
 
-    const auto dense = std::make_shared<const DenseSnapshotSource>(
-        std::make_shared<const OracleSnapshot>(snapshot));
+    const auto dense = std::make_shared<const DenseSnapshotSource>(snapshot);
     const auto mapped = std::make_shared<const MappedSnapshotSource>(
         std::make_shared<const MappedSnapshot>(path));
     EXPECT_EQ(dense->kind(), SourceKind::dense);
@@ -80,7 +68,7 @@ TEST(DistanceSource, DenseAndMappedAnswerBitwiseIdenticallyToTheSnapshot)
         dense->fill_row(u, dense_row);
         mapped->fill_row(u, mapped_row);
         for (NodeId v = 0; v < n; ++v) {
-            const Weight expected = snapshot.estimate.at(u, v);
+            const Weight expected = snapshot.estimate->at(u, v);
             EXPECT_EQ(dense_engine.distance(u, v), expected);
             EXPECT_EQ(mapped_engine.distance(u, v), expected);
             EXPECT_EQ(dense_row[static_cast<std::size_t>(v)], expected);
@@ -222,8 +210,9 @@ TEST(DistanceSource, SpannerRowCacheIsInvisibleToAnswers)
 TEST(DistanceSource, FactoryAutoDetectsEveryFormat)
 {
     const InstanceSpec spec{GraphFamily::erdos_renyi_sparse, 30, 5};
-    const OracleSnapshot dense = make_snapshot(spec);
-    const Graph g = testing::make_instance(spec);
+    const BuiltOracle built(spec);
+    const OracleSnapshot& dense = built.snapshot;
+    const Graph& g = built.graph;
     Rng rng(5);
     const SparseSnapshot sparse =
         SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 5);

@@ -10,31 +10,13 @@
 
 #include "ccq/core/oracle.hpp"
 #include "ccq/serve/query_engine.hpp"
-#include "test_helpers.hpp"
+#include "built_oracle.hpp"
 
 namespace ccq {
 namespace {
 
+using testing::BuiltOracle;
 using testing::InstanceSpec;
-
-struct BuiltOracle {
-    Graph graph;
-    ApspResult result;
-    OracleSnapshot snapshot;
-};
-
-BuiltOracle build(const InstanceSpec& spec,
-                  ApspAlgorithmKind kind = ApspAlgorithmKind::logn_baseline)
-{
-    BuiltOracle built;
-    built.graph = testing::make_instance(spec);
-    ApspOptions options;
-    options.seed = spec.seed;
-    built.result = DistanceOracle(built.graph, kind, options).result();
-    const RoutingTables routing = build_routing_tables(built.graph);
-    built.snapshot = OracleSnapshot::from_result(built.graph, built.result, options.seed, &routing);
-    return built;
-}
 
 TEST(QueryEngine, DistancesBitwiseEqualTheApspResultOnEveryPair)
 {
@@ -42,7 +24,7 @@ TEST(QueryEngine, DistancesBitwiseEqualTheApspResultOnEveryPair)
     // must not perturb a single bit of any estimate.
     for (const ApspAlgorithmKind kind :
          {ApspAlgorithmKind::logn_baseline, ApspAlgorithmKind::general}) {
-        const BuiltOracle built = build(InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 13}, kind);
+        const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 13}, kind);
         const QueryEngine engine(built.snapshot);
         for (NodeId u = 0; u < built.graph.node_count(); ++u)
             for (NodeId v = 0; v < built.graph.node_count(); ++v)
@@ -53,13 +35,13 @@ TEST(QueryEngine, DistancesBitwiseEqualTheApspResultOnEveryPair)
 
 TEST(QueryEngine, PathsWalkTheRoutingTables)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::clustered, 48, 3});
+    const BuiltOracle built(InstanceSpec{GraphFamily::clustered, 48, 3});
     const QueryEngine engine(built.snapshot);
     ASSERT_TRUE(engine.has_routing());
     for (NodeId u = 0; u < 48; u += 5) {
         for (NodeId v = 0; v < 48; v += 7) {
             const PathResult path = engine.path(u, v);
-            EXPECT_EQ(path.nodes, built.snapshot.routing.route(u, v)) << u << "->" << v;
+            EXPECT_EQ(path.nodes, built.routing.route(u, v)) << u << "->" << v;
             if (path.reachable) {
                 ASSERT_FALSE(path.nodes.empty());
                 EXPECT_EQ(path.nodes.front(), u);
@@ -90,7 +72,7 @@ TEST(QueryEngine, UnreachablePairsReportUnreachable)
 
 TEST(QueryEngine, PathCacheHitsOnRepeatedQueries)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
     const QueryEngine engine(built.snapshot);
     const PathResult first = engine.path(0, 17);
     EXPECT_EQ(engine.cache_stats().hits, 0u);
@@ -102,7 +84,7 @@ TEST(QueryEngine, PathCacheHitsOnRepeatedQueries)
 
 TEST(QueryEngine, PathCacheEvictsAtCapacityAndStaysCorrect)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
     QueryEngineConfig config;
     config.path_cache_capacity = 8;
     config.cache_shards = 2;
@@ -124,7 +106,7 @@ TEST(QueryEngine, PathCacheLruEvictionOrderIsDeterministic)
 {
     // One shard with room for exactly two entries makes LRU observable
     // through the hit/miss counters.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
     QueryEngineConfig config;
     config.path_cache_capacity = 2;
     config.cache_shards = 1;
@@ -147,7 +129,7 @@ TEST(QueryEngine, EvictionCountIsExactWithOneShard)
 {
     // Capacity 2, one shard: the k-th distinct insert beyond capacity
     // displaces exactly one entry, so evictions = inserts - capacity.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
     QueryEngineConfig config;
     config.path_cache_capacity = 2;
     config.cache_shards = 1;
@@ -162,7 +144,7 @@ TEST(QueryEngine, EvictionCountIsExactWithOneShard)
 
 TEST(QueryEngine, BatchSizeHistogramRecordsEveryBatch)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
     const QueryEngine engine(built.snapshot);
     const std::vector<PointQuery> three{{0, 1}, {0, 2}, {0, 3}};
     const std::vector<PointQuery> one{{4, 5}};
@@ -185,7 +167,7 @@ TEST(QueryEngine, ShardedCacheStaysCorrectUnderConcurrentBatches)
     // than the working set: heavy insert/evict churn across shards.
     // Every answer must match an uncached reference engine, and the
     // hit/miss counters must account for exactly one lookup per query.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::clustered, 40, 21});
+    const BuiltOracle built(InstanceSpec{GraphFamily::clustered, 40, 21});
     QueryEngineConfig config;
     config.path_cache_capacity = 16;
     config.cache_shards = 4;
@@ -227,7 +209,7 @@ TEST(QueryEngine, ShardedCacheStaysCorrectUnderConcurrentBatches)
 
 TEST(QueryEngine, NearestTargetsAreOrderedAndComplete)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 9});
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 9});
     const QueryEngine engine(built.snapshot);
     const int n = engine.node_count();
     for (const NodeId from : {NodeId{0}, NodeId{17}, NodeId{39}}) {
@@ -257,7 +239,7 @@ TEST(QueryEngine, NearestTargetsAreOrderedAndComplete)
 
 TEST(QueryEngine, BatchesMatchPointQueriesAcrossThreadCounts)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::clustered, 40, 21});
+    const BuiltOracle built(InstanceSpec{GraphFamily::clustered, 40, 21});
     Rng rng(4);
     std::vector<PointQuery> queries;
     for (int i = 0; i < 500; ++i)
@@ -280,7 +262,7 @@ TEST(QueryEngine, BatchesMatchPointQueriesAcrossThreadCounts)
 
 TEST(QueryEngine, EmptyBatchIsFine)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     const QueryEngine engine(built.snapshot);
     EXPECT_TRUE(engine.batch_distances({}).empty());
     EXPECT_TRUE(engine.batch_paths({}).empty());
@@ -298,7 +280,7 @@ TEST(QueryEngine, PathRequiresRoutingTables)
 
 TEST(QueryEngine, BoundsChecked)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     const QueryEngine engine(built.snapshot);
     EXPECT_THROW((void)engine.distance(-1, 0), check_error);
     EXPECT_THROW((void)engine.distance(0, 12), check_error);
@@ -330,9 +312,12 @@ TEST(QueryEngine, InconsistentEstimateAndRoutingServeAsUnreachable)
 {
     // Forged snapshot where the routing walk succeeds but the estimate
     // cell claims unreachable: no self-contradictory answer may escape.
-    BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
-    built.snapshot.estimate.at(0, 5) = kInfinity;
-    const QueryEngine engine(built.snapshot);
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
+    auto estimate = std::make_shared<DistanceMatrix>(built.result.estimate);
+    estimate->at(0, 5) = kInfinity;
+    OracleSnapshot forged = built.snapshot;
+    forged.estimate = std::move(estimate);
+    const QueryEngine engine(forged);
     const PathResult path = engine.path(0, 5);
     EXPECT_FALSE(path.reachable);
     EXPECT_TRUE(path.nodes.empty());

@@ -25,35 +25,18 @@
 #include "ccq/net/client.hpp"
 #include "ccq/net/server.hpp"
 #include "ccq/obs/trace.hpp"
-#include "test_helpers.hpp"
+#include "built_oracle.hpp"
 
 namespace ccq {
 namespace {
 
+using testing::BuiltOracle;
 using testing::InstanceSpec;
 
 // A dead peer mid-write must surface as net_error, not SIGPIPE.
 struct IgnoreSigpipe {
     IgnoreSigpipe() { std::signal(SIGPIPE, SIG_IGN); }
 } const g_ignore_sigpipe;
-
-struct BuiltOracle {
-    Graph graph;
-    OracleSnapshot snapshot;
-};
-
-BuiltOracle build(const InstanceSpec& spec)
-{
-    BuiltOracle built;
-    built.graph = testing::make_instance(spec);
-    ApspOptions options;
-    options.seed = spec.seed;
-    const ApspResult result =
-        DistanceOracle(built.graph, ApspAlgorithmKind::logn_baseline, options).result();
-    const RoutingTables routing = build_routing_tables(built.graph);
-    built.snapshot = OracleSnapshot::from_result(built.graph, result, options.seed, &routing);
-    return built;
-}
 
 /// A listening server plus the thread running its accept loop.
 class RunningServer {
@@ -126,7 +109,7 @@ INSTANTIATE_TEST_SUITE_P(Loops, ServerBackends, ::testing::Values(1, 4),
 
 TEST_P(ServerBackends, AnswersBitwiseIdenticalToTheEngine)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 13});
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 13});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
     Client client = running.connect();
@@ -167,7 +150,7 @@ TEST_P(ServerBackends, PipelinedRepliesAreTheEngineAnswersBitwise)
     // Identical request bytes in, the in-process encoding of the
     // engine's answer out — binary and JSON alike, in request order,
     // with the whole script written before the first reply is read.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::clustered, 32, 9});
+    const BuiltOracle built(InstanceSpec{GraphFamily::clustered, 32, 9});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
 
     std::vector<std::string> bodies;
@@ -241,7 +224,7 @@ TEST_P(ServerBackends, RoundTripEquivalenceAcrossCodecV2AndMmap)
 {
     // The acceptance criterion of the serving subsystem: socket protocol
     // + compressed snapshot + mmap loading vs in-process v1 answers.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::clustered, 48, 3});
+    const BuiltOracle built(InstanceSpec{GraphFamily::clustered, 48, 3});
 
     const std::string v1_path = ::testing::TempDir() + "ccq_server_equiv_v1.snap";
     const std::string v2_path = ::testing::TempDir() + "ccq_server_equiv_v2.snap";
@@ -265,7 +248,7 @@ TEST_P(ServerBackends, RoundTripEquivalenceAcrossCodecV2AndMmap)
 
 TEST_P(ServerBackends, ConcurrentClientsGetConsistentAnswers)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
 
@@ -295,7 +278,7 @@ TEST_P(ServerBackends, ConcurrentClientsGetConsistentAnswers)
 
 TEST_P(ServerBackends, PipelinedBatchesMatchSequentialAnswers)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::erdos_renyi_sparse, 36, 21});
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 36, 21});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
     Client client = running.connect();
@@ -320,7 +303,7 @@ TEST_P(ServerBackends, PipelinedBatchesMatchSequentialAnswers)
 
 TEST_P(ServerBackends, PipelinedErrorDrainsAndTheConnectionSurvives)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 16, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 16, 2});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
     Client client = running.connect();
@@ -343,7 +326,7 @@ TEST_P(ServerBackends, ManyFramesWrittenBeforeAnyReadComeBackInOrder)
     // The raw pipelining shape: the whole burst hits the server before
     // the client reads a single reply.  Responses must come back
     // complete, in request order.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::clustered, 30, 11});
+    const BuiltOracle built(InstanceSpec{GraphFamily::clustered, 30, 11});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
 
@@ -375,7 +358,7 @@ TEST_P(ServerBackends, SlowLorisByteAtATimeStillGetsAnswered)
     // Two requests dribbled one byte per write: frame reassembly must
     // work at any fragmentation, and the second frame must not be
     // swallowed by the first one's read.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
 
@@ -401,7 +384,7 @@ TEST(Server, StalledReaderIsPausedNotBuffered)
     // replies must get its reads paused (bounded output queue), while
     // other connections stay responsive — and every reply must still
     // arrive, in order, once the reader catches up.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 20, 4});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 20, 4});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     ServerConfig config;
     config.max_output_bytes = 1024;
@@ -452,7 +435,7 @@ TEST(Server, EventLoopHoldsAThousandIdleConnections)
     if (!raise_fd_limit(2 * kConnections + 256))
         GTEST_SKIP() << "cannot raise RLIMIT_NOFILE high enough";
 
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     ServerConfig config;
     config.workers = 2; // two loops, however many connections land
@@ -487,7 +470,7 @@ TEST(Server, EventLoopHoldsAThousandIdleConnections)
 
 TEST_P(ServerBackends, MaxConnectionsShedsWithTypedBusyStatus)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     ServerConfig config = backend_config();
     config.max_connections = 2;
@@ -538,7 +521,7 @@ TEST(Server, MaxConnectionsIsExactAcrossLoops)
     // every other connect is told `busy`.
     constexpr int kLimit = 8;
     constexpr int kConnects = 32;
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     ServerConfig config;
     config.workers = 4;
     config.max_connections = kLimit;
@@ -597,7 +580,7 @@ TEST(Server, MaxConnectionsIsExactAcrossLoops)
 
 TEST_P(ServerBackends, ClientPoolReusesConnections)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
 
@@ -630,7 +613,7 @@ TEST_P(ServerBackends, ClientPoolReusesConnections)
 
 TEST_P(ServerBackends, RejectsBadRequestsWithTypedStatuses)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
     Client client = running.connect();
@@ -671,7 +654,7 @@ TEST_P(ServerBackends, PathAgainstRoutinglessSnapshotIsUnsupported)
 
 TEST_P(ServerBackends, MalformedFrameGetsAnErrorAndTheConnectionSurvives)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     RunningServer running(std::make_shared<const QueryEngine>(built.snapshot),
                           backend_config());
 
@@ -692,7 +675,7 @@ TEST_P(ServerBackends, MalformedFrameGetsAnErrorAndTheConnectionSurvives)
 
 TEST_P(ServerBackends, JsonDebugModeAnswersJson)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
     Client client = running.connect();
@@ -725,7 +708,7 @@ TEST_P(ServerBackends, JsonDebugModeAnswersJson)
 
 TEST_P(ServerBackends, MetricsScrapeCountsScriptedWorkloadExactly)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::erdos_renyi_sparse, 30, 4});
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 30, 4});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
     Client client = running.connect();
@@ -776,7 +759,7 @@ TEST_P(ServerBackends, MetricsScrapeCountsScriptedWorkloadExactly)
 
 TEST_P(ServerBackends, MetricsDisabledStillAnswersWithZeroRequestCounts)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     ServerConfig config = backend_config();
     config.metrics = false;
     RunningServer running(std::make_shared<const QueryEngine>(built.snapshot), config);
@@ -795,7 +778,7 @@ TEST_P(ServerBackends, MetricsDisabledStillAnswersWithZeroRequestCounts)
 
 TEST_P(ServerBackends, StatsCarryLedgerTotalsFromTheSnapshot)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::erdos_renyi_sparse, 24, 9});
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 24, 9});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
     Client client = running.connect();
@@ -809,7 +792,7 @@ TEST_P(ServerBackends, StatsCarryLedgerTotalsFromTheSnapshot)
 
 TEST_P(ServerBackends, ShutdownFrameStopsTheAcceptLoopGracefully)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     Server server(std::make_shared<const QueryEngine>(built.snapshot), backend_config());
     const int port = server.listen();
     std::thread accept_thread([&server] { server.run(); });
@@ -829,7 +812,7 @@ TEST_P(ServerBackends, ShutdownTokenRejectsUnauthenticatedFrames)
     // The ROADMAP-flagged hole: anyone who could connect could stop the
     // server.  With a configured token, a tokenless or wrong-token
     // shutdown must answer `forbidden` and leave the server serving.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     ServerConfig config = backend_config();
     config.shutdown_token = "s3cret";
@@ -866,7 +849,7 @@ TEST_P(ServerBackends, ShutdownTokenRejectsUnauthenticatedFrames)
 
 TEST_P(ServerBackends, ShutdownTokenAcceptsTheRightToken)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     ServerConfig config = backend_config();
     config.shutdown_token = "s3cret";
     Server server(std::make_shared<const QueryEngine>(built.snapshot), config);
@@ -881,7 +864,7 @@ TEST_P(ServerBackends, ShutdownTokenAcceptsTheRightToken)
 
 TEST_P(ServerBackends, JsonShutdownWithTokenStopsTheServer)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     ServerConfig config = backend_config();
     config.shutdown_token = "tok";
     Server server(std::make_shared<const QueryEngine>(built.snapshot), config);
@@ -899,7 +882,7 @@ TEST_P(ServerBackends, TokenlessServerKeepsOpenShutdown)
 {
     // Back-compat: no configured token means any shutdown frame —
     // including one that carries a token — still stops the server.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     Server server(std::make_shared<const QueryEngine>(built.snapshot), backend_config());
     const int port = server.listen();
     std::thread accept_thread([&server] { server.run(); });
@@ -911,7 +894,7 @@ TEST_P(ServerBackends, TokenlessServerKeepsOpenShutdown)
 
 TEST_P(ServerBackends, RequestStopUnblocksIdleConnections)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     Server server(std::make_shared<const QueryEngine>(built.snapshot), backend_config());
     const int port = server.listen();
     std::thread accept_thread([&server] { server.run(); });
@@ -928,7 +911,7 @@ TEST(Server, ServeStreamSpeaksTheProtocolOverASocketpair)
 {
     // The stdio mode without process games: one socketpair, the server
     // serving one end inline, a Client on the other.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::clustered, 24, 7});
+    const BuiltOracle built(InstanceSpec{GraphFamily::clustered, 24, 7});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     Server server(engine);
 
@@ -954,7 +937,7 @@ TEST_P(ServerBackends, TaggedAndUntaggedRequestsGetIdenticalReplies)
 {
     // The trace envelope must be invisible in the reply bytes: a tagged
     // request and its untagged twin answer identically.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::clustered, 24, 7});
+    const BuiltOracle built(InstanceSpec{GraphFamily::clustered, 24, 7});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
 
@@ -991,7 +974,7 @@ TEST_P(ServerBackends, TaggedAndUntaggedRequestsGetIdenticalReplies)
 
 TEST_P(ServerBackends, FlightRecorderReturnsTheScriptedWorkloadExactly)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
     Client client = running.connect();
@@ -1033,7 +1016,7 @@ TEST_P(ServerBackends, FlightRecorderReturnsTheScriptedWorkloadExactly)
 
 TEST_P(ServerBackends, FlightRingKeepsOnlyTheLastRecords)
 {
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     ServerConfig config = backend_config();
     config.flight_records = 4;
     RunningServer running(std::make_shared<const QueryEngine>(built.snapshot), config);
@@ -1057,7 +1040,7 @@ TEST_P(ServerBackends, FlightRecorderAnswersWithMetricsDisabled)
     // --no-metrics turns off aggregate counters, not the flight ring:
     // the last-N dump is exactly the tool you want on a server that was
     // started lean.
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     ServerConfig config = backend_config();
     config.metrics = false;
     RunningServer running(std::make_shared<const QueryEngine>(built.snapshot), config);
@@ -1085,7 +1068,7 @@ TEST_P(ServerBackends, SampledRequestRendersAConnectedSpanChain)
     obs::Tracer::global().clear();
     obs::Tracer::global().enable();
 
-    const BuiltOracle built = build(InstanceSpec{GraphFamily::tree, 12, 2});
+    const BuiltOracle built(InstanceSpec{GraphFamily::tree, 12, 2});
     const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
     RunningServer running(engine, backend_config());
     Client client = running.connect();

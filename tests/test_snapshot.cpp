@@ -13,6 +13,7 @@
 #include "ccq/common/bytes.hpp"
 #include "ccq/core/baselines.hpp"
 #include "ccq/core/routing.hpp"
+#include "ccq/serve/distance_source.hpp"
 #include "ccq/serve/query_engine.hpp"
 #include "ccq/serve/snapshot.hpp"
 #include "test_helpers.hpp"
@@ -23,21 +24,27 @@ namespace {
 using testing::InstanceSpec;
 
 /// A small built oracle (with routing) for serialization tests.
+/// from_result borrows the build's cells, and the build dies on return,
+/// so the estimate and tables are moved into the snapshot's handles.
 OracleSnapshot make_snapshot(const InstanceSpec& spec)
 {
     const Graph g = testing::make_instance(spec);
     ApspOptions options;
     options.seed = spec.seed;
-    const ApspResult result = logn_approx_apsp(g, options);
-    const RoutingTables routing = build_routing_tables(g);
-    return OracleSnapshot::from_result(g, result, options.seed, &routing);
+    ApspResult result = logn_approx_apsp(g, options);
+    RoutingTables routing = build_routing_tables(g);
+    OracleSnapshot snapshot = OracleSnapshot::from_result(g, result, options.seed, &routing);
+    snapshot.estimate = std::make_shared<const DistanceMatrix>(std::move(result.estimate));
+    snapshot.routing = std::make_shared<const RoutingTables>(std::move(routing));
+    return snapshot;
 }
 
 /// Serializes to an in-memory byte string.
-std::string to_bytes(const OracleSnapshot& snapshot, SnapshotFormat codec = SnapshotFormat::v1_raw)
+std::string to_bytes(const OracleSnapshot& snapshot, SnapshotFormat codec = SnapshotFormat::v1_raw,
+                     const EngineConfig& engine = {})
 {
     std::ostringstream out(std::ios::binary);
-    write_snapshot(out, snapshot, codec);
+    write_snapshot(out, snapshot, codec, engine);
     return out.str();
 }
 
@@ -65,13 +72,13 @@ OracleSnapshot from_bytes(const std::string& bytes)
 void expect_equal(const OracleSnapshot& a, const OracleSnapshot& b)
 {
     EXPECT_EQ(a.meta, b.meta);
-    EXPECT_EQ(a.estimate, b.estimate);
-    ASSERT_EQ(a.has_routing, b.has_routing);
-    if (a.has_routing) {
-        ASSERT_EQ(a.routing.size(), b.routing.size());
-        for (NodeId u = 0; u < a.routing.size(); ++u)
-            for (NodeId v = 0; v < a.routing.size(); ++v)
-                EXPECT_EQ(a.routing.next_hop(u, v), b.routing.next_hop(u, v));
+    EXPECT_EQ(*a.estimate, *b.estimate);
+    ASSERT_EQ(a.routing == nullptr, b.routing == nullptr);
+    if (a.routing != nullptr) {
+        ASSERT_EQ(a.routing->size(), b.routing->size());
+        for (NodeId u = 0; u < a.routing->size(); ++u)
+            for (NodeId v = 0; v < a.routing->size(); ++v)
+                EXPECT_EQ(a.routing->next_hop(u, v), b.routing->next_hop(u, v));
     }
 }
 
@@ -103,7 +110,7 @@ TEST(Snapshot, RoundTripsWithoutRouting)
     const Graph g = testing::make_instance(InstanceSpec{GraphFamily::grid, 25, 2});
     const ApspResult result = logn_approx_apsp(g, {});
     const OracleSnapshot original = OracleSnapshot::from_result(g, result, 1);
-    EXPECT_FALSE(original.has_routing);
+    EXPECT_EQ(original.routing, nullptr);
     const OracleSnapshot loaded = from_bytes(to_bytes(original));
     expect_equal(original, loaded);
 }
@@ -237,11 +244,14 @@ TEST(Snapshot, ForgedNodeCountIsRejectedBeforeAllocation)
 // can carry anything.  Both codecs must reject out-of-range cells at
 // load time instead of handing them back to the engine.
 
-/// A structurally valid snapshot whose estimate holds one illegal cell.
+/// A structurally valid snapshot whose estimate holds one illegal cell
+/// (snapshot cells are immutable, so the forged estimate is a copy).
 OracleSnapshot snapshot_with_bad_cell(Weight bad)
 {
     OracleSnapshot snapshot = make_snapshot(InstanceSpec{GraphFamily::tree, 10, 4});
-    snapshot.estimate.at(2, 7) = bad;
+    auto estimate = std::make_shared<DistanceMatrix>(*snapshot.estimate);
+    estimate->at(2, 7) = bad;
+    snapshot.estimate = std::move(estimate);
     return snapshot;
 }
 
@@ -264,7 +274,7 @@ TEST(SnapshotCellValidation, OutOfRangeEstimateCellsAreRejectedByBothCodecs)
     // kInfinity itself (unreachable) stays legal in both codecs.
     const OracleSnapshot legal = snapshot_with_bad_cell(kInfinity);
     for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed})
-        EXPECT_EQ(from_bytes(to_bytes(legal, codec)).estimate.at(2, 7), kInfinity);
+        EXPECT_EQ(from_bytes(to_bytes(legal, codec)).estimate->at(2, 7), kInfinity);
 }
 
 TEST(SnapshotCellValidation, OutOfRangeNextHopsAreRejectedByBothCodecs)
@@ -272,7 +282,7 @@ TEST(SnapshotCellValidation, OutOfRangeNextHopsAreRejectedByBothCodecs)
     OracleSnapshot forged = make_snapshot(InstanceSpec{GraphFamily::tree, 10, 4});
     std::vector<NodeId> hops(100, -1);
     hops[5] = 10; // one past the node range
-    forged.routing = RoutingTables(10, std::move(hops));
+    forged.routing = std::make_shared<const RoutingTables>(10, std::move(hops));
     for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
         try {
             (void)from_bytes(to_bytes(forged, codec));
@@ -325,11 +335,11 @@ std::string reference_payload_v1(const OracleSnapshot& snapshot)
     std::string payload;
     reference_meta(payload, snapshot.meta);
     for (NodeId u = 0; u < n; ++u)
-        for (NodeId v = 0; v < n; ++v) put_i64(payload, snapshot.estimate.at(u, v));
-    put_u32(payload, snapshot.has_routing ? 1 : 0);
-    if (snapshot.has_routing)
+        for (NodeId v = 0; v < n; ++v) put_i64(payload, snapshot.estimate->at(u, v));
+    put_u32(payload, snapshot.routing != nullptr ? 1 : 0);
+    if (snapshot.routing != nullptr)
         for (NodeId u = 0; u < n; ++u)
-            for (NodeId v = 0; v < n; ++v) put_i32(payload, snapshot.routing.next_hop(u, v));
+            for (NodeId v = 0; v < n; ++v) put_i32(payload, snapshot.routing->next_hop(u, v));
     return payload;
 }
 
@@ -364,12 +374,12 @@ std::string reference_payload_v2(const OracleSnapshot& snapshot)
     std::vector<NodeId> hops;
     for (NodeId u = 0; u < n; ++u)
         for (NodeId v = 0; v < n; ++v) {
-            estimate.push_back(snapshot.estimate.at(u, v));
-            if (snapshot.has_routing) hops.push_back(snapshot.routing.next_hop(u, v));
+            estimate.push_back(snapshot.estimate->at(u, v));
+            if (snapshot.routing != nullptr) hops.push_back(snapshot.routing->next_hop(u, v));
         }
     reference_v2_rows(payload, n, estimate);
-    put_u32(payload, snapshot.has_routing ? 1 : 0);
-    if (snapshot.has_routing) reference_v2_rows(payload, n, hops);
+    put_u32(payload, snapshot.routing != nullptr ? 1 : 0);
+    if (snapshot.routing != nullptr) reference_v2_rows(payload, n, hops);
     return payload;
 }
 
@@ -399,31 +409,33 @@ OracleSnapshot random_snapshot(int n, std::uint64_t seed, bool with_routing)
     snapshot.meta.total_rounds = 42.25;
     snapshot.meta.total_words = 12345;
     snapshot.meta.build_seed = seed;
-    snapshot.estimate = DistanceMatrix(n);
+    auto estimate = std::make_shared<DistanceMatrix>(n);
     for (NodeId u = 0; u < n; ++u)
         for (NodeId v = 0; v < n; ++v) {
             const std::int64_t pick = rng.uniform_int(0, 9);
-            snapshot.estimate.at(u, v) = pick == 0   ? kInfinity
-                                         : pick == 1 ? rng.uniform_int(0, kInfinity - 1)
-                                                     : rng.uniform_int(0, 300);
+            estimate->at(u, v) = pick == 0   ? kInfinity
+                                 : pick == 1 ? rng.uniform_int(0, kInfinity - 1)
+                                             : rng.uniform_int(0, 300);
         }
+    snapshot.estimate = std::move(estimate);
     if (with_routing) {
         std::vector<NodeId> hops(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
         for (NodeId& hop : hops) hop = static_cast<NodeId>(rng.uniform_int(-1, n - 1));
-        snapshot.has_routing = true;
-        snapshot.routing = RoutingTables(n, std::move(hops));
+        snapshot.routing = std::make_shared<const RoutingTables>(n, std::move(hops));
     }
     return snapshot;
 }
 
+/// The writer's bytes equal the reference encoder's at every thread
+/// count, and encoded_snapshot_bytes predicts their length.
 void expect_bytes_match_reference(const OracleSnapshot& snapshot, const std::string& context)
 {
     for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
         const std::string want = reference_bytes(snapshot, codec);
-        for (const int threads : {1, 4}) {
-            std::ostringstream out(std::ios::binary);
-            write_snapshot(out, snapshot, codec, EngineConfig{threads, 64});
-            const std::string got = out.str();
+        EXPECT_EQ(encoded_snapshot_bytes(snapshot, codec), want.size())
+            << context << " " << snapshot_format_name(codec);
+        for (const int threads : {1, 2, 4}) {
+            const std::string got = to_bytes(snapshot, codec, EngineConfig{threads, 64});
             EXPECT_EQ(got.size(), want.size())
                 << context << " " << snapshot_format_name(codec) << " threads=" << threads;
             EXPECT_TRUE(got == want)
@@ -434,16 +446,18 @@ void expect_bytes_match_reference(const OracleSnapshot& snapshot, const std::str
 
 TEST(SnapshotWriter, BytesMatchTheReferenceEncoderForEveryThreadCount)
 {
-    // 1100 nodes span several 4 MiB write batches in both codecs.
-    for (const int n : {0, 1, 63, 64, 65, 129, 1100}) {
+    for (const int n : {0, 1, 63, 64, 65, 129}) {
         const OracleSnapshot with_routing =
             random_snapshot(n, static_cast<std::uint64_t>(n) + 1, true);
         expect_bytes_match_reference(with_routing, "n=" + std::to_string(n) + " routing");
         OracleSnapshot without_routing = with_routing;
-        without_routing.has_routing = false;
-        without_routing.routing = RoutingTables();
+        without_routing.routing = nullptr;
         expect_bytes_match_reference(without_routing, "n=" + std::to_string(n) + " no routing");
     }
+    // At n=2048 the v1 sections span 8 and 4 write batches of 4 MiB (the
+    // v2 ones fewer), so the pipeline that streams one batch while the
+    // next is encoded runs many times over.
+    expect_bytes_match_reference(random_snapshot(2048, 2049, true), "n=2048 routing");
     expect_bytes_match_reference(make_snapshot(InstanceSpec{GraphFamily::clustered, 48, 5}),
                                  "built oracle");
 }
@@ -462,8 +476,49 @@ TEST(SnapshotWriter, ForgedCellsAndHopsMatchTheReferenceEncoder)
     hops[5] = 10;
     hops[17] = std::numeric_limits<NodeId>::min();
     hops[42] = std::numeric_limits<NodeId>::max();
-    forged.routing = RoutingTables(10, std::move(hops));
+    forged.routing = std::make_shared<const RoutingTables>(10, std::move(hops));
     expect_bytes_match_reference(forged, "bad hops");
+}
+
+// --- from_result borrows the build's cells ---------------------------------
+
+TEST(SnapshotBorrowing, FromResultSharesTheBuildsCells)
+{
+    const Graph g = testing::make_instance(InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 3});
+    const ApspResult result = logn_approx_apsp(g, {});
+    const RoutingTables routing = build_routing_tables(g);
+    const OracleSnapshot snapshot = OracleSnapshot::from_result(g, result, 1, &routing);
+    EXPECT_EQ(snapshot.estimate.get(), &result.estimate);
+    EXPECT_EQ(snapshot.estimate->data(), result.estimate.data());
+    EXPECT_EQ(snapshot.routing.get(), &routing);
+    EXPECT_EQ(snapshot.routing->row(0).data(), routing.row(0).data());
+
+    // Copies and the engines built from them share the cells too.
+    const OracleSnapshot copy = snapshot;
+    EXPECT_EQ(copy.estimate->data(), result.estimate.data());
+    const QueryEngine engine(snapshot);
+    const auto& source = dynamic_cast<const DenseSnapshotSource&>(engine.source());
+    EXPECT_EQ(source.snapshot().estimate->data(), result.estimate.data());
+    EXPECT_EQ(source.snapshot().routing.get(), &routing);
+}
+
+TEST(SnapshotBorrowing, BorrowedAndOwnedSnapshotsWriteIdenticalBytes)
+{
+    const Graph g = testing::make_instance(InstanceSpec{GraphFamily::clustered, 48, 5});
+    ApspOptions options;
+    options.seed = 5;
+    const ApspResult result = logn_approx_apsp(g, options);
+    const RoutingTables routing = build_routing_tables(g);
+    const OracleSnapshot borrowed = OracleSnapshot::from_result(g, result, options.seed, &routing);
+    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed})
+        for (const int threads : {1, 4}) {
+            const EngineConfig engine{threads, 64};
+            const std::string written = to_bytes(borrowed, codec, engine);
+            const OracleSnapshot owned = from_bytes(written);
+            EXPECT_NE(owned.estimate->data(), result.estimate.data());
+            EXPECT_TRUE(to_bytes(owned, codec, engine) == written)
+                << snapshot_format_name(codec) << " threads=" << threads;
+        }
 }
 
 // --- codec v2 (compressed) --------------------------------------------------
@@ -617,17 +672,17 @@ TEST_F(SnapshotMmap, ServesBothCodecsBitwiseIdenticalToEagerLoading)
         const MappedSnapshot mapped(path);
         EXPECT_EQ(mapped.format_version(), static_cast<std::uint32_t>(codec));
         EXPECT_EQ(mapped.meta(), original.meta);
-        ASSERT_EQ(mapped.has_routing(), original.has_routing);
+        ASSERT_TRUE(mapped.has_routing());
         for (NodeId u = 0; u < 40; ++u)
             for (NodeId v = 0; v < 40; ++v) {
-                ASSERT_EQ(mapped.distance(u, v), original.estimate.at(u, v))
+                ASSERT_EQ(mapped.distance(u, v), original.estimate->at(u, v))
                     << u << "->" << v;
-                ASSERT_EQ(mapped.next_hop(u, v), original.routing.next_hop(u, v))
+                ASSERT_EQ(mapped.next_hop(u, v), original.routing->next_hop(u, v))
                     << u << "->" << v;
             }
         for (NodeId u = 0; u < 40; u += 7)
             for (NodeId v = 0; v < 40; v += 5)
-                EXPECT_EQ(mapped.route(u, v), original.routing.route(u, v));
+                EXPECT_EQ(mapped.route(u, v), original.routing->route(u, v));
         expect_equal(original, mapped.materialize());
         std::remove(path.c_str());
     }
@@ -647,7 +702,7 @@ TEST_F(SnapshotMmap, ConcurrentLazyRowDecodingIsConsistent)
             // Overlapping row sets force concurrent first-touch decodes.
             for (NodeId u = 0; u < 48; ++u)
                 for (NodeId v = static_cast<NodeId>(w); v < 48; v += 2)
-                    if (mapped.distance(u, v) != original.estimate.at(u, v))
+                    if (mapped.distance(u, v) != original.estimate->at(u, v))
                         failures.fetch_add(1);
         });
     for (std::thread& worker : workers) worker.join();
@@ -695,8 +750,7 @@ TEST_F(SnapshotMmap, RejectsCorruptionTruncationAndBadMagicAtOpen)
 
 TEST_F(SnapshotMmap, OutOfRangeCellsAreRejectedInBothCodecs)
 {
-    OracleSnapshot forged = make_snapshot(InstanceSpec{GraphFamily::tree, 10, 4});
-    forged.estimate.at(2, 7) = kInfinity + 99;
+    const OracleSnapshot forged = snapshot_with_bad_cell(kInfinity + 99);
 
     // v1 cells are served straight from the mapping, so the invariant
     // scan runs at open and the constructor itself must reject.
@@ -708,7 +762,7 @@ TEST_F(SnapshotMmap, OutOfRangeCellsAreRejectedInBothCodecs)
     const std::string v2 =
         write_file(forged, SnapshotFormat::v2_compressed, "ccq_mmap_badcell_v2.snap");
     const MappedSnapshot mapped(v2);
-    EXPECT_EQ(mapped.distance(0, 7), forged.estimate.at(0, 7));
+    EXPECT_EQ(mapped.distance(0, 7), forged.estimate->at(0, 7));
     EXPECT_THROW((void)mapped.distance(2, 7), snapshot_io_error);
     EXPECT_THROW((void)mapped.materialize(), snapshot_io_error);
     std::remove(v1.c_str());

@@ -32,6 +32,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #ifdef __linux__
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -182,6 +184,14 @@ int cmd_build_sparse(Args& args, const std::string& out)
     return 0;
 }
 
+/// Peak resident set of this process so far, in MB (ru_maxrss is KiB).
+[[nodiscard]] double peak_rss_mb()
+{
+    struct rusage usage = {};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 int cmd_build(Args& args)
 {
     const std::optional<std::string> out = args.value("--out");
@@ -245,12 +255,12 @@ int cmd_build(Args& args)
     std::printf("built %s oracle: n=%d m=%zu stretch<=%.2f rounds=%.1f (%.2fs)\n",
                 oracle.algorithm().c_str(), g.node_count(), g.edge_count(),
                 oracle.claimed_stretch(), oracle.simulated_rounds(), seconds(t0, t1));
-    std::printf("wall: oracle %.2fs, routing %.2fs, snapshot write %.2fs\n", seconds(t0, t1),
-                seconds(t1, t2), seconds(t2, t3));
+    std::printf("wall: oracle %.2fs, routing %.2fs, snapshot write %.2fs, peak rss %.1f MB\n",
+                seconds(t0, t1), seconds(t1, t2), seconds(t2, t3), peak_rss_mb());
     std::printf("snapshot: %s (codec=v%u, %llu bytes, routing=%s)\n", out->c_str(),
                 static_cast<std::uint32_t>(codec),
                 static_cast<unsigned long long>(std::filesystem::file_size(*out)),
-                snapshot.has_routing ? "yes" : "no");
+                routing ? "yes" : "no");
     return 0;
 }
 
@@ -677,14 +687,6 @@ void append_run_json(std::string& out, const BenchRun& run)
     out += buffer;
 }
 
-/// The byte size of `snapshot` re-encoded under `codec` (no file IO).
-[[nodiscard]] std::uint64_t encoded_bytes(const OracleSnapshot& snapshot, SnapshotFormat codec)
-{
-    std::ostringstream out(std::ios::binary);
-    write_snapshot(out, snapshot, codec);
-    return static_cast<std::uint64_t>(out.str().size());
-}
-
 // --- bench --oracle-ablation ------------------------------------------------
 
 /// One (codec, instance) measurement of the storage/latency/accuracy
@@ -972,32 +974,25 @@ int cmd_bench(Args& args)
     if (n < 2) throw std::runtime_error("bench: snapshot too small to query");
     // A spanner source routes on demand (fresh Dijkstra tree per walk).
     const bool can_path =
-        sparse ? true : (use_mmap ? mapped->has_routing() : snapshot.has_routing);
+        sparse ? true : (use_mmap ? mapped->has_routing() : snapshot.routing != nullptr);
     if (mix_name == "path" && !can_path)
         throw std::runtime_error("bench: snapshot has no routing tables, cannot bench --mix path");
 
-    // Codec comparison on the bench instance: re-encode the same oracle
-    // under both dense codecs (in memory, no temp files).  The
-    // materialized copy is scoped: in --mmap mode it exists only for the
-    // re-encode, so the serving runs keep the lazy-decode memory profile
-    // — and --no-recode skips the O(n^2) materialization entirely for
-    // large artifacts where only qps/latency matter.  In eager mode the
-    // copy becomes the one shared snapshot every engine serves from
-    // (fresh engine per run = cold cache, without re-copying n^2 cells).
-    // Sparse files report only codec_v3_bytes: the source graph needed
-    // to rebuild a dense oracle is not in the file, and vice versa.
-    std::shared_ptr<const OracleSnapshot> shared_snapshot;
+    // Codec comparison on the bench instance: the encoded size of the
+    // same oracle under both dense codecs, from the writer's sizing pass
+    // (nothing is encoded).  In --mmap mode the materialized snapshot
+    // exists only for the sizing, so the serving runs keep the
+    // lazy-decode memory profile — and --no-recode skips the O(n^2)
+    // materialization entirely for large artifacts where only
+    // qps/latency matter.  Sparse files report only codec_v3_bytes: the
+    // source graph needed to rebuild a dense oracle is not in the file,
+    // and vice versa.
     std::optional<std::uint64_t> v1_bytes;
     std::optional<std::uint64_t> v2_bytes;
-    if (!sparse && (!use_mmap || !no_recode)) {
-        OracleSnapshot materialized = use_mmap ? mapped->materialize() : std::move(snapshot);
-        if (!no_recode) {
-            v1_bytes = encoded_bytes(materialized, SnapshotFormat::v1_raw);
-            v2_bytes = encoded_bytes(materialized, SnapshotFormat::v2_compressed);
-        }
-        if (!use_mmap)
-            shared_snapshot =
-                std::make_shared<const OracleSnapshot>(std::move(materialized));
+    if (!sparse && !no_recode) {
+        const OracleSnapshot sized = use_mmap ? mapped->materialize() : snapshot;
+        v1_bytes = encoded_snapshot_bytes(sized, SnapshotFormat::v1_raw);
+        v2_bytes = encoded_snapshot_bytes(sized, SnapshotFormat::v2_compressed);
     }
 
     // Pre-generate the workload so every run replays identical queries.
@@ -1029,11 +1024,12 @@ int cmd_bench(Args& args)
     }
     const std::size_t warmup = static_cast<std::size_t>(warmup_count);
 
-    // Fresh engine per run so the path cache starts cold for each; both
-    // modes share the underlying data (shared_ptr), so engines are cheap.
+    // Fresh engine per run so the path cache starts cold for each; every
+    // mode shares the underlying data (snapshot copies share cells), so
+    // engines are cheap.
     const auto make_engine = [&](QueryEngineConfig config) {
         if (sparse) return QueryEngine(sparse_source, config);
-        return use_mmap ? QueryEngine(mapped, config) : QueryEngine(shared_snapshot, config);
+        return use_mmap ? QueryEngine(mapped, config) : QueryEngine(snapshot, config);
     };
 
     std::vector<BenchRun> runs;
@@ -1060,7 +1056,7 @@ int cmd_bench(Args& args)
             sparse ? std::make_shared<const QueryEngine>(sparse_source, QueryEngineConfig{})
             : use_mmap
                 ? std::make_shared<const QueryEngine>(mapped, QueryEngineConfig{})
-                : std::make_shared<const QueryEngine>(shared_snapshot, QueryEngineConfig{});
+                : std::make_shared<const QueryEngine>(snapshot, QueryEngineConfig{});
         ServerConfig server_config;
         server_config.metrics = metrics_on;
         Server server(engine, server_config);
