@@ -1,9 +1,6 @@
 #include "ccq/matrix/dense.hpp"
 
-#include <utility>
-
 #include "ccq/graph/graph.hpp"
-#include "ccq/matrix/engine.hpp"
 
 namespace ccq {
 
@@ -14,16 +11,6 @@ DistanceMatrix adjacency_matrix(const Graph& g)
     for (NodeId u = 0; u < g.node_count(); ++u)
         for (const Edge& e : g.neighbors(u)) a.relax(u, e.to, e.weight);
     return a;
-}
-
-DistanceMatrix min_plus_product(const DistanceMatrix& a, const DistanceMatrix& b)
-{
-    return min_plus_product(a, b, EngineConfig{});
-}
-
-DistanceMatrix min_plus_closure(DistanceMatrix a, int* products_used)
-{
-    return min_plus_closure(std::move(a), products_used, EngineConfig{});
 }
 
 DistanceMatrix entrywise_min(const DistanceMatrix& a, const DistanceMatrix& b)

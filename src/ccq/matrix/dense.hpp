@@ -113,15 +113,6 @@ private:
 /// Weighted adjacency matrix of `g` with zero diagonal (paper notation A).
 [[nodiscard]] DistanceMatrix adjacency_matrix(const Graph& g);
 
-/// Min-plus product C[i,j] = min_k A[i,k] + B[k,j].  O(n^3); runs on the
-/// blocked engine (matrix/engine.hpp) with the default EngineConfig.
-[[nodiscard]] DistanceMatrix min_plus_product(const DistanceMatrix& a, const DistanceMatrix& b);
-
-/// Min-plus closure A^(n-1) by repeated squaring; `products_used`, when
-/// non-null, receives the number of squarings (the [CKK+19] baseline
-/// charges O(n^{1/3}) rounds per product).
-[[nodiscard]] DistanceMatrix min_plus_closure(DistanceMatrix a, int* products_used = nullptr);
-
 /// Entry-wise minimum.
 [[nodiscard]] DistanceMatrix entrywise_min(const DistanceMatrix& a, const DistanceMatrix& b);
 

@@ -88,13 +88,14 @@ struct OperandScan {
 /// and min are exact in both domains, so the unpacked narrow product is
 /// bitwise identical to the wide one (docs/ENGINE.md spells out the
 /// case analysis; tests/test_kernel_width.cpp straddles the boundary).
+/// A squaring (`&a == &b`) scans its one operand once.
 [[nodiscard]] ProductPlan make_plan(const DistanceMatrix& a, const DistanceMatrix& b,
                                     const EngineConfig& engine)
 {
     const int n = a.size();
     const int threads = engine.resolved_threads();
     const OperandScan sa = scan_operand(a, threads);
-    const OperandScan sb = scan_operand(b, threads);
+    const OperandScan sb = &a == &b ? sa : scan_operand(b, threads);
     ProductPlan plan;
     plan.max_a = sa.max_finite;
     plan.max_b = sb.max_finite;
@@ -288,22 +289,25 @@ DistanceMatrix min_plus_product(const DistanceMatrix& a, const DistanceMatrix& b
     Weight* cp = c.data();
     if (plan.narrow) {
         // Narrow path: pack both operands to i32 (O(n^2), amortized by
-        // the O(n^3) kernel), run the 2x-lane kernels, unpack each band
-        // back to i64 on the thread that computed it so the first touch
-        // of C's pages stays band-local.
+        // the O(n^3) kernel; a squaring packs its one operand once), run
+        // the 2x-lane kernels, unpack each band back to i64 on the thread
+        // that computed it so the first touch of C's pages stays
+        // band-local.
+        const bool square = &a == &b;
         const std::unique_ptr<Weight32[]> a32(new Weight32[cells]);
-        const std::unique_ptr<Weight32[]> b32(new Weight32[cells]);
+        const std::unique_ptr<Weight32[]> b32(square ? nullptr : new Weight32[cells]);
         const std::unique_ptr<Weight32[]> c32(new Weight32[cells]);
         parallel_chunks(threads, 0, n, 1, [&](int r0, int r1) {
             pack_rows(a.data(), a32.get(), n, r0, r1);
-            pack_rows(b.data(), b32.get(), n, r0, r1);
+            if (!square) pack_rows(b.data(), b32.get(), n, r0, r1);
         });
+        const Weight32* b32_cells = square ? a32.get() : b32.get();
         const kernels::DenseBandFn32 band32 =
             plan.sparse_skip ? band.sparse_narrow : band.dense_narrow;
         parallel_chunks_pinned(threads, 0, n, bs, [&](int i0, int i1) {
             Weight32* cb = c32.get() + static_cast<std::size_t>(i0) * n;
             std::fill(cb, c32.get() + static_cast<std::size_t>(i1) * n, kInfinity32);
-            band32(a32.get(), b32.get(), c32.get(), n, i0, i1, bs);
+            band32(a32.get(), b32_cells, c32.get(), n, i0, i1, bs);
             const Weight32* in = c32.get() + static_cast<std::size_t>(i0) * n;
             const Weight32* end = c32.get() + static_cast<std::size_t>(i1) * n;
             Weight* out = cp + static_cast<std::size_t>(i0) * n;

@@ -31,6 +31,8 @@ struct ProductPlan {
     Weight max_a = 0;        ///< max finite cell of A (0 when none)
     Weight max_b = 0;        ///< max finite cell of B (0 when none)
     double a_density = 0.0;  ///< finite fraction of A's cells
+
+    friend bool operator==(const ProductPlan&, const ProductPlan&) = default;
 };
 
 /// The plan min_plus_product would execute for these operands — the
@@ -59,25 +61,28 @@ struct EngineCounters {
 /// NUMA locality.  Per product the engine picks the element width (i64 /
 /// packed i32) and k-loop shape (dense / sparse-row skip) from one scan
 /// of the operands; every choice is bitwise identical.  docs/ENGINE.md
-/// describes the full execution model.
+/// describes the full execution model.  For `A*A` (the closure's
+/// squarings) A is scanned and packed once and serves as both operands.
 [[nodiscard]] DistanceMatrix min_plus_product(const DistanceMatrix& a, const DistanceMatrix& b,
-                                              const EngineConfig& engine);
+                                              const EngineConfig& engine = {});
 
 /// Min-plus closure A^(n-1) by repeated squaring on the blocked kernel.
 /// Stops as soon as a squaring reaches the fixed point (A*A == A), so
-/// `products_used` reports the squarings actually run — at most
-/// ceil(log2(n-1)), often fewer on low-diameter instances — with output
-/// bitwise identical to the full schedule.
-[[nodiscard]] DistanceMatrix min_plus_closure(DistanceMatrix a, int* products_used,
-                                              const EngineConfig& engine);
+/// `products_used`, when non-null, receives the squarings actually run —
+/// at most ceil(log2(n-1)), often fewer on low-diameter instances — with
+/// output bitwise identical to the full schedule (the [CKK+19] baseline
+/// charges O(n^{1/3}) rounds per product).
+[[nodiscard]] DistanceMatrix min_plus_closure(DistanceMatrix a, int* products_used = nullptr,
+                                              const EngineConfig& engine = {});
 
-/// Row-parallel sparse product (rows of the result are independent; each
+/// Row-parallel sparse product: row u of the result relaxes through
+/// every (v, d1) in a[u] and (w, d2) in b[v] (rows are independent; each
 /// worker keeps its own dense scratch accumulator).  Both operands must
 /// be canonical (sorted by (dist, id), unique nodes in [0, n), finite
 /// dists >= 0), checked once per product (throws check_error); so are
 /// the result rows.  Saturated candidates are never relaxed.
 [[nodiscard]] SparseMatrix min_plus_product(const SparseMatrix& a, const SparseMatrix& b, int n,
-                                            const EngineConfig& engine);
+                                            const EngineConfig& engine = {});
 
 /// Sparse product with the Lemma 5.5 row filter fused into the kernel:
 /// each result row keeps only its k smallest entries (ties by node id).
@@ -88,9 +93,11 @@ struct EngineCounters {
                                                      const SparseMatrix& b, int n, int k,
                                                      const EngineConfig& engine);
 
-/// a^h over min-plus on the parallel sparse kernel (h >= 1).
+/// a^h over min-plus on the parallel sparse kernel (h >= 1).  Rows of
+/// `a` must contain their diagonal zeros so powers are monotone ("at most
+/// h hops" semantics of A^h).
 [[nodiscard]] SparseMatrix hop_power(const SparseMatrix& a, int h, int n,
-                                     const EngineConfig& engine);
+                                     const EngineConfig& engine = {});
 
 /// filter_k_smallest(hop_power(a, h, n), k) with the final product run
 /// through the fused filtered kernel — the shape every Lemma 5.2 / 5.5

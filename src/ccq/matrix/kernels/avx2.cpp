@@ -1,200 +1,73 @@
-#include "ccq/matrix/kernels/kernels.hpp"
+#include "ccq/matrix/kernels/band.hpp"
 
 #ifdef CCQ_KERNELS_X86
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <vector>
-
-namespace ccq::kernels {
+namespace ccq::kernels::detail {
+namespace {
 
 // AVX2 has no 64-bit min instruction, so min(cur, cand) is a signed
 // compare + byte blend.  All cells are in [0, 2*kInfinity) < 2^63, so
-// the signed compare is exact — the same total order the scalar kernel
-// uses — and the result is bitwise identical to dense_band_scalar.
-__attribute__((target("avx2"))) void dense_band_avx2(const Weight* a, const Weight* b,
-                                                     Weight* c, int n, int i0, int i1, int bs)
-{
-    for (int ii = i0; ii < i1; ii += bs) {
-        const int iend = std::min(ii + bs, i1);
-        for (int kk = 0; kk < n; kk += bs) {
-            const int kend = std::min(kk + bs, n);
-            for (int jj = 0; jj < n; jj += bs) {
-                const int jend = std::min(jj + bs, n);
-                for (int i = ii; i < iend; ++i) {
-                    const Weight* arow = a + static_cast<std::size_t>(i) * n;
-                    Weight* crow = c + static_cast<std::size_t>(i) * n;
-                    for (int k = kk; k < kend; ++k) {
-                        const Weight aik = arow[k];
-                        if (!is_finite(aik)) continue; // INF-skip, hoisted off the j-loop
-                        const int pk = k + kPrefetchRowDistance;
-                        if (pk < n)
-                            detail::prefetch_span(b + static_cast<std::size_t>(pk) * n + jj,
-                                                  static_cast<std::size_t>(jend - jj) *
-                                                      sizeof(Weight));
-                        const Weight* brow = b + static_cast<std::size_t>(k) * n;
-                        const __m256i vaik = _mm256_set1_epi64x(aik);
-                        int j = jj;
-                        for (; j + 4 <= jend; j += 4) {
-                            const __m256i vb = _mm256_loadu_si256(
-                                reinterpret_cast<const __m256i*>(brow + j));
-                            const __m256i vc =
-                                _mm256_loadu_si256(reinterpret_cast<__m256i*>(crow + j));
-                            const __m256i cand = _mm256_add_epi64(vaik, vb);
-                            // cur > cand ? cand : cur, lane-wise signed.
-                            const __m256i take = _mm256_cmpgt_epi64(vc, cand);
-                            const __m256i best = _mm256_blendv_epi8(vc, cand, take);
-                            _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j), best);
-                        }
-                        for (; j < jend; ++j) {
-                            const Weight cand = aik + brow[j];
-                            if (cand < crow[j]) crow[j] = cand;
-                        }
-                    }
-                }
-            }
+// the signed compare is exact — the same total order the scalar policy
+// uses — and the result is bitwise identical to it.
+struct Avx2Wide : ScalarWide {
+    __attribute__((target("avx2"))) static void relax(Weight* crow, const Weight* brow,
+                                                      Weight aik, int len)
+    {
+        const __m256i vaik = _mm256_set1_epi64x(aik);
+        int j = 0;
+        for (; j + 4 <= len; j += 4) {
+            const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(brow + j));
+            const __m256i vc = _mm256_loadu_si256(reinterpret_cast<__m256i*>(crow + j));
+            const __m256i cand = _mm256_add_epi64(vaik, vb);
+            // cur > cand ? cand : cur, lane-wise signed.
+            const __m256i take = _mm256_cmpgt_epi64(vc, cand);
+            const __m256i best = _mm256_blendv_epi8(vc, cand, take);
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j), best);
         }
+        ScalarWide::relax(crow + j, brow + j, aik, len - j);
     }
-}
+};
 
 // Narrow (i32) lanes: 8 per vector instead of 4, and AVX2 *does* have a
 // native signed 32-bit min (vpminsd).  The engine's width rule keeps
 // every candidate below 2^31 (finite sums < kInfinity32, finite +
 // sentinel < 2*kInfinity32), so add_epi32 never wraps and the signed
 // min orders exactly like the i64 domain.
-__attribute__((target("avx2"))) void dense_band_avx2_w32(const Weight32* a, const Weight32* b,
-                                                         Weight32* c, int n, int i0, int i1,
-                                                         int bs)
-{
-    for (int ii = i0; ii < i1; ii += bs) {
-        const int iend = std::min(ii + bs, i1);
-        for (int kk = 0; kk < n; kk += bs) {
-            const int kend = std::min(kk + bs, n);
-            for (int jj = 0; jj < n; jj += bs) {
-                const int jend = std::min(jj + bs, n);
-                for (int i = ii; i < iend; ++i) {
-                    const Weight32* arow = a + static_cast<std::size_t>(i) * n;
-                    Weight32* crow = c + static_cast<std::size_t>(i) * n;
-                    for (int k = kk; k < kend; ++k) {
-                        const Weight32 aik = arow[k];
-                        if (!is_finite32(aik)) continue;
-                        const int pk = k + kPrefetchRowDistance;
-                        if (pk < n)
-                            detail::prefetch_span(b + static_cast<std::size_t>(pk) * n + jj,
-                                                  static_cast<std::size_t>(jend - jj) *
-                                                      sizeof(Weight32));
-                        const Weight32* brow = b + static_cast<std::size_t>(k) * n;
-                        const __m256i vaik = _mm256_set1_epi32(aik);
-                        int j = jj;
-                        for (; j + 8 <= jend; j += 8) {
-                            const __m256i vb = _mm256_loadu_si256(
-                                reinterpret_cast<const __m256i*>(brow + j));
-                            const __m256i vc =
-                                _mm256_loadu_si256(reinterpret_cast<__m256i*>(crow + j));
-                            const __m256i cand = _mm256_add_epi32(vaik, vb);
-                            _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j),
-                                                _mm256_min_epi32(vc, cand));
-                        }
-                        for (; j < jend; ++j) {
-                            const Weight32 cand = aik + brow[j];
-                            if (cand < crow[j]) crow[j] = cand;
-                        }
-                    }
-                }
-            }
+struct Avx2Narrow : ScalarNarrow {
+    __attribute__((target("avx2"))) static void relax(Weight32* crow, const Weight32* brow,
+                                                      Weight32 aik, int len)
+    {
+        const __m256i vaik = _mm256_set1_epi32(aik);
+        int j = 0;
+        for (; j + 8 <= len; j += 8) {
+            const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(brow + j));
+            const __m256i vc = _mm256_loadu_si256(reinterpret_cast<__m256i*>(crow + j));
+            const __m256i cand = _mm256_add_epi32(vaik, vb);
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j), _mm256_min_epi32(vc, cand));
         }
+        ScalarNarrow::relax(crow + j, brow + j, aik, len - j);
     }
+};
+
+template <class Lanes, bool Sparse>
+__attribute__((target("avx2"), flatten)) void
+entry(const typename Lanes::Cell* a, const typename Lanes::Cell* b, typename Lanes::Cell* c,
+      int n, int i0, int i1, int bs)
+{
+    if constexpr (Sparse) sparse_band<Lanes>(a, b, c, n, i0, i1, bs);
+    else dense_band<Lanes>(a, b, c, n, i0, i1, bs);
 }
 
-// Sparse-row skip shape (see sparse_band_scalar): packed finite-k list
-// per row, same AVX2 inner loop.
-__attribute__((target("avx2"))) void sparse_band_avx2(const Weight* a, const Weight* b,
-                                                      Weight* c, int n, int i0, int i1, int bs)
+} // namespace
+
+BandKernels avx2_band_kernels()
 {
-    std::vector<int> ks;
-    ks.reserve(static_cast<std::size_t>(n));
-    for (int i = i0; i < i1; ++i) {
-        const Weight* arow = a + static_cast<std::size_t>(i) * n;
-        ks.clear();
-        for (int k = 0; k < n; ++k)
-            if (is_finite(arow[k])) ks.push_back(k);
-        if (ks.empty()) continue;
-        Weight* crow = c + static_cast<std::size_t>(i) * n;
-        for (int jj = 0; jj < n; jj += bs) {
-            const int jend = std::min(jj + bs, n);
-            for (std::size_t t = 0; t < ks.size(); ++t) {
-                if (t + kPrefetchRowDistance < ks.size())
-                    detail::prefetch_span(
-                        b + static_cast<std::size_t>(ks[t + kPrefetchRowDistance]) * n + jj,
-                        static_cast<std::size_t>(jend - jj) * sizeof(Weight));
-                const int k = ks[t];
-                const Weight aik = arow[k];
-                const Weight* brow = b + static_cast<std::size_t>(k) * n;
-                const __m256i vaik = _mm256_set1_epi64x(aik);
-                int j = jj;
-                for (; j + 4 <= jend; j += 4) {
-                    const __m256i vb =
-                        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(brow + j));
-                    const __m256i vc =
-                        _mm256_loadu_si256(reinterpret_cast<__m256i*>(crow + j));
-                    const __m256i cand = _mm256_add_epi64(vaik, vb);
-                    const __m256i take = _mm256_cmpgt_epi64(vc, cand);
-                    const __m256i best = _mm256_blendv_epi8(vc, cand, take);
-                    _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j), best);
-                }
-                for (; j < jend; ++j) {
-                    const Weight cand = aik + brow[j];
-                    if (cand < crow[j]) crow[j] = cand;
-                }
-            }
-        }
-    }
+    return {&entry<Avx2Wide, false>, &entry<Avx2Wide, true>, &entry<Avx2Narrow, false>,
+            &entry<Avx2Narrow, true>};
 }
 
-__attribute__((target("avx2"))) void sparse_band_avx2_w32(const Weight32* a, const Weight32* b,
-                                                          Weight32* c, int n, int i0, int i1,
-                                                          int bs)
-{
-    std::vector<int> ks;
-    ks.reserve(static_cast<std::size_t>(n));
-    for (int i = i0; i < i1; ++i) {
-        const Weight32* arow = a + static_cast<std::size_t>(i) * n;
-        ks.clear();
-        for (int k = 0; k < n; ++k)
-            if (is_finite32(arow[k])) ks.push_back(k);
-        if (ks.empty()) continue;
-        Weight32* crow = c + static_cast<std::size_t>(i) * n;
-        for (int jj = 0; jj < n; jj += bs) {
-            const int jend = std::min(jj + bs, n);
-            for (std::size_t t = 0; t < ks.size(); ++t) {
-                if (t + kPrefetchRowDistance < ks.size())
-                    detail::prefetch_span(
-                        b + static_cast<std::size_t>(ks[t + kPrefetchRowDistance]) * n + jj,
-                        static_cast<std::size_t>(jend - jj) * sizeof(Weight32));
-                const int k = ks[t];
-                const Weight32 aik = arow[k];
-                const Weight32* brow = b + static_cast<std::size_t>(k) * n;
-                const __m256i vaik = _mm256_set1_epi32(aik);
-                int j = jj;
-                for (; j + 8 <= jend; j += 8) {
-                    const __m256i vb =
-                        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(brow + j));
-                    const __m256i vc =
-                        _mm256_loadu_si256(reinterpret_cast<__m256i*>(crow + j));
-                    const __m256i cand = _mm256_add_epi32(vaik, vb);
-                    _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j),
-                                        _mm256_min_epi32(vc, cand));
-                }
-                for (; j < jend; ++j) {
-                    const Weight32 cand = aik + brow[j];
-                    if (cand < crow[j]) crow[j] = cand;
-                }
-            }
-        }
-    }
-}
-
-} // namespace ccq::kernels
+} // namespace ccq::kernels::detail
 
 #endif // CCQ_KERNELS_X86

@@ -1,208 +1,92 @@
-#include "ccq/matrix/kernels/kernels.hpp"
+#include "ccq/matrix/kernels/band.hpp"
 
 #ifdef CCQ_KERNELS_X86
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <vector>
+namespace ccq::kernels::detail {
+namespace {
 
 #if defined(__GNUC__) && !defined(__clang__)
 // _mm512_min_epi64 passes _mm512_undefined_epi32() as the (fully masked
 // out) merge source; GCC's -Wmaybe-uninitialized cannot see the mask
 // (GCC PR105593).
+#pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-namespace ccq::kernels {
-
 // AVX-512F: 8 x 64-bit lanes with a native signed min (vpminsq) and a
 // masked tail, so every block width runs branch-free.  Same raw-add /
-// signed-min algebra as the scalar kernel — bitwise identical output.
-__attribute__((target("avx512f"))) void dense_band_avx512(const Weight* a, const Weight* b,
-                                                          Weight* c, int n, int i0, int i1,
-                                                          int bs)
-{
-    for (int ii = i0; ii < i1; ii += bs) {
-        const int iend = std::min(ii + bs, i1);
-        for (int kk = 0; kk < n; kk += bs) {
-            const int kend = std::min(kk + bs, n);
-            for (int jj = 0; jj < n; jj += bs) {
-                const int jend = std::min(jj + bs, n);
-                for (int i = ii; i < iend; ++i) {
-                    const Weight* arow = a + static_cast<std::size_t>(i) * n;
-                    Weight* crow = c + static_cast<std::size_t>(i) * n;
-                    for (int k = kk; k < kend; ++k) {
-                        const Weight aik = arow[k];
-                        if (!is_finite(aik)) continue; // INF-skip, hoisted off the j-loop
-                        const int pk = k + kPrefetchRowDistance;
-                        if (pk < n)
-                            detail::prefetch_span(b + static_cast<std::size_t>(pk) * n + jj,
-                                                  static_cast<std::size_t>(jend - jj) *
-                                                      sizeof(Weight));
-                        const Weight* brow = b + static_cast<std::size_t>(k) * n;
-                        const __m512i vaik = _mm512_set1_epi64(aik);
-                        int j = jj;
-                        for (; j + 8 <= jend; j += 8) {
-                            const __m512i vb = _mm512_loadu_si512(brow + j);
-                            const __m512i vc = _mm512_loadu_si512(crow + j);
-                            const __m512i cand = _mm512_add_epi64(vaik, vb);
-                            _mm512_storeu_si512(crow + j, _mm512_min_epi64(vc, cand));
-                        }
-                        if (j < jend) {
-                            const __mmask8 tail =
-                                static_cast<__mmask8>((1u << (jend - j)) - 1u);
-                            const __m512i vb = _mm512_maskz_loadu_epi64(tail, brow + j);
-                            const __m512i vc = _mm512_maskz_loadu_epi64(tail, crow + j);
-                            const __m512i cand = _mm512_add_epi64(vaik, vb);
-                            _mm512_mask_storeu_epi64(crow + j, tail,
-                                                     _mm512_min_epi64(vc, cand));
-                        }
-                    }
-                }
-            }
+// signed-min algebra as the scalar policy — bitwise identical output.
+struct Avx512Wide : ScalarWide {
+    __attribute__((target("avx512f"))) static void relax(Weight* crow, const Weight* brow,
+                                                         Weight aik, int len)
+    {
+        const __m512i vaik = _mm512_set1_epi64(aik);
+        int j = 0;
+        for (; j + 8 <= len; j += 8) {
+            const __m512i vb = _mm512_loadu_si512(brow + j);
+            const __m512i vc = _mm512_loadu_si512(crow + j);
+            const __m512i cand = _mm512_add_epi64(vaik, vb);
+            _mm512_storeu_si512(crow + j, _mm512_min_epi64(vc, cand));
+        }
+        if (j < len) {
+            const __mmask8 tail = static_cast<__mmask8>((1u << (len - j)) - 1u);
+            const __m512i vb = _mm512_maskz_loadu_epi64(tail, brow + j);
+            const __m512i vc = _mm512_maskz_loadu_epi64(tail, crow + j);
+            const __m512i cand = _mm512_add_epi64(vaik, vb);
+            _mm512_mask_storeu_epi64(crow + j, tail, _mm512_min_epi64(vc, cand));
         }
     }
-}
+};
 
 // Narrow (i32) lanes: 16 per vector with native vpminsd and a 16-bit
 // tail mask.  The engine's width rule keeps every candidate below 2^31
 // (finite sums < kInfinity32, finite + sentinel < 2*kInfinity32), so
 // add_epi32 never wraps and the signed min orders exactly like i64.
-__attribute__((target("avx512f"))) void dense_band_avx512_w32(const Weight32* a,
-                                                              const Weight32* b, Weight32* c,
-                                                              int n, int i0, int i1, int bs)
-{
-    for (int ii = i0; ii < i1; ii += bs) {
-        const int iend = std::min(ii + bs, i1);
-        for (int kk = 0; kk < n; kk += bs) {
-            const int kend = std::min(kk + bs, n);
-            for (int jj = 0; jj < n; jj += bs) {
-                const int jend = std::min(jj + bs, n);
-                for (int i = ii; i < iend; ++i) {
-                    const Weight32* arow = a + static_cast<std::size_t>(i) * n;
-                    Weight32* crow = c + static_cast<std::size_t>(i) * n;
-                    for (int k = kk; k < kend; ++k) {
-                        const Weight32 aik = arow[k];
-                        if (!is_finite32(aik)) continue;
-                        const int pk = k + kPrefetchRowDistance;
-                        if (pk < n)
-                            detail::prefetch_span(b + static_cast<std::size_t>(pk) * n + jj,
-                                                  static_cast<std::size_t>(jend - jj) *
-                                                      sizeof(Weight32));
-                        const Weight32* brow = b + static_cast<std::size_t>(k) * n;
-                        const __m512i vaik = _mm512_set1_epi32(aik);
-                        int j = jj;
-                        for (; j + 16 <= jend; j += 16) {
-                            const __m512i vb = _mm512_loadu_si512(brow + j);
-                            const __m512i vc = _mm512_loadu_si512(crow + j);
-                            const __m512i cand = _mm512_add_epi32(vaik, vb);
-                            _mm512_storeu_si512(crow + j, _mm512_min_epi32(vc, cand));
-                        }
-                        if (j < jend) {
-                            const __mmask16 tail =
-                                static_cast<__mmask16>((1u << (jend - j)) - 1u);
-                            const __m512i vb = _mm512_maskz_loadu_epi32(tail, brow + j);
-                            const __m512i vc = _mm512_maskz_loadu_epi32(tail, crow + j);
-                            const __m512i cand = _mm512_add_epi32(vaik, vb);
-                            _mm512_mask_storeu_epi32(crow + j, tail,
-                                                     _mm512_min_epi32(vc, cand));
-                        }
-                    }
-                }
-            }
+struct Avx512Narrow : ScalarNarrow {
+    __attribute__((target("avx512f"))) static void relax(Weight32* crow, const Weight32* brow,
+                                                         Weight32 aik, int len)
+    {
+        const __m512i vaik = _mm512_set1_epi32(aik);
+        int j = 0;
+        for (; j + 16 <= len; j += 16) {
+            const __m512i vb = _mm512_loadu_si512(brow + j);
+            const __m512i vc = _mm512_loadu_si512(crow + j);
+            const __m512i cand = _mm512_add_epi32(vaik, vb);
+            _mm512_storeu_si512(crow + j, _mm512_min_epi32(vc, cand));
+        }
+        if (j < len) {
+            const __mmask16 tail = static_cast<__mmask16>((1u << (len - j)) - 1u);
+            const __m512i vb = _mm512_maskz_loadu_epi32(tail, brow + j);
+            const __m512i vc = _mm512_maskz_loadu_epi32(tail, crow + j);
+            const __m512i cand = _mm512_add_epi32(vaik, vb);
+            _mm512_mask_storeu_epi32(crow + j, tail, _mm512_min_epi32(vc, cand));
         }
     }
-}
+};
 
-// Sparse-row skip shape (see sparse_band_scalar): packed finite-k list
-// per row, same AVX-512 inner loop.
-__attribute__((target("avx512f"))) void sparse_band_avx512(const Weight* a, const Weight* b,
-                                                           Weight* c, int n, int i0, int i1,
-                                                           int bs)
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+template <class Lanes, bool Sparse>
+__attribute__((target("avx512f"), flatten)) void
+entry(const typename Lanes::Cell* a, const typename Lanes::Cell* b, typename Lanes::Cell* c,
+      int n, int i0, int i1, int bs)
 {
-    std::vector<int> ks;
-    ks.reserve(static_cast<std::size_t>(n));
-    for (int i = i0; i < i1; ++i) {
-        const Weight* arow = a + static_cast<std::size_t>(i) * n;
-        ks.clear();
-        for (int k = 0; k < n; ++k)
-            if (is_finite(arow[k])) ks.push_back(k);
-        if (ks.empty()) continue;
-        Weight* crow = c + static_cast<std::size_t>(i) * n;
-        for (int jj = 0; jj < n; jj += bs) {
-            const int jend = std::min(jj + bs, n);
-            for (std::size_t t = 0; t < ks.size(); ++t) {
-                if (t + kPrefetchRowDistance < ks.size())
-                    detail::prefetch_span(
-                        b + static_cast<std::size_t>(ks[t + kPrefetchRowDistance]) * n + jj,
-                        static_cast<std::size_t>(jend - jj) * sizeof(Weight));
-                const int k = ks[t];
-                const Weight aik = arow[k];
-                const Weight* brow = b + static_cast<std::size_t>(k) * n;
-                const __m512i vaik = _mm512_set1_epi64(aik);
-                int j = jj;
-                for (; j + 8 <= jend; j += 8) {
-                    const __m512i vb = _mm512_loadu_si512(brow + j);
-                    const __m512i vc = _mm512_loadu_si512(crow + j);
-                    const __m512i cand = _mm512_add_epi64(vaik, vb);
-                    _mm512_storeu_si512(crow + j, _mm512_min_epi64(vc, cand));
-                }
-                if (j < jend) {
-                    const __mmask8 tail = static_cast<__mmask8>((1u << (jend - j)) - 1u);
-                    const __m512i vb = _mm512_maskz_loadu_epi64(tail, brow + j);
-                    const __m512i vc = _mm512_maskz_loadu_epi64(tail, crow + j);
-                    const __m512i cand = _mm512_add_epi64(vaik, vb);
-                    _mm512_mask_storeu_epi64(crow + j, tail, _mm512_min_epi64(vc, cand));
-                }
-            }
-        }
-    }
+    if constexpr (Sparse) sparse_band<Lanes>(a, b, c, n, i0, i1, bs);
+    else dense_band<Lanes>(a, b, c, n, i0, i1, bs);
 }
 
-__attribute__((target("avx512f"))) void sparse_band_avx512_w32(const Weight32* a,
-                                                               const Weight32* b, Weight32* c,
-                                                               int n, int i0, int i1, int bs)
+} // namespace
+
+BandKernels avx512_band_kernels()
 {
-    std::vector<int> ks;
-    ks.reserve(static_cast<std::size_t>(n));
-    for (int i = i0; i < i1; ++i) {
-        const Weight32* arow = a + static_cast<std::size_t>(i) * n;
-        ks.clear();
-        for (int k = 0; k < n; ++k)
-            if (is_finite32(arow[k])) ks.push_back(k);
-        if (ks.empty()) continue;
-        Weight32* crow = c + static_cast<std::size_t>(i) * n;
-        for (int jj = 0; jj < n; jj += bs) {
-            const int jend = std::min(jj + bs, n);
-            for (std::size_t t = 0; t < ks.size(); ++t) {
-                if (t + kPrefetchRowDistance < ks.size())
-                    detail::prefetch_span(
-                        b + static_cast<std::size_t>(ks[t + kPrefetchRowDistance]) * n + jj,
-                        static_cast<std::size_t>(jend - jj) * sizeof(Weight32));
-                const int k = ks[t];
-                const Weight32 aik = arow[k];
-                const Weight32* brow = b + static_cast<std::size_t>(k) * n;
-                const __m512i vaik = _mm512_set1_epi32(aik);
-                int j = jj;
-                for (; j + 16 <= jend; j += 16) {
-                    const __m512i vb = _mm512_loadu_si512(brow + j);
-                    const __m512i vc = _mm512_loadu_si512(crow + j);
-                    const __m512i cand = _mm512_add_epi32(vaik, vb);
-                    _mm512_storeu_si512(crow + j, _mm512_min_epi32(vc, cand));
-                }
-                if (j < jend) {
-                    const __mmask16 tail = static_cast<__mmask16>((1u << (jend - j)) - 1u);
-                    const __m512i vb = _mm512_maskz_loadu_epi32(tail, brow + j);
-                    const __m512i vc = _mm512_maskz_loadu_epi32(tail, crow + j);
-                    const __m512i cand = _mm512_add_epi32(vaik, vb);
-                    _mm512_mask_storeu_epi32(crow + j, tail, _mm512_min_epi32(vc, cand));
-                }
-            }
-        }
-    }
+    return {&entry<Avx512Wide, false>, &entry<Avx512Wide, true>, &entry<Avx512Narrow, false>,
+            &entry<Avx512Narrow, true>};
 }
 
-} // namespace ccq::kernels
+} // namespace ccq::kernels::detail
 
 #endif // CCQ_KERNELS_X86

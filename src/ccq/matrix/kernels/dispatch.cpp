@@ -3,7 +3,7 @@
 #include <string>
 
 #include "ccq/common/check.hpp"
-#include "ccq/matrix/kernels/kernels.hpp"
+#include "ccq/matrix/kernels/band.hpp"
 
 namespace ccq::kernels {
 namespace {
@@ -84,30 +84,14 @@ Isa dispatch_isa()
     return env_or_widest();
 }
 
-DenseBandFn dense_band_kernel(Isa isa) { return band_kernels(isa).dense_wide; }
-
 BandKernels band_kernels(Isa isa)
 {
     CCQ_EXPECT(isa_supported(isa), "band_kernels: ISA not supported on this host");
-    switch (isa) {
-    case Isa::scalar:
-        return {&dense_band_scalar, &sparse_band_scalar, &dense_band_scalar_w32,
-                &sparse_band_scalar_w32};
 #ifdef CCQ_KERNELS_X86
-    case Isa::avx2:
-        return {&dense_band_avx2, &sparse_band_avx2, &dense_band_avx2_w32,
-                &sparse_band_avx2_w32};
-    case Isa::avx512:
-        return {&dense_band_avx512, &sparse_band_avx512, &dense_band_avx512_w32,
-                &sparse_band_avx512_w32};
-#else
-    case Isa::avx2:
-    case Isa::avx512: break;
+    if (isa == Isa::avx2) return detail::avx2_band_kernels();
+    if (isa == Isa::avx512) return detail::avx512_band_kernels();
 #endif
-    }
-    // unreachable: CCQ_EXPECT above
-    return {&dense_band_scalar, &sparse_band_scalar, &dense_band_scalar_w32,
-            &sparse_band_scalar_w32};
+    return detail::scalar_band_kernels();
 }
 
 void set_isa_override(std::optional<Isa> isa)

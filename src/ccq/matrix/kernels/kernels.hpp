@@ -1,38 +1,39 @@
-// ISA-dispatched dense min-plus micro-kernels.
+// ISA-dispatched dense min-plus band kernels.
 //
 // The blocked dense engine (matrix/engine.cpp) spends essentially all of
 // its time in one loop: for a finite A[i,k], relax C[i, jj..jend) with
 // A[i,k] + B[k, jj..jend).  That loop vectorizes cleanly over integer
 // lanes (broadcast-add + lane-wise signed min; the INF-skip on A[i,k] is
-// hoisted out of the j-loop), so this subsystem provides band kernels
-// per instruction set — scalar reference, AVX2, AVX-512 — selected at
-// runtime via cpuid, in two element widths and two k-loop shapes:
+// hoisted out of the j-loop), so each instruction set — scalar
+// reference, AVX2, AVX-512, selected at runtime via cpuid — provides a
+// BandKernels table of four kernels, in two element widths and two
+// k-loop shapes:
 //
 //   width:  i64 (Weight, 4/8 SIMD lanes) and i32 (Weight32, 8/16 lanes).
 //           The engine packs operands to i32 only when its width-dispatch
 //           rule proves every sum the kernel can form compares identically
 //           in both domains (engine.cpp / docs/ENGINE.md), so the unpacked
 //           narrow result is bitwise identical to the wide one.
-//   shape:  dense (the (ii,kk,jj) tiled nest below) and sparse-row skip
-//           (per-row pre-scan of A for finite entries; the k-loop runs
-//           off the packed index list — a large win when rows are mostly
-//           INF, e.g. spanner-shaped operands).
+//   shape:  dense ((ii,kk,jj) tiled nest) and sparse-row skip (per-row
+//           pre-scan of A for finite entries; the k-loop runs off the
+//           packed index list — a large win when rows are mostly INF,
+//           e.g. spanner-shaped operands).
+//
+// Each shape is one loop nest (band.hpp), written once and instantiated
+// per ISA with a lane policy that relaxes one j-segment; the nests
+// software-prefetch the B row the k-loop will touch next.
 //
 // Contract: every kernel computes, for rows [i0, i1) of C,
 //
 //   C[i,j] = min(C[i,j], min_{k, A[i,k] finite} A[i,k] + B[k,j])
 //
-// with raw (non-saturating) additions, byte-for-byte identical to the
-// scalar reference for every input whose cells are all <= the width's
-// infinity sentinel.  Integer add and min are exact, each C cell depends
-// only on its own column, and min is order-independent over exact
-// candidates, so neither SIMD width nor the k-loop shape can change a
-// single output bit.  tests/test_kernels.cpp enforces this pairwise
-// across every compiled {ISA, width, shape}.
-//
-// All kernels software-prefetch the B row the k-loop will touch
-// kPrefetchRowDistance iterations ahead (within the current j-tile), so
-// the next tile row is L1-resident by the time its broadcast-add issues.
+// with raw (non-saturating) additions, leaving all other rows untouched,
+// for every input whose cells are all <= the width's infinity sentinel.
+// Integer add and min are exact, each C cell depends only on its own
+// column, and min is order-independent over exact candidates, so neither
+// SIMD width nor the k-loop shape can change a single output bit.
+// tests/test_kernels.cpp checks every {ISA, width, shape} against a
+// naive band loop of its own.
 //
 // Selection order: the programmatic override (set_isa_override, used by
 // tests and bench ablations), then the CCQ_SIMD environment variable
@@ -45,7 +46,6 @@
 #ifndef CCQ_MATRIX_KERNELS_KERNELS_HPP
 #define CCQ_MATRIX_KERNELS_KERNELS_HPP
 
-#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -81,28 +81,6 @@ struct BandKernels {
     DenseBandFn32 sparse_narrow;
 };
 
-/// How many k-loop iterations ahead the kernels prefetch the next B row
-/// of the current j-tile.  Tuned on the CI-class hardware: 1 row keeps
-/// the prefetch inside the tile's reuse window without thrashing L1 on
-/// small block sizes.
-inline constexpr int kPrefetchRowDistance = 1;
-
-namespace detail {
-
-/// Prefetch every cacheline of [p, p + bytes) for reading.
-inline void prefetch_span(const void* p, std::size_t bytes) noexcept
-{
-#if defined(__GNUC__) || defined(__clang__)
-    const char* c = static_cast<const char*>(p);
-    for (std::size_t off = 0; off < bytes; off += 64) __builtin_prefetch(c + off, 0, 3);
-#else
-    (void)p;
-    (void)bytes;
-#endif
-}
-
-} // namespace detail
-
 /// True if this binary contains a kernel for `isa` (CCQ_SIMD=ON and an
 /// x86-64 toolchain; scalar is always compiled).
 [[nodiscard]] bool isa_compiled(Isa isa);
@@ -117,46 +95,12 @@ inline void prefetch_span(const void* p, std::size_t bytes) noexcept
 /// supported.  Always returns a supported ISA.
 [[nodiscard]] Isa dispatch_isa();
 
-/// The wide dense band kernel for `isa`; requires isa_supported(isa).
-[[nodiscard]] DenseBandFn dense_band_kernel(Isa isa);
-
 /// All four band kernels for `isa`; requires isa_supported(isa).
 [[nodiscard]] BandKernels band_kernels(Isa isa);
 
 /// Forces dispatch_isa() to `isa` (must be supported); nullopt restores
 /// automatic dispatch.  For tests and bench ablations.
 void set_isa_override(std::optional<Isa> isa);
-
-// Per-ISA entry points (dispatch.cpp wires them up; exposed so the
-// differential tests can call an ISA directly).  Calling an entry point
-// whose ISA the CPU lacks is undefined (SIGILL); gate on isa_supported.
-void dense_band_scalar(const Weight* a, const Weight* b, Weight* c, int n, int i0, int i1,
-                       int bs);
-void sparse_band_scalar(const Weight* a, const Weight* b, Weight* c, int n, int i0, int i1,
-                        int bs);
-void dense_band_scalar_w32(const Weight32* a, const Weight32* b, Weight32* c, int n, int i0,
-                           int i1, int bs);
-void sparse_band_scalar_w32(const Weight32* a, const Weight32* b, Weight32* c, int n, int i0,
-                            int i1, int bs);
-#if !defined(CCQ_SIMD_DISABLED) && defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define CCQ_KERNELS_X86 1
-void dense_band_avx2(const Weight* a, const Weight* b, Weight* c, int n, int i0, int i1,
-                     int bs);
-void sparse_band_avx2(const Weight* a, const Weight* b, Weight* c, int n, int i0, int i1,
-                      int bs);
-void dense_band_avx2_w32(const Weight32* a, const Weight32* b, Weight32* c, int n, int i0,
-                         int i1, int bs);
-void sparse_band_avx2_w32(const Weight32* a, const Weight32* b, Weight32* c, int n, int i0,
-                          int i1, int bs);
-void dense_band_avx512(const Weight* a, const Weight* b, Weight* c, int n, int i0, int i1,
-                       int bs);
-void sparse_band_avx512(const Weight* a, const Weight* b, Weight* c, int n, int i0, int i1,
-                        int bs);
-void dense_band_avx512_w32(const Weight32* a, const Weight32* b, Weight32* c, int n, int i0,
-                           int i1, int bs);
-void sparse_band_avx512_w32(const Weight32* a, const Weight32* b, Weight32* c, int n, int i0,
-                            int i1, int bs);
-#endif
 
 } // namespace ccq::kernels
 

@@ -1,153 +1,26 @@
-#include <algorithm>
-#include <vector>
+#include "ccq/matrix/kernels/band.hpp"
 
-#include "ccq/matrix/kernels/kernels.hpp"
+namespace ccq::kernels::detail {
+namespace {
 
-namespace ccq::kernels {
-
-/// Portable reference band kernel (the PR-1 blocked loop, unchanged).
-/// Uses raw additions: every stored cell stays <= kInfinity, and with
-/// aik < kInfinity the sum aik + B[k,j] is < 2^63/2 (no overflow), so
-/// "store only if smaller than the current cell" reproduces the
-/// saturating_add / relax semantics of the seed kernel bit for bit.
-/// The SIMD kernels replicate exactly this loop nest; only the j-loop
-/// body is widened.
-void dense_band_scalar(const Weight* a, const Weight* b, Weight* c, int n, int i0, int i1,
-                       int bs)
+// Portable reference entries (the seed blocked loop): ScalarLanes in
+// both shared nests.  No target attribute, so -march builds may still
+// auto-vectorize them.
+template <class Lanes, bool Sparse>
+__attribute__((flatten)) void
+entry(const typename Lanes::Cell* a, const typename Lanes::Cell* b, typename Lanes::Cell* c,
+      int n, int i0, int i1, int bs)
 {
-    for (int ii = i0; ii < i1; ii += bs) {
-        const int iend = std::min(ii + bs, i1);
-        for (int kk = 0; kk < n; kk += bs) {
-            const int kend = std::min(kk + bs, n);
-            for (int jj = 0; jj < n; jj += bs) {
-                const int jend = std::min(jj + bs, n);
-                for (int i = ii; i < iend; ++i) {
-                    const Weight* arow = a + static_cast<std::size_t>(i) * n;
-                    Weight* crow = c + static_cast<std::size_t>(i) * n;
-                    for (int k = kk; k < kend; ++k) {
-                        const Weight aik = arow[k];
-                        if (!is_finite(aik)) continue; // INF-skip, hoisted off the j-loop
-                        const int pk = k + kPrefetchRowDistance;
-                        if (pk < n)
-                            detail::prefetch_span(b + static_cast<std::size_t>(pk) * n + jj,
-                                                  static_cast<std::size_t>(jend - jj) *
-                                                      sizeof(Weight));
-                        const Weight* brow = b + static_cast<std::size_t>(k) * n;
-                        for (int j = jj; j < jend; ++j) {
-                            const Weight cand = aik + brow[j];
-                            if (cand < crow[j]) crow[j] = cand;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    if constexpr (Sparse) sparse_band<Lanes>(a, b, c, n, i0, i1, bs);
+    else dense_band<Lanes>(a, b, c, n, i0, i1, bs);
 }
 
-/// Narrow (i32) twin of dense_band_scalar over the packed domain: every
-/// cell is <= kInfinity32, and the engine's width rule guarantees finite
-/// sums stay < kInfinity32 while finite + kInfinity32 stays < 2^31, so
-/// the same compare-and-store loop is exact (no wraparound, identical
-/// ordering to the i64 domain).
-void dense_band_scalar_w32(const Weight32* a, const Weight32* b, Weight32* c, int n, int i0,
-                           int i1, int bs)
+} // namespace
+
+BandKernels scalar_band_kernels()
 {
-    for (int ii = i0; ii < i1; ii += bs) {
-        const int iend = std::min(ii + bs, i1);
-        for (int kk = 0; kk < n; kk += bs) {
-            const int kend = std::min(kk + bs, n);
-            for (int jj = 0; jj < n; jj += bs) {
-                const int jend = std::min(jj + bs, n);
-                for (int i = ii; i < iend; ++i) {
-                    const Weight32* arow = a + static_cast<std::size_t>(i) * n;
-                    Weight32* crow = c + static_cast<std::size_t>(i) * n;
-                    for (int k = kk; k < kend; ++k) {
-                        const Weight32 aik = arow[k];
-                        if (!is_finite32(aik)) continue;
-                        const int pk = k + kPrefetchRowDistance;
-                        if (pk < n)
-                            detail::prefetch_span(b + static_cast<std::size_t>(pk) * n + jj,
-                                                  static_cast<std::size_t>(jend - jj) *
-                                                      sizeof(Weight32));
-                        const Weight32* brow = b + static_cast<std::size_t>(k) * n;
-                        for (int j = jj; j < jend; ++j) {
-                            const Weight32 cand = aik + brow[j];
-                            if (cand < crow[j]) crow[j] = cand;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    return {&entry<ScalarWide, false>, &entry<ScalarWide, true>, &entry<ScalarNarrow, false>,
+            &entry<ScalarNarrow, true>};
 }
 
-/// Sparse-row skip pass: pre-scans each A row of the band for finite
-/// entries and drives the k-loop off the packed index list.  The same
-/// set of (i, k) relaxations runs in ascending k per j-tile; min over
-/// exact candidates is order-independent, so the output is bitwise
-/// identical to the dense shape — the win is skipping the INF cells of
-/// mostly-empty rows once per row instead of once per (j-tile, k).
-void sparse_band_scalar(const Weight* a, const Weight* b, Weight* c, int n, int i0, int i1,
-                        int bs)
-{
-    std::vector<int> ks;
-    ks.reserve(static_cast<std::size_t>(n));
-    for (int i = i0; i < i1; ++i) {
-        const Weight* arow = a + static_cast<std::size_t>(i) * n;
-        ks.clear();
-        for (int k = 0; k < n; ++k)
-            if (is_finite(arow[k])) ks.push_back(k);
-        if (ks.empty()) continue;
-        Weight* crow = c + static_cast<std::size_t>(i) * n;
-        for (int jj = 0; jj < n; jj += bs) {
-            const int jend = std::min(jj + bs, n);
-            for (std::size_t t = 0; t < ks.size(); ++t) {
-                if (t + kPrefetchRowDistance < ks.size())
-                    detail::prefetch_span(
-                        b + static_cast<std::size_t>(ks[t + kPrefetchRowDistance]) * n + jj,
-                        static_cast<std::size_t>(jend - jj) * sizeof(Weight));
-                const int k = ks[t];
-                const Weight aik = arow[k];
-                const Weight* brow = b + static_cast<std::size_t>(k) * n;
-                for (int j = jj; j < jend; ++j) {
-                    const Weight cand = aik + brow[j];
-                    if (cand < crow[j]) crow[j] = cand;
-                }
-            }
-        }
-    }
-}
-
-/// Narrow twin of sparse_band_scalar.
-void sparse_band_scalar_w32(const Weight32* a, const Weight32* b, Weight32* c, int n, int i0,
-                            int i1, int bs)
-{
-    std::vector<int> ks;
-    ks.reserve(static_cast<std::size_t>(n));
-    for (int i = i0; i < i1; ++i) {
-        const Weight32* arow = a + static_cast<std::size_t>(i) * n;
-        ks.clear();
-        for (int k = 0; k < n; ++k)
-            if (is_finite32(arow[k])) ks.push_back(k);
-        if (ks.empty()) continue;
-        Weight32* crow = c + static_cast<std::size_t>(i) * n;
-        for (int jj = 0; jj < n; jj += bs) {
-            const int jend = std::min(jj + bs, n);
-            for (std::size_t t = 0; t < ks.size(); ++t) {
-                if (t + kPrefetchRowDistance < ks.size())
-                    detail::prefetch_span(
-                        b + static_cast<std::size_t>(ks[t + kPrefetchRowDistance]) * n + jj,
-                        static_cast<std::size_t>(jend - jj) * sizeof(Weight32));
-                const int k = ks[t];
-                const Weight32 aik = arow[k];
-                const Weight32* brow = b + static_cast<std::size_t>(k) * n;
-                for (int j = jj; j < jend; ++j) {
-                    const Weight32 cand = aik + brow[j];
-                    if (cand < crow[j]) crow[j] = cand;
-                }
-            }
-        }
-    }
-}
-
-} // namespace ccq::kernels
+} // namespace ccq::kernels::detail

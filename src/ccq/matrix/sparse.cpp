@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "ccq/matrix/engine.hpp"
-
 namespace ccq {
 
 void normalize_row(SparseRow& row)
@@ -44,16 +42,6 @@ SparseMatrix filter_k_smallest(const SparseMatrix& m, int k)
         result[u] = std::move(row);
     }
     return result;
-}
-
-SparseMatrix min_plus_product(const SparseMatrix& a, const SparseMatrix& b, int n)
-{
-    return min_plus_product(a, b, n, EngineConfig{});
-}
-
-SparseMatrix hop_power(const SparseMatrix& a, int h, int n)
-{
-    return hop_power(a, h, n, EngineConfig{});
 }
 
 double average_density(const SparseMatrix& m)

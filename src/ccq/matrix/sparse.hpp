@@ -50,16 +50,6 @@ void normalize_row(SparseRow& row);
 /// written as "A-bar" in Section 5).
 [[nodiscard]] SparseMatrix filter_k_smallest(const SparseMatrix& m, int k);
 
-/// Min-plus product: row u of the result relaxes through every (v, d1) in
-/// a[u] and (w, d2) in b[v].  `n` bounds node ids; both operands must be
-/// canonical.  Runs on the row-parallel engine (matrix/engine.hpp) with
-/// the default EngineConfig.
-[[nodiscard]] SparseMatrix min_plus_product(const SparseMatrix& a, const SparseMatrix& b, int n);
-
-/// a^h over min-plus (h >= 1).  Rows of `a` must contain their diagonal
-/// zeros so powers are monotone ("at most h hops" semantics of A^h).
-[[nodiscard]] SparseMatrix hop_power(const SparseMatrix& a, int h, int n);
-
 /// Average finite entries per row (ρ of CDKL21 / Theorem 6.1).
 [[nodiscard]] double average_density(const SparseMatrix& m);
 

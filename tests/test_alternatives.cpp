@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "ccq/graph/exact.hpp"
 #include "ccq/skeleton/hitting_set.hpp"
 #include "ccq/spanner/greedy.hpp"
 #include "test_helpers.hpp"
@@ -68,6 +69,44 @@ TEST(GreedySpanner, UsuallySparserThanBaswanaSen)
     const SpannerResult greedy = greedy_spanner(g, 2);
     const SpannerResult distributed = baswana_sen_spanner(g, 2, rng);
     EXPECT_LE(greedy.spanner.edge_count(), distributed.spanner.edge_count());
+}
+
+// Weights near kInfinity: stretch * weight would overflow (k = 3, 5) or
+// pass kInfinity (k = 2), where an unreachable endpoint no longer
+// compares above the budget.  The budget saturates instead, so every
+// kept-out edge is still spanned by a finite path within 2k-1 times its
+// weight, and a heavy edge with no alternative path is kept.
+TEST(GreedySpanner, WeightsNearInfinityKeepTheStretch)
+{
+    for (const int k : {2, 3, 5}) {
+        const Weight stretch = 2 * k - 1;
+        Graph g = Graph::undirected(7);
+        g.add_edge(0, 1, kInfinity - 1); // no other path
+        g.add_edge(2, 3, kInfinity / 4); // 2-3-4 spans 2-4, so 2-4 goes
+        g.add_edge(3, 4, kInfinity / 4);
+        g.add_edge(2, 4, kInfinity - 2);
+        // The lightest weight whose budget saturates; 5 is unreachable
+        // when it is processed, and 5-6 is then spanned through 4.
+        g.add_edge(4, 5, (kInfinity - 1) / stretch + 1);
+        g.add_edge(5, 6, kInfinity - 3);
+        g.add_edge(4, 6, 7);
+        const SpannerResult result = greedy_spanner(g, k);
+        EXPECT_EQ(result.stretch_bound, stretch);
+        const auto kept = [&](const WeightedEdge& e) {
+            for (const Edge& s : result.spanner.neighbors(e.u))
+                if (s.to == e.v && s.weight == e.weight) return true;
+            return false;
+        };
+        for (const WeightedEdge& e : g.edge_list()) {
+            const Weight dist = dijkstra_from(result.spanner, e.u)[static_cast<std::size_t>(e.v)];
+            EXPECT_TRUE(is_finite(dist)) << "k=" << k << " edge " << e.u << "-" << e.v;
+            // dist <= stretch * weight, without forming the product.
+            EXPECT_LE((dist + stretch - 1) / stretch, e.weight)
+                << "k=" << k << " edge " << e.u << "-" << e.v;
+        }
+        EXPECT_TRUE(kept({0, 1, kInfinity - 1})) << "k=" << k;
+        EXPECT_FALSE(kept({2, 4, kInfinity - 2})) << "k=" << k;
+    }
 }
 
 TEST(GreedySpanner, RejectsBadInput)

@@ -4,6 +4,7 @@
 
 #include "ccq/graph/exact.hpp"
 #include "ccq/graph/generators.hpp"
+#include "ccq/matrix/engine.hpp"
 #include "test_helpers.hpp"
 
 namespace ccq {

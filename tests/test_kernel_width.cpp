@@ -9,6 +9,7 @@
 // CCQ_KERNEL_WIDTH=wide; config settings outrank the env).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "ccq/common/rng.hpp"
@@ -243,15 +244,21 @@ TEST(SparseSkip, SkipPassIsBitwiseIdenticalInBothWidths)
         for (int e = 0; e < 4; ++e)
             a.at(u, static_cast<NodeId>(rng.uniform_int(0, n - 1))) = rng.uniform_int(1, 100);
     const DistanceMatrix reference = min_plus_product_reference(a, a);
+    // A squaring (one operand, scanned and packed once) must plan and
+    // compute exactly what the same product over a copy of A does.
+    const DistanceMatrix copy = a;
     for (const Isa isa : kernels::supported_isas()) {
         ScopedIsa forced(isa);
         for (const KernelWidth width : {KernelWidth::kWide, KernelWidth::kNarrowIfSafe}) {
             for (const bool skip : {false, true}) {
                 const EngineConfig config = with_width(width, 4, 8, skip);
-                EXPECT_EQ(min_plus_product(a, a, config), reference)
-                    << kernels::isa_name(isa)
-                    << (width == KernelWidth::kWide ? " wide" : " narrow")
-                    << " skip=" << skip;
+                const std::string label = std::string(kernels::isa_name(isa)) +
+                                          (width == KernelWidth::kWide ? " wide" : " narrow") +
+                                          " skip=" + std::to_string(skip);
+                EXPECT_EQ(preview_product_plan(a, a, config), preview_product_plan(a, copy, config))
+                    << label;
+                EXPECT_EQ(min_plus_product(a, a, config), reference) << label;
+                EXPECT_EQ(min_plus_product(a, copy, config), reference) << label;
             }
         }
     }

@@ -2,13 +2,17 @@
 // every compiled-and-supported ISA (scalar, AVX2, AVX-512) must produce
 // bitwise identical products for every {threads, block_size}
 // configuration — in both element widths and both k-loop shapes —
-// including adversarial all-INF and near-saturation rows.  ISAs the
-// host CPU lacks are skipped, never failed.  (The width-dispatch rule
-// itself is covered by tests/test_kernel_width.cpp.)
+// including adversarial all-INF and near-saturation rows.  Raw band
+// calls are checked against a naive band loop written here, not against
+// the scalar lane policy, which shares the kernels' loop nests.  ISAs
+// the host CPU lacks are skipped, never failed.  (The width-dispatch
+// rule itself is covered by tests/test_kernel_width.cpp.)
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cstdint>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ccq/common/rng.hpp"
@@ -85,7 +89,7 @@ TEST(KernelDispatch, UnsupportedIsaIsRejected)
 {
     for (const Isa isa : {Isa::avx2, Isa::avx512}) {
         if (kernels::isa_supported(isa)) continue;
-        EXPECT_THROW((void)kernels::dense_band_kernel(isa), check_error);
+        EXPECT_THROW((void)kernels::band_kernels(isa), check_error);
         EXPECT_THROW(kernels::set_isa_override(isa), check_error);
     }
 }
@@ -137,102 +141,113 @@ TEST(KernelDifferential, AdversarialInfinityAndSaturationRows)
     }
 }
 
-// Direct band-kernel calls (no engine, no pool): partial bands and every
-// tail length 1..width must agree with the scalar kernel.
-TEST(KernelDifferential, RawBandCallsAgreeOnPartialBandsAndTails)
+/// Cells of `m` in row-major order, for raw band calls.
+std::vector<Weight> cells(const DistanceMatrix& m)
 {
-    for (const int n : {5, 8, 11, 16, 23}) {
-        Rng rng(600 + static_cast<std::uint64_t>(n));
-        const DistanceMatrix a = random_dense(n, rng, 0.25, 0.1);
-        const DistanceMatrix b = random_dense(n, rng, 0.25, 0.1);
-        for (const auto& [i0, i1] : std::vector<std::pair<int, int>>{
-                 {0, n}, {0, 1}, {n / 2, n}, {1, n - 1}}) {
-            if (i0 >= i1) continue;
-            for (const int bs : {1, 3, 8, 64}) {
-                DistanceMatrix expected(n);
-                kernels::dense_band_scalar(a.data(), b.data(), expected.data(), n, i0, i1,
-                                           bs);
-                for (const Isa isa : kernels::supported_isas()) {
-                    DistanceMatrix actual(n);
-                    kernels::dense_band_kernel(isa)(a.data(), b.data(), actual.data(), n,
-                                                    i0, i1, bs);
-                    EXPECT_EQ(actual, expected) << kernels::isa_name(isa) << " n=" << n
-                                                << " band=[" << i0 << "," << i1
-                                                << ") bs=" << bs;
-                }
-            }
-        }
-    }
-}
-
-// The sparse-row skip shape must agree with the dense shape bit for bit
-// on every ISA: same relaxations, different k-loop.  Operands mix
-// mostly-INF rows (the shape's target) with dense rows.
-TEST(KernelDifferential, SparseBandShapeMatchesDenseShape)
-{
-    for (const int n : {7, 16, 33, 49}) {
-        Rng rng(8100 + static_cast<std::uint64_t>(n));
-        const DistanceMatrix a = random_dense(n, rng, 0.8, 0.05);
-        const DistanceMatrix b = random_dense(n, rng, 0.3, 0.0);
-        for (const int bs : {1, 8, 64}) {
-            DistanceMatrix expected(n);
-            kernels::dense_band_scalar(a.data(), b.data(), expected.data(), n, 0, n, bs);
-            for (const Isa isa : kernels::supported_isas()) {
-                const kernels::BandKernels band = kernels::band_kernels(isa);
-                DistanceMatrix actual(n);
-                band.sparse_wide(a.data(), b.data(), actual.data(), n, 0, n, bs);
-                EXPECT_EQ(actual, expected)
-                    << kernels::isa_name(isa) << " sparse shape, n=" << n << " bs=" << bs;
-            }
-        }
-    }
+    return std::vector<Weight>(m.data(), m.data() + static_cast<std::size_t>(m.size()) * m.size());
 }
 
 /// Packs a small-weight matrix into the i32 domain the narrow kernels
 /// consume (kInfinity -> kInfinity32, finite cells verbatim).
 std::vector<Weight32> pack32(const DistanceMatrix& m)
 {
-    const int n = m.size();
-    std::vector<Weight32> packed(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-    const Weight* cell = m.data();
-    for (Weight32& out : packed) {
-        out = is_finite(*cell) ? static_cast<Weight32>(*cell) : kInfinity32;
-        ++cell;
-    }
+    std::vector<Weight32> packed;
+    for (const Weight cell : cells(m))
+        packed.push_back(is_finite(cell) ? static_cast<Weight32>(cell) : kInfinity32);
     return packed;
 }
 
-// Narrow (i32) raw band calls: every ISA's dense and sparse narrow
-// kernels must match the scalar narrow kernel on partial bands, every
-// tail length (8- and 16-lane vectors), and every block size.
-TEST(KernelDifferential, NarrowRawBandCallsAgreeAcrossIsasAndShapes)
+/// The oracle for raw band calls, independent of the kernels' nests and
+/// lane policies: rows [i0, i1) of the min-plus triple loop, with every
+/// sum formed in i64 (no wraparound in either width); all other rows of
+/// C are left untouched.
+template <class Cell>
+void naive_band(const std::vector<Cell>& a, const std::vector<Cell>& b, std::vector<Cell>& c,
+                int n, int i0, int i1, Cell sentinel)
 {
-    for (const int n : {5, 8, 11, 16, 17, 23, 31, 33}) {
-        Rng rng(700 + static_cast<std::uint64_t>(n));
-        // inf_fraction only — huge weights exceed the i32 domain by
-        // design; the engine's width rule routes those to i64 kernels.
-        const std::vector<Weight32> a = pack32(random_dense(n, rng, 0.35, 0.0));
-        const std::vector<Weight32> b = pack32(random_dense(n, rng, 0.2, 0.0));
-        for (const auto& [i0, i1] : std::vector<std::pair<int, int>>{
-                 {0, n}, {0, 1}, {n / 2, n}, {1, n - 1}}) {
-            if (i0 >= i1) continue;
-            for (const int bs : {1, 3, 8, 64}) {
-                std::vector<Weight32> expected(a.size(), kInfinity32);
-                kernels::dense_band_scalar_w32(a.data(), b.data(), expected.data(), n, i0,
-                                               i1, bs);
-                for (const Isa isa : kernels::supported_isas()) {
-                    const kernels::BandKernels band = kernels::band_kernels(isa);
-                    for (const auto& [label32, fn] :
-                         {std::pair{"dense32", band.dense_narrow},
-                          std::pair{"sparse32", band.sparse_narrow}}) {
-                        std::vector<Weight32> actual(a.size(), kInfinity32);
-                        fn(a.data(), b.data(), actual.data(), n, i0, i1, bs);
-                        EXPECT_EQ(actual, expected)
-                            << kernels::isa_name(isa) << " " << label32 << " n=" << n
-                            << " band=[" << i0 << "," << i1 << ") bs=" << bs;
-                    }
+    const auto at = [n](int r, int col) { return static_cast<std::size_t>(r) * n + col; };
+    for (int i = i0; i < i1; ++i)
+        for (int k = 0; k < n; ++k) {
+            if (a[at(i, k)] >= sentinel) continue;
+            for (int j = 0; j < n; ++j) {
+                const std::int64_t cand = std::int64_t{a[at(i, k)]} + b[at(k, j)];
+                if (cand < c[at(i, j)]) c[at(i, j)] = static_cast<Cell>(cand);
+            }
+        }
+}
+
+/// Both shapes of one width from an ISA's table.
+std::vector<std::pair<const char*, kernels::DenseBandFn>> shapes(const kernels::BandKernels& k,
+                                                                Weight)
+{
+    return {{"dense_wide", k.dense_wide}, {"sparse_wide", k.sparse_wide}};
+}
+std::vector<std::pair<const char*, kernels::DenseBandFn32>>
+shapes(const kernels::BandKernels& k, Weight32)
+{
+    return {{"dense_narrow", k.dense_narrow}, {"sparse_narrow", k.sparse_narrow}};
+}
+
+/// Every supported ISA x both shapes of this width x partial bands x
+/// block sizes, each raw call starting from `c` and compared whole (so
+/// rows outside the band must come back untouched).
+template <class Cell>
+void expect_band_calls_match_naive(const std::vector<Cell>& a, const std::vector<Cell>& b,
+                                   const std::vector<Cell>& c, int n, Cell sentinel,
+                                   const std::string& what)
+{
+    for (const auto& [i0, i1] :
+         std::vector<std::pair<int, int>>{{0, n}, {0, 1}, {n / 2, n}, {1, n - 1}}) {
+        if (i0 >= i1) continue;
+        std::vector<Cell> expected = c;
+        naive_band(a, b, expected, n, i0, i1, sentinel);
+        for (const Isa isa : kernels::supported_isas()) {
+            for (const auto& [shape, fn] : shapes(kernels::band_kernels(isa), Cell{})) {
+                for (const int bs : {1, 3, 8, 64}) {
+                    std::vector<Cell> actual = c;
+                    fn(a.data(), b.data(), actual.data(), n, i0, i1, bs);
+                    EXPECT_EQ(actual, expected)
+                        << kernels::isa_name(isa) << " " << shape << " " << what << " n=" << n
+                        << " band=[" << i0 << "," << i1 << ") bs=" << bs;
                 }
             }
+        }
+    }
+}
+
+// Direct band-kernel calls (no engine, no pool) against the naive band
+// loop: every ISA's four BandKernels entries on partial bands, block
+// sizes {1, 3, 8, 64}, and n covering every tail length of 4-, 8- and
+// 16-lane vectors (n = 16..31 in one bs=64 tile; n < 16 are mostly
+// tail).  A mixes dense rows with the mostly-INF rows the sparse-row
+// skip shape targets; C starts all-INF (as the engine leaves it) or
+// partly finite, so the min with old cells counts too.  The i64 cases
+// keep near-saturation cells and whole rows of kInfinity - 1 (raw sums
+// just below the overflow argument's ceiling); the narrow cases use
+// small weights, the only ones the engine's width rule packs to i32.
+TEST(KernelDifferential, RawBandCallsMatchNaiveBandLoop)
+{
+    std::vector<int> sizes = {1, 2, 3, 5, 7, 8, 11, 33, 49};
+    for (int n = 16; n < 32; ++n) sizes.push_back(n);
+    for (const int n : sizes) {
+        Rng rng(600 + static_cast<std::uint64_t>(n));
+        for (const auto& [a_inf, c_inf] : std::vector<std::pair<double, double>>{
+                 {0.25, 1.0}, {0.25, 0.5}, {0.8, 1.0}, {0.8, 0.5}}) {
+            const std::string what =
+                "a_inf=" + std::to_string(a_inf) + " c_inf=" + std::to_string(c_inf);
+            DistanceMatrix a = random_dense(n, rng, a_inf, 0.1);
+            DistanceMatrix b = random_dense(n, rng, 0.25, 0.1);
+            for (NodeId j = 0; j < n; ++j) {
+                a.at(0, j) = kInfinity - 1;
+                b.at(n - 1, j) = kInfinity - 1;
+            }
+            expect_band_calls_match_naive(cells(a), cells(b),
+                                          cells(random_dense(n, rng, c_inf, 0.1)), n, kInfinity,
+                                          what);
+            expect_band_calls_match_naive(pack32(random_dense(n, rng, a_inf, 0.0)),
+                                          pack32(random_dense(n, rng, 0.2, 0.0)),
+                                          pack32(random_dense(n, rng, c_inf, 0.0)), n,
+                                          kInfinity32, what);
         }
     }
 }

@@ -6,6 +6,7 @@
 #include "ccq/graph/exact.hpp"
 #include "ccq/graph/generators.hpp"
 #include "ccq/matrix/dense.hpp"
+#include "ccq/matrix/engine.hpp"
 #include "ccq/matrix/round_cost.hpp"
 #include "ccq/matrix/sparse.hpp"
 
