@@ -74,9 +74,11 @@ private:
 /// d_backbone(u, v), hence within the backbone's stretch of d_G.
 ///
 /// next_hop(u, v) is the smallest-id neighbour w of u with
-/// w(u,w) + d(w,v) == d(u,v), a value independent of heap order, so the
-/// tables are bitwise identical for every `engine.threads`.  Destinations
-/// run in blocks of up to 64 across the engine's threads.
+/// w(u,w) + d(w,v) == d(u,v) among those the Dijkstra from v settles
+/// before u (graph/dijkstra.hpp), so forwarding never cycles, even across
+/// zero-weight edges.  Each destination runs on one thread, so the tables
+/// are bitwise identical for every `engine.threads`.  Destinations run in
+/// blocks of up to 64 across the engine's threads.
 [[nodiscard]] RoutingTables build_routing_tables(const Graph& backbone,
                                                  const EngineConfig& engine = {});
 

@@ -93,10 +93,12 @@ void run_dijkstra(const Arcs& arcs, NodeId source, DijkstraScratch& scratch)
                 heap.push(e.to, static_cast<std::uint64_t>(cand));
             } else if constexpr (kToward) {
                 // Equal-cost tie: keep the smallest hop id, nothing to
-                // re-settle.  The source (toward -1) and unreachable
-                // nodes never take a hop here.
+                // re-settle.  A settled node keeps its hop: across a
+                // zero-weight arc, u may have settled after e.to and
+                // point back at it.  The source (toward -1) and
+                // unreachable nodes never take a hop here.
                 NodeId& hop = toward[static_cast<std::size_t>(e.to)];
-                if (cand == cur && hop > u) hop = u;
+                if (cand == cur && hop > u && !heap.popped(e.to)) hop = u;
             }
         }
     }

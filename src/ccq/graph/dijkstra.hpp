@@ -11,10 +11,14 @@
 //                  in which their key differs from the last popped key;
 //   DijkstraScratch  the dist / toward vectors and the heap of one thread.
 //
-// Results never depend on pop order: `dist` is the exact (saturating)
-// distance and `toward[v]` is the smallest-id neighbour u with
-// dist[u] + w(u,v) == dist[v], so any heap and any thread count give
-// bitwise identical rows.
+// `dist` is the exact (saturating) distance, whatever the pop order.
+// `toward[v]` is the smallest-id neighbour u with dist[u] + w(u,v) ==
+// dist[v] among the nodes settled before v.  Every pointer therefore goes
+// to an earlier-settled node, so the toward graph has no cycles, even
+// across zero-weight edges.  With weights >= 1 every tight predecessor
+// settles first, so toward is the smallest tight predecessor outright;
+// only zero-weight ties follow the heap's settle order.  One run is one
+// thread, so the thread count never changes a row.
 #ifndef CCQ_GRAPH_DIJKSTRA_HPP
 #define CCQ_GRAPH_DIJKSTRA_HPP
 
@@ -70,6 +74,12 @@ public:
     /// `keys` is minimal, or -1 when no such node is queued.
     NodeId pop(std::span<const Weight> keys);
 
+    /// True once pop() has returned `node` since reset().
+    [[nodiscard]] bool popped(NodeId node) const noexcept
+    {
+        return popped_[static_cast<std::size_t>(node)] != 0;
+    }
+
 private:
     [[nodiscard]] int bucket_of(std::uint64_t key) const noexcept
     {
@@ -90,9 +100,11 @@ struct DijkstraScratch {
 
 /// Dijkstra from `source` over `arcs` into `scratch.dist` (kInfinity =
 /// unreachable; additions saturate).  With `with_toward`, also fills
-/// `scratch.toward[v]` with the smallest-id u whose arc u->v is tight
-/// (dist[u] + w == dist[v]), -1 for the source and unreachable nodes;
-/// on an undirected graph that u is v's next hop toward `source`.
+/// `scratch.toward[v]` with the smallest-id u, among the nodes settled
+/// before v, whose arc u->v is tight (dist[u] + w == dist[v]); -1 for the
+/// source and unreachable nodes.  On an undirected graph that u is v's
+/// next hop toward `source`, and following toward from any reachable node
+/// ends at `source`.
 void dijkstra(const ArcTable& arcs, NodeId source, DijkstraScratch& scratch,
               bool with_toward = false);
 

@@ -1,9 +1,6 @@
 #include "ccq/graph/exact.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
-#include <tuple>
 #include <utility>
 
 #include "ccq/graph/dijkstra.hpp"
@@ -102,38 +99,27 @@ DistanceMatrix hop_limited_apsp(const Graph& g, int max_hops, const EngineConfig
 std::vector<int> min_hops_on_shortest_paths(const Graph& g, NodeId source)
 {
     CCQ_EXPECT(g.is_valid_node(source), "min_hops_on_shortest_paths: source out of range");
-    const int n = g.node_count();
+    DijkstraScratch scratch;
+    dijkstra(g, source, scratch);
+    const std::vector<Weight>& dist = scratch.dist;
 
-    // Lexicographic Dijkstra on (length, hops): the primary key recovers
-    // shortest-path lengths, the secondary key minimizes hop count among
-    // shortest paths.  Correct even with zero-weight edges.
-    std::vector<Weight> dist(static_cast<std::size_t>(n), kInfinity);
-    std::vector<int> hops(static_cast<std::size_t>(n), std::numeric_limits<int>::max());
-    dist[static_cast<std::size_t>(source)] = 0;
+    // The shortest paths from `source` are exactly the paths of tight
+    // arcs (dist[u] + w == dist[v]), zero-weight arcs included, so the
+    // fewest hops on a shortest path is the BFS depth over tight arcs.
+    std::vector<int> hops(static_cast<std::size_t>(g.node_count()), -1);
     hops[static_cast<std::size_t>(source)] = 0;
-
-    using Item = std::tuple<Weight, int, NodeId>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
-    queue.emplace(0, 0, source);
-    while (!queue.empty()) {
-        const auto [d, h, u] = queue.top();
-        queue.pop();
-        if (d != dist[static_cast<std::size_t>(u)] || h != hops[static_cast<std::size_t>(u)])
-            continue; // stale entry
+    std::vector<NodeId> queue{source};
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+        const NodeId u = queue[head];
         for (const Edge& e : g.neighbors(u)) {
-            const Weight cand = saturating_add(d, e.weight);
-            const int cand_hops = h + 1;
-            Weight& cur = dist[static_cast<std::size_t>(e.to)];
-            int& cur_hops = hops[static_cast<std::size_t>(e.to)];
-            if (cand < cur || (cand == cur && cand_hops < cur_hops)) {
-                cur = cand;
-                cur_hops = cand_hops;
-                queue.emplace(cand, cand_hops, e.to);
+            const Weight dv = dist[static_cast<std::size_t>(e.to)];
+            int& hv = hops[static_cast<std::size_t>(e.to)];
+            if (hv < 0 && is_finite(dv) &&
+                saturating_add(dist[static_cast<std::size_t>(u)], e.weight) == dv) {
+                hv = hops[static_cast<std::size_t>(u)] + 1;
+                queue.push_back(e.to);
             }
         }
-    }
-    for (NodeId v = 0; v < n; ++v) {
-        if (!is_finite(dist[static_cast<std::size_t>(v)])) hops[static_cast<std::size_t>(v)] = -1;
     }
     return hops;
 }

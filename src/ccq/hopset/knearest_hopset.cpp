@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <unordered_map>
 
 #include "ccq/common/math.hpp"
+#include "ccq/graph/dijkstra.hpp"
 #include "ccq/graph/exact.hpp"
 
 namespace ccq {
@@ -26,35 +25,6 @@ std::vector<NodeId> approx_nearest_by_delta(const DistanceMatrix& delta, NodeId 
         order.resize(static_cast<std::size_t>(k));
     }
     return order;
-}
-
-/// Dijkstra over an edge set held as per-source lists; nodes are global
-/// ids, visited lazily via hash maps (the local subgraph touches only
-/// O(k^2) nodes).
-std::unordered_map<NodeId, Weight> local_dijkstra(
-    const std::unordered_map<NodeId, std::vector<Edge>>& adjacency, NodeId source)
-{
-    std::unordered_map<NodeId, Weight> dist;
-    dist[source] = 0;
-    using Item = std::pair<Weight, NodeId>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
-    queue.emplace(0, source);
-    while (!queue.empty()) {
-        const auto [d, u] = queue.top();
-        queue.pop();
-        const auto it = dist.find(u);
-        if (it == dist.end() || it->second != d) continue;
-        const auto edges = adjacency.find(u);
-        if (edges == adjacency.end()) continue;
-        for (const Edge& e : edges->second) {
-            const Weight cand = saturating_add(d, e.weight);
-            auto [slot, inserted] = dist.try_emplace(e.to, cand);
-            if (!inserted && cand >= slot->second) continue;
-            slot->second = cand;
-            queue.emplace(cand, e.to);
-        }
-    }
-    return dist;
 }
 
 } // namespace
@@ -104,20 +74,40 @@ Hopset build_knearest_hopset(const Graph& g, const DistanceMatrix& delta, double
     hopset.k = k;
     std::vector<std::vector<WeightedEdge>> shortcuts(static_cast<std::size_t>(n));
     parallel_chunks(threads, 0, n, 1, [&](int v0, int v1) {
-        for (NodeId v = v0; v < v1; ++v) {
-            std::unordered_map<NodeId, std::vector<Edge>> adjacency;
-            for (const auto& routed : inboxes[static_cast<std::size_t>(v)])
-                adjacency[routed.payload.u].push_back(
-                    Edge{routed.payload.v, routed.payload.weight});
-            for (const Edge& e : g.neighbors(v)) adjacency[v].push_back(e);
-
-            const std::unordered_map<NodeId, Weight> local = local_dijkstra(adjacency, v);
-            for (const NodeId u : nearest[static_cast<std::size_t>(v)]) {
-                if (u == v) continue;
-                const auto it = local.find(u);
-                if (it == local.end() || !is_finite(it->second)) continue;
-                shortcuts[static_cast<std::size_t>(v)].push_back(WeightedEdge{v, u, it->second});
+        // v's subproblem touches O(k^2) nodes: relabel them densely
+        // (v is local 0) and run the shared kernel on a directed graph
+        // of the gathered arcs.  `local` is -1 outside the current v.
+        std::vector<NodeId> local(static_cast<std::size_t>(n), -1);
+        std::vector<NodeId> members;
+        std::vector<WeightedEdge> arcs;
+        DijkstraScratch scratch;
+        const auto local_id = [&](NodeId u) {
+            NodeId& id = local[static_cast<std::size_t>(u)];
+            if (id < 0) {
+                id = static_cast<NodeId>(members.size());
+                members.push_back(u);
             }
+            return id;
+        };
+        for (NodeId v = v0; v < v1; ++v) {
+            local_id(v);
+            for (const auto& routed : inboxes[static_cast<std::size_t>(v)])
+                arcs.push_back({local_id(routed.payload.u), local_id(routed.payload.v),
+                                routed.payload.weight});
+            for (const Edge& e : g.neighbors(v)) arcs.push_back({0, local_id(e.to), e.weight});
+            dijkstra(graph_from_edges(static_cast<int>(members.size()), Orientation::directed,
+                                      arcs),
+                     0, scratch);
+            for (const NodeId u : nearest[static_cast<std::size_t>(v)]) {
+                const NodeId id = local[static_cast<std::size_t>(u)];
+                if (u == v || id < 0 || !is_finite(scratch.dist[static_cast<std::size_t>(id)]))
+                    continue;
+                shortcuts[static_cast<std::size_t>(v)].push_back(
+                    WeightedEdge{v, u, scratch.dist[static_cast<std::size_t>(id)]});
+            }
+            for (const NodeId u : members) local[static_cast<std::size_t>(u)] = -1;
+            members.clear();
+            arcs.clear();
         }
     });
     MessageExchange<WeightedEdge> reverse_notify(n);

@@ -1,7 +1,6 @@
 #include "ccq/serve/distance_source.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <utility>
 
 #include "ccq/common/check.hpp"
@@ -101,30 +100,11 @@ SpannerDistanceSource::SpannerDistanceSource(SparseSnapshot snapshot, SpannerSou
       stretch_bound_(snapshot.stretch_bound),
       parameter_k_(snapshot.parameter_k),
       construction_(std::move(snapshot.construction)),
-      spanner_edges_(snapshot.edges.size())
+      spanner_edges_(snapshot.edges.size()),
+      arcs_(snapshot.spanner_graph())
 {
     CCQ_EXPECT(config.cache_shards >= 1,
                "SpannerDistanceSource: cache_shards must be >= 1");
-    const int n = meta_.node_count;
-
-    // CSR over the symmetrized spanner (the snapshot stores each edge
-    // once under its smaller endpoint; queries walk both directions).
-    std::vector<std::size_t> degree(static_cast<std::size_t>(n) + 1, 0);
-    for (const WeightedEdge& edge : snapshot.edges) {
-        ++degree[static_cast<std::size_t>(edge.u) + 1];
-        ++degree[static_cast<std::size_t>(edge.v) + 1];
-    }
-    offsets_.resize(static_cast<std::size_t>(n) + 1, 0);
-    for (int u = 0; u < n; ++u)
-        offsets_[static_cast<std::size_t>(u) + 1] =
-            offsets_[static_cast<std::size_t>(u)] + degree[static_cast<std::size_t>(u) + 1];
-    arcs_.resize(offsets_.back());
-    std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (const WeightedEdge& edge : snapshot.edges) {
-        arcs_[cursor[static_cast<std::size_t>(edge.u)]++] = {edge.v, edge.weight};
-        arcs_[cursor[static_cast<std::size_t>(edge.v)]++] = {edge.u, edge.weight};
-    }
-
     const int shard_count = config.row_cache_rows == 0 ? 1 : config.cache_shards;
     shard_capacity_ =
         config.row_cache_rows == 0
@@ -134,48 +114,21 @@ SpannerDistanceSource::SpannerDistanceSource(SparseSnapshot snapshot, SpannerSou
     shards_ = std::vector<RowShard>(static_cast<std::size_t>(shard_count));
 }
 
-std::vector<Weight> SpannerDistanceSource::run_dijkstra(NodeId from,
-                                                        std::vector<NodeId>* parent) const
+SpannerDistanceSource::RowPtr SpannerDistanceSource::materialize(NodeId from) const
 {
-    const int n = meta_.node_count;
-    std::vector<Weight> dist(static_cast<std::size_t>(n), kInfinity);
-    if (parent != nullptr) parent->assign(static_cast<std::size_t>(n), -1);
-    dist[static_cast<std::size_t>(from)] = 0;
-
-    // Min-heap ordered by (distance, node): the node tiebreak makes the
-    // settle order — and therefore the parent trees — deterministic.
-    // Each node settles at most once, so the reconstruction is bounded
-    // by n-1 hops by construction.
-    using HeapEntry = std::pair<Weight, NodeId>;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> heap;
-    heap.push({0, from});
-    while (!heap.empty()) {
-        const auto [d, u] = heap.top();
-        heap.pop();
-        if (d != dist[static_cast<std::size_t>(u)]) continue; // stale entry
-        const std::size_t begin = offsets_[static_cast<std::size_t>(u)];
-        const std::size_t end = offsets_[static_cast<std::size_t>(u) + 1];
-        for (std::size_t i = begin; i < end; ++i) {
-            const Edge& edge = arcs_[i];
-            const Weight candidate = saturating_add(d, edge.weight);
-            if (candidate < dist[static_cast<std::size_t>(edge.to)]) {
-                dist[static_cast<std::size_t>(edge.to)] = candidate;
-                if (parent != nullptr) (*parent)[static_cast<std::size_t>(edge.to)] = u;
-                heap.push({candidate, edge.to});
-            }
-        }
-    }
-    return dist;
+    // A fresh scratch per miss: rows are read from several event loops
+    // at once, and the finished distances become the cached row as is.
+    DijkstraScratch scratch;
+    dijkstra(arcs_, from, scratch);
+    rows_materialized_.fetch_add(1, std::memory_order_relaxed);
+    return std::make_shared<const std::vector<Weight>>(std::move(scratch.dist));
 }
 
 SpannerDistanceSource::RowPtr SpannerDistanceSource::row(NodeId from) const
 {
     CCQ_EXPECT(from >= 0 && from < meta_.node_count,
                "SpannerDistanceSource: node out of range");
-    if (shard_capacity_ == 0) {
-        rows_materialized_.fetch_add(1, std::memory_order_relaxed);
-        return std::make_shared<const std::vector<Weight>>(run_dijkstra(from, nullptr));
-    }
+    if (shard_capacity_ == 0) return materialize(from);
     RowShard& shard = shards_[static_cast<std::size_t>(from) % shards_.size()];
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
@@ -190,8 +143,7 @@ SpannerDistanceSource::RowPtr SpannerDistanceSource::row(NodeId from) const
     // may both compute it (identical answers), but never block each
     // other or readers of other rows in the shard.
     obs::TraceSpan span("serve/spanner_row", "serve");
-    rows_materialized_.fetch_add(1, std::memory_order_relaxed);
-    RowPtr fresh = std::make_shared<const std::vector<Weight>>(run_dijkstra(from, nullptr));
+    RowPtr fresh = materialize(from);
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (const auto it = shard.index.find(from); it != shard.index.end())
         return it->second->second; // a concurrent walker beat us
@@ -222,12 +174,16 @@ std::vector<NodeId> SpannerDistanceSource::route(NodeId from, NodeId to) const
 {
     CCQ_EXPECT(from >= 0 && from < meta_.node_count && to >= 0 && to < meta_.node_count,
                "SpannerDistanceSource::route: node out of range");
-    std::vector<NodeId> parent;
-    const std::vector<Weight> dist = run_dijkstra(from, &parent);
-    if (!is_finite(dist[static_cast<std::size_t>(to)])) return {};
-    std::vector<NodeId> path;
-    for (NodeId v = to; v != -1; v = parent[static_cast<std::size_t>(v)]) path.push_back(v);
-    std::reverse(path.begin(), path.end());
+    // Dijkstra from `to`: toward[v] is v's next hop toward it, always a
+    // node settled before v, so the walk ends at `to` within n - 1 hops.
+    DijkstraScratch scratch;
+    dijkstra(arcs_, to, scratch, /*with_toward=*/true);
+    if (!is_finite(scratch.dist[static_cast<std::size_t>(from)])) return {};
+    std::vector<NodeId> path{from};
+    for (NodeId v = from; v != to; path.push_back(v)) {
+        if (path.size() == static_cast<std::size_t>(meta_.node_count)) return {}; // a guard only
+        v = scratch.toward[static_cast<std::size_t>(v)];
+    }
     return path;
 }
 

@@ -35,6 +35,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ccq/graph/dijkstra.hpp"
 #include "ccq/serve/snapshot.hpp"
 
 namespace ccq {
@@ -140,13 +141,15 @@ struct SpannerSourceConfig {
     int cache_shards = 16;
 };
 
-/// Sparse source over a v3 snapshot: the spanner is held as a CSR
-/// adjacency (symmetrized at load), and the row for a query source is
-/// materialized on first touch by a Dijkstra over the spanner — each
-/// relaxation settles a node at most once, so the walk is bounded by
-/// n-1 hops by construction.  Materialized rows live in a sharded LRU
-/// keyed by source node; rows_materialized()/row_cache_hits() expose
-/// the hit economics to stats and metrics.
+/// Sparse source over a v3 snapshot: the spanner is held as an ArcTable
+/// (both directions of each stored edge), and the row for a query source
+/// is materialized on first touch by the shared Dijkstra kernel
+/// (graph/dijkstra.hpp) over the spanner.  Materialized rows live in a
+/// sharded LRU keyed by source node; rows_materialized()/row_cache_hits()
+/// expose the hit economics to stats and metrics.  route(u, v) runs the
+/// kernel from v and follows its next hops from u, so v3 paths obey the
+/// same tie rule as the dense routing tables: the route equals
+/// build_routing_tables(spanner).route(u, v).
 ///
 /// Answers obey exact <= distance(u,v) <= stretch_bound * exact, where
 /// exact is the true distance in the source graph (spanner guarantee).
@@ -189,8 +192,7 @@ private:
     };
 
     [[nodiscard]] RowPtr row(NodeId from) const;
-    [[nodiscard]] std::vector<Weight> run_dijkstra(NodeId from,
-                                                   std::vector<NodeId>* parent) const;
+    [[nodiscard]] RowPtr materialize(NodeId from) const;
 
     SnapshotMeta meta_;
     int stretch_bound_ = 1;
@@ -198,10 +200,7 @@ private:
     std::string construction_;
     std::uint64_t spanner_edges_ = 0;
 
-    // CSR over the symmetrized spanner: arcs of u are
-    // arcs_[offsets_[u], offsets_[u+1]).
-    std::vector<std::size_t> offsets_;
-    std::vector<Edge> arcs_;
+    ArcTable arcs_; ///< the spanner, both directions of every edge
 
     std::size_t shard_capacity_ = 0; ///< rows per shard (0 = caching off)
     mutable std::vector<RowShard> shards_;

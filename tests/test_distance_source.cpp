@@ -1,16 +1,22 @@
 // Tests for the DistanceSource read path: the dense and mapped sources
 // must answer bitwise-identically to the snapshot they wrap (the
 // refactor changes plumbing, never answers), the spanner source must
-// answer within its construction's stretch bound, its row cache must be
-// invisible to answers (cold == warm), and the open_distance_source
-// factory must auto-detect every codec.
+// answer within its construction's stretch bound, its rows must equal a
+// plain Dijkstra's and its routes the dense routing tables' over the same
+// spanner, its row cache must be invisible to answers (cold == warm), and
+// the open_distance_source factory must auto-detect every codec.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
+#include <queue>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "ccq/core/routing.hpp"
 #include "ccq/graph/exact.hpp"
 #include "ccq/serve/distance_source.hpp"
 #include "ccq/serve/query_engine.hpp"
@@ -31,6 +37,107 @@ SparseSnapshot sparse_round_trip(const SparseSnapshot& snapshot)
     write_sparse_snapshot(out, snapshot);
     std::istringstream in(out.str(), std::ios::binary);
     return read_sparse_snapshot(in);
+}
+
+/// The row loop SpannerDistanceSource ran before it moved onto the shared
+/// kernel, kept as the reference its rows must equal bitwise: a
+/// std::priority_queue Dijkstra over the spanner, ordered by (distance,
+/// node).
+std::vector<Weight> reference_row(const Graph& spanner, NodeId from)
+{
+    std::vector<Weight> dist(static_cast<std::size_t>(spanner.node_count()), kInfinity);
+    dist[static_cast<std::size_t>(from)] = 0;
+    using HeapEntry = std::pair<Weight, NodeId>;
+    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> heap;
+    heap.push({0, from});
+    while (!heap.empty()) {
+        const auto [d, u] = heap.top();
+        heap.pop();
+        if (d != dist[static_cast<std::size_t>(u)]) continue; // stale entry
+        for (const Edge& edge : spanner.neighbors(u)) {
+            const Weight candidate = saturating_add(d, edge.weight);
+            if (candidate < dist[static_cast<std::size_t>(edge.to)]) {
+                dist[static_cast<std::size_t>(edge.to)] = candidate;
+                heap.push({candidate, edge.to});
+            }
+        }
+    }
+    return dist;
+}
+
+/// Baswana–Sen k=2 v3 snapshots of every GraphFamily x 3 seeds x weights
+/// {1..100, 0..3}, and the undirected corner cases stored whole (the
+/// snapshot drops their self-loops and keeps the lightest parallel edge).
+std::vector<std::pair<std::string, SparseSnapshot>> pinned_snapshots()
+{
+    std::vector<std::pair<std::string, SparseSnapshot>> snapshots;
+    for (const GraphFamily family : testing::kAllFamilies) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            for (const WeightRange weights : {WeightRange{1, 100}, WeightRange{0, 3}}) {
+                Rng rng(seed);
+                const Graph g = make_family_instance(family, 48, weights, rng);
+                snapshots.emplace_back(
+                    std::string(family_name(family)) + " seed " + std::to_string(seed) +
+                        " weights " + std::to_string(weights.lo) + ".." +
+                        std::to_string(weights.hi),
+                    SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng),
+                                                 "baswana-sen", seed));
+            }
+        }
+    }
+    for (const testing::NamedGraph& c : testing::corner_case_graphs(Orientation::undirected))
+        snapshots.emplace_back(c.name, SparseSnapshot::from_spanner(
+                                           c.graph, SpannerResult{c.graph, 1, 1}, "whole", 0));
+    return snapshots;
+}
+
+TEST(DistanceSource, SpannerRowsEqualTheReferenceLoop)
+{
+    // Under every cache size, from four threads at once: the row misses
+    // run concurrently, each on its own kernel scratch.
+    for (const auto& [name, snapshot] : pinned_snapshots()) {
+        const Graph spanner = snapshot.spanner_graph();
+        const int n = spanner.node_count();
+        std::vector<std::vector<Weight>> want;
+        for (NodeId u = 0; u < n; ++u) want.push_back(reference_row(spanner, u));
+        for (const std::size_t rows : {std::size_t{0}, std::size_t{2}, std::size_t{1024}}) {
+            const SpannerDistanceSource source(snapshot,
+                                               SpannerSourceConfig{.row_cache_rows = rows});
+            const auto check = [&](int offset) {
+                std::vector<Weight> got(static_cast<std::size_t>(n));
+                for (NodeId i = 0; i < n; ++i) {
+                    const NodeId u = (i + offset) % n;
+                    source.fill_row(u, got);
+                    EXPECT_EQ(got, want[static_cast<std::size_t>(u)])
+                        << name << " rows=" << rows << " source " << u;
+                    const NodeId v = n - 1 - u;
+                    EXPECT_EQ(source.distance(u, v),
+                              want[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)])
+                        << name << " rows=" << rows;
+                }
+            };
+            std::vector<std::thread> threads;
+            for (int t = 1; t < 4; ++t) threads.emplace_back(check, t * 11);
+            check(0);
+            for (std::thread& thread : threads) thread.join();
+        }
+    }
+}
+
+TEST(DistanceSource, SpannerRoutesFollowTheDenseTablesRule)
+{
+    // v3 routes and the dense next-hop tables share the kernel's tie rule,
+    // so over the same spanner they pick the same path for every pair,
+    // zero-weight ties included.
+    for (const auto& [name, snapshot] : pinned_snapshots()) {
+        const SpannerDistanceSource source(snapshot);
+        const RoutingTables tables = build_routing_tables(snapshot.spanner_graph());
+        const int n = snapshot.meta.node_count;
+        for (NodeId u = 0; u < n; ++u)
+            for (NodeId v = 0; v < n; ++v)
+                ASSERT_EQ(source.route(u, v), tables.route(u, v))
+                    << name << ": route " << u << " -> " << v;
+    }
 }
 
 TEST(DistanceSource, DenseAndMappedAnswerBitwiseIdenticallyToTheSnapshot)

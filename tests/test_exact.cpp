@@ -2,6 +2,12 @@
 // mutual agreement of the oracles and hand-checked small cases.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <queue>
+#include <string>
+#include <tuple>
+#include <utility>
+
 #include "ccq/graph/exact.hpp"
 #include "ccq/graph/generators.hpp"
 #include "ccq/matrix/engine.hpp"
@@ -11,6 +17,41 @@ namespace ccq {
 namespace {
 
 using testing::InstanceSpec;
+
+/// The lexicographic (length, hops) Dijkstra that min_hops_on_shortest_paths
+/// ran before it moved onto the shared kernel, kept as its reference: the
+/// primary key recovers shortest-path lengths, the secondary key minimizes
+/// the hop count among shortest paths.
+std::vector<int> reference_min_hops(const Graph& g, NodeId source)
+{
+    const int n = g.node_count();
+    std::vector<Weight> dist(static_cast<std::size_t>(n), kInfinity);
+    std::vector<int> hops(static_cast<std::size_t>(n), std::numeric_limits<int>::max());
+    dist[static_cast<std::size_t>(source)] = 0;
+    hops[static_cast<std::size_t>(source)] = 0;
+    using Item = std::tuple<Weight, int, NodeId>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
+    queue.emplace(0, 0, source);
+    while (!queue.empty()) {
+        const auto [d, h, u] = queue.top();
+        queue.pop();
+        if (d != dist[static_cast<std::size_t>(u)] || h != hops[static_cast<std::size_t>(u)])
+            continue; // stale entry
+        for (const Edge& e : g.neighbors(u)) {
+            const Weight cand = saturating_add(d, e.weight);
+            Weight& cur = dist[static_cast<std::size_t>(e.to)];
+            int& cur_hops = hops[static_cast<std::size_t>(e.to)];
+            if (cand < cur || (cand == cur && h + 1 < cur_hops)) {
+                cur = cand;
+                cur_hops = h + 1;
+                queue.emplace(cand, h + 1, e.to);
+            }
+        }
+    }
+    for (NodeId v = 0; v < n; ++v)
+        if (!is_finite(dist[static_cast<std::size_t>(v)])) hops[static_cast<std::size_t>(v)] = -1;
+    return hops;
+}
 
 TEST(Exact, PathGraphHandChecked)
 {
@@ -68,23 +109,46 @@ TEST(Exact, ShorterMultiHopBeatsDirectEdge)
 TEST(Exact, DijkstraMatchesFloydWarshallOnRandomGraphs)
 {
     // Weights 0..3 add zero-weight edges and many equal-cost ties; the
-    // directed copy keeps each edge as one arc u -> v (u <= v).
-    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-        for (const WeightRange weights : {WeightRange{1, 50}, WeightRange{0, 3}}) {
+    // directed copy keeps each edge as one arc u -> v (u <= v).  Sparse
+    // disconnected ER graphs and every family, in both orientations, and
+    // the corner cases: rows against Floyd–Warshall, and min-hop counts
+    // against the lexicographic reference.
+    std::vector<testing::NamedGraph> graphs;
+    for (const WeightRange weights : {WeightRange{1, 50}, WeightRange{0, 3}}) {
+        const std::string range = " weights " + std::to_string(weights.lo) + ".." +
+                                  std::to_string(weights.hi);
+        for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
             Rng rng(seed);
-            const Graph g = erdos_renyi(40, 0.15, weights, rng, /*connected=*/false);
-            const Graph directed =
-                graph_from_edges(g.node_count(), Orientation::directed, g.edge_list());
-            for (const Graph* graph : {&g, &directed}) {
-                const DistanceMatrix truth = exact_apsp_floyd_warshall(*graph);
-                EXPECT_EQ(exact_apsp(*graph), truth) << "seed " << seed;
-                for (NodeId s = 0; s < graph->node_count(); ++s) {
-                    const std::vector<Weight> row = dijkstra_from(*graph, s);
-                    for (NodeId v = 0; v < graph->node_count(); ++v)
-                        EXPECT_EQ(row[static_cast<std::size_t>(v)], truth.at(s, v))
-                            << "seed " << seed << " " << s << "->" << v;
-                }
+            graphs.push_back({"er seed " + std::to_string(seed) + range,
+                              erdos_renyi(40, 0.15, weights, rng, /*connected=*/false)});
+        }
+        for (const GraphFamily family : testing::kAllFamilies) {
+            for (const std::uint64_t seed : {1u, 2u, 3u}) {
+                Rng rng(seed);
+                graphs.push_back({std::string(family_name(family)) + " seed " +
+                                      std::to_string(seed) + range,
+                                  make_family_instance(family, 40, weights, rng)});
             }
+        }
+    }
+    for (std::size_t i = 0, count = graphs.size(); i < count; ++i)
+        graphs.push_back({graphs[i].name + " directed",
+                          graph_from_edges(graphs[i].graph.node_count(), Orientation::directed,
+                                           graphs[i].graph.edge_list())});
+    for (const Orientation orientation : {Orientation::undirected, Orientation::directed})
+        for (testing::NamedGraph& c : testing::corner_case_graphs(orientation))
+            graphs.push_back(std::move(c));
+
+    for (const auto& [name, graph] : graphs) {
+        const DistanceMatrix truth = exact_apsp_floyd_warshall(graph);
+        EXPECT_EQ(exact_apsp(graph), truth) << name;
+        for (NodeId s = 0; s < graph.node_count(); ++s) {
+            const std::vector<Weight> row = dijkstra_from(graph, s);
+            for (NodeId v = 0; v < graph.node_count(); ++v)
+                EXPECT_EQ(row[static_cast<std::size_t>(v)], truth.at(s, v))
+                    << name << " " << s << "->" << v;
+            ASSERT_EQ(min_hops_on_shortest_paths(graph, s), reference_min_hops(graph, s))
+                << name << " source " << s;
         }
     }
 }

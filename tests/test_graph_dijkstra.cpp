@@ -1,6 +1,7 @@
 // Tests for the single-source kernel (ccq/graph/dijkstra.hpp): the radix
-// heap's ordering, the CSR arc table, and dijkstra_from / exact_apsp
-// against Floyd–Warshall on corner cases in both orientations.
+// heap's ordering, the CSR arc table, dijkstra_from / exact_apsp against
+// Floyd–Warshall on corner cases in both orientations, and the toward
+// rule, whose pointers must never form a cycle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -165,6 +166,73 @@ TEST(Dijkstra, TowardIsTheSmallestTightPredecessor)
     EXPECT_EQ(scratch.dist, (std::vector<Weight>{2, 1, 1, 0, 0}));
     EXPECT_EQ(scratch.toward, (std::vector<NodeId>{1, 3, 3, -1, 3}));
     EXPECT_THROW(dijkstra(arcs, 5, scratch), check_error);
+}
+
+/// From every source s of the undirected `g`, toward is -1 exactly at s
+/// and the unreachable nodes, each pointer crosses a tight arc, and the
+/// walk from every reachable node ends at s within n - 1 hops.
+void expect_toward_walks_reach_the_source(const Graph& g, const std::string& name)
+{
+    const int n = g.node_count();
+    const ArcTable arcs(g);
+    DijkstraScratch scratch;
+    for (NodeId s = 0; s < n; ++s) {
+        dijkstra(arcs, s, scratch, /*with_toward=*/true);
+        const std::vector<Weight>& dist = scratch.dist;
+        for (NodeId v = 0; v < n; ++v) {
+            const std::size_t vi = static_cast<std::size_t>(v);
+            if (v == s || !is_finite(dist[vi])) {
+                EXPECT_EQ(scratch.toward[vi], -1) << name << " source " << s << " node " << v;
+                continue;
+            }
+            int hops = 0;
+            for (NodeId u = v; u != s; ++hops) {
+                ASSERT_LT(hops, n) << name << ": toward cycle from " << v << " to " << s;
+                const NodeId hop = scratch.toward[static_cast<std::size_t>(u)];
+                ASSERT_GE(hop, 0) << name << ": walk from " << v << " to " << s << " stops";
+                Weight w = kInfinity; // the lightest hop->u arc is tight if any is
+                for (const Edge& e : g.neighbors(hop))
+                    if (e.to == u) w = std::min(w, e.weight);
+                ASSERT_EQ(saturating_add(dist[static_cast<std::size_t>(hop)], w),
+                          dist[static_cast<std::size_t>(u)])
+                    << name << ": " << hop << "->" << u << " is not tight";
+                u = hop;
+            }
+        }
+    }
+}
+
+TEST(Dijkstra, TowardHasNoCyclesAcrossZeroWeightEdges)
+{
+    // 0 and 1 are both at distance 1 from 2 and joined by a zero-weight
+    // edge: whichever settles second must not become the other's hop.
+    const std::vector<WeightedEdge> repro_edges{{2, 0, 1}, {2, 1, 1}, {0, 1, 0}};
+    const Graph repro = graph_from_edges(3, Orientation::undirected, repro_edges);
+    const ArcTable arcs(repro);
+    DijkstraScratch scratch;
+    dijkstra(arcs, 2, scratch, /*with_toward=*/true);
+    EXPECT_EQ(scratch.dist, (std::vector<Weight>{1, 1, 0}));
+    const NodeId hop0 = scratch.toward[0];
+    const NodeId hop1 = scratch.toward[1];
+    // The first to settle keeps hop 2; the second takes the smaller id.
+    EXPECT_TRUE((hop0 == 2 && hop1 == 0) || (hop0 == 1 && hop1 == 2))
+        << "toward = {" << hop0 << ", " << hop1 << ", " << scratch.toward[2] << "}";
+    expect_toward_walks_reach_the_source(repro, "repro");
+
+    // A zero-weight triangle 0-1-2 whose corners all hang off node 3 at
+    // cost 1: every corner ties with the other two.
+    const std::vector<WeightedEdge> triangle_edges{{0, 1, 0}, {1, 2, 0}, {2, 0, 0},
+                                                   {3, 0, 1}, {3, 1, 1}, {3, 2, 1}};
+    const Graph triangle = graph_from_edges(4, Orientation::undirected, triangle_edges);
+    expect_toward_walks_reach_the_source(triangle, "zero-weight triangle");
+
+    for (const testing::NamedGraph& c : corner_case_graphs(Orientation::undirected))
+        expect_toward_walks_reach_the_source(c.graph, c.name);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        Rng rng(seed);
+        const Graph g = erdos_renyi(60, 0.08, WeightRange{0, 3}, rng, /*connected=*/false);
+        expect_toward_walks_reach_the_source(g, "er seed " + std::to_string(seed));
+    }
 }
 
 } // namespace
