@@ -22,19 +22,10 @@ constexpr std::size_t kMaxBlock = 64;
 std::vector<NodeId> RoutingTables::route(NodeId from, NodeId to) const
 {
     CCQ_EXPECT(valid(from) && valid(to), "RoutingTables::route: out of range");
-    std::vector<NodeId> path{from};
-    NodeId current = from;
-    // A well-formed table reaches `to` within n-1 hops.  Tables can come
-    // from untrusted snapshots, so a longer walk (forwarding cycle) or an
-    // out-of-range hop means corruption: terminate and report unreachable.
-    for (int steps = 0; current != to; ++steps) {
-        if (steps >= n_) return {}; // forwarding cycle in a corrupted table
-        const NodeId next = next_hop(current, to);
-        if (!valid(next)) return {}; // unreachable (or corrupted hop id)
-        path.push_back(next);
-        current = next;
-    }
-    return path;
+    return walk_next_hops(from, to, n_, [&](NodeId at) {
+        return next_hop_[static_cast<std::size_t>(at) * static_cast<std::size_t>(n_) +
+                         static_cast<std::size_t>(to)];
+    });
 }
 
 RoutingTables build_routing_tables(const Graph& backbone, const EngineConfig& engine)

@@ -22,6 +22,26 @@
 
 namespace ccq {
 
+/// The hop-budgeted next-hop walk behind every route over stored tables
+/// (RoutingTables::route, MappedSnapshot::route): the node sequence from
+/// `from` to `to`, following `next_hop(at)` (at's next hop toward `to`).
+/// Tables can come from untrusted snapshots, so a hop outside [0, n) or
+/// a walk longer than n hops (a forwarding cycle) ends it as unreachable
+/// (empty) rather than looping or throwing.
+template <class NextHop>
+[[nodiscard]] std::vector<NodeId> walk_next_hops(NodeId from, NodeId to, int n,
+                                                 const NextHop& next_hop)
+{
+    std::vector<NodeId> path{from};
+    for (NodeId at = from; at != to;) {
+        if (path.size() > static_cast<std::size_t>(n)) return {};
+        at = next_hop(at);
+        if (at < 0 || at >= n) return {};
+        path.push_back(at);
+    }
+    return path;
+}
+
 /// next_hop[u][v]: the neighbor u forwards to for destination v (u == v
 /// or unreachable: -1).
 class RoutingTables {
@@ -55,10 +75,8 @@ public:
 
     /// Follows next hops from `from` to `to`.  Returns the node sequence
     /// (starting at `from`, ending at `to`), or an empty vector if the
-    /// destination is unreachable.  The walk is hardened for serving
-    /// against untrusted tables (e.g. loaded from disk): a forwarding
-    /// cycle, an out-of-range hop, or any walk longer than n hops is
-    /// reported as unreachable rather than looping or throwing.
+    /// destination is unreachable.  The walk is walk_next_hops, hardened
+    /// against untrusted tables (e.g. loaded from disk).
     [[nodiscard]] std::vector<NodeId> route(NodeId from, NodeId to) const;
 
 private:

@@ -54,8 +54,8 @@ public:
     }
 
     /// A matrix whose cells are allocated but NOT initialized.  Only for
-    /// the engine's first-touch path: every cell must be written (by the
-    /// worker that owns its band) before any read.
+    /// first-touch fills that write every cell before any read: the
+    /// engine (each band by the worker that owns it) and snapshot loads.
     [[nodiscard]] static DistanceMatrix uninitialized(int n)
     {
         CCQ_EXPECT(n >= 0, "DistanceMatrix: negative size");

@@ -74,12 +74,7 @@ Weight MappedSnapshotSource::distance(NodeId from, NodeId to) const
 
 void MappedSnapshotSource::fill_row(NodeId from, std::span<Weight> out) const
 {
-    const int n = mapped_->node_count();
-    CCQ_EXPECT(out.size() == static_cast<std::size_t>(n),
-               "MappedSnapshotSource::fill_row: bad row size");
-    // v2 decodes the row once on the first cell; the loop then reads the
-    // mapped snapshot's own per-row cache.
-    for (NodeId v = 0; v < n; ++v) out[static_cast<std::size_t>(v)] = mapped_->distance(from, v);
+    mapped_->fill_row(from, out);
 }
 
 std::vector<NodeId> MappedSnapshotSource::route(NodeId from, NodeId to) const

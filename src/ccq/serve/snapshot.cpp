@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <span>
@@ -78,10 +80,10 @@ void encode_meta(std::string& payload, const SnapshotMeta& meta)
 {
     SnapshotMeta meta;
     meta.node_count = reader.i32();
-    if (meta.node_count < 0) throw snapshot_io_error("read_snapshot: negative node count");
+    if (meta.node_count < 0) throw decode_error("negative node count");
     meta.edge_count = reader.u64();
     const std::uint32_t directed = reader.u32();
-    if (directed > 1) throw snapshot_io_error("read_snapshot: malformed orientation flag");
+    if (directed > 1) throw decode_error("malformed orientation flag");
     meta.directed = directed == 1;
     meta.max_weight = reader.i64();
     meta.algorithm = reader.str();
@@ -95,220 +97,15 @@ void encode_meta(std::string& payload, const SnapshotMeta& meta)
 [[nodiscard]] bool decode_flag(ByteReader& reader, const char* what)
 {
     const std::uint32_t flag = reader.u32();
-    if (flag > 1) throw snapshot_io_error(std::string("read_snapshot: malformed ") + what);
+    if (flag > 1) throw decode_error(std::string("malformed ") + what);
     return flag == 1;
-}
-
-// --- version 1: fixed-width cells -------------------------------------------
-//
-// Payload: meta, n^2 x i64 estimate cells row-major, u32 routing flag,
-// and (when set) n^2 x i32 next hops row-major.
-
-// Decoded-cell invariants, enforced by BOTH codecs at load time.  The
-// dense engine's raw-add kernels assume every stored cell is in
-// [0, kInfinity] (the no-overflow argument in matrix/kernels/), so a
-// crafted or corrupted snapshot must never hand an out-of-range cell
-// back to anything that might feed the engine — reject at the decode
-// boundary instead.
-
-void check_estimate_cell(std::int64_t value)
-{
-    if (value < 0 || value > kInfinity)
-        throw snapshot_io_error("read_snapshot: estimate cell out of range");
-}
-
-void check_next_hop(std::int64_t value, int n)
-{
-    if (value < -1 || value >= n)
-        throw snapshot_io_error("read_snapshot: next hop out of range");
-}
-
-[[nodiscard]] OracleSnapshot decode_payload_v1(std::string_view payload)
-{
-    ByteReader reader(payload);
-    OracleSnapshot snapshot;
-    snapshot.meta = decode_meta(reader);
-
-    // node_count is untrusted (FNV-1a detects accidents, not forgery):
-    // prove the payload actually holds n^2 cells before allocating n^2.
-    const int n = snapshot.meta.node_count;
-    const std::uint64_t cells =
-        static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
-    if (cells > reader.remaining() / 8)
-        throw snapshot_io_error("read_snapshot: node count exceeds payload size");
-    auto estimate = std::make_shared<DistanceMatrix>(n);
-    for (NodeId u = 0; u < n; ++u)
-        for (NodeId v = 0; v < n; ++v) {
-            const Weight value = reader.i64();
-            check_estimate_cell(value);
-            estimate->at(u, v) = value;
-        }
-    snapshot.estimate = std::move(estimate);
-
-    if (decode_flag(reader, "routing flag")) {
-        if (cells > reader.remaining() / 4)
-            throw snapshot_io_error("read_snapshot: routing table exceeds payload size");
-        std::vector<NodeId> next_hops(static_cast<std::size_t>(cells));
-        for (NodeId& hop : next_hops) {
-            hop = reader.i32();
-            check_next_hop(hop, n);
-        }
-        snapshot.routing = std::make_shared<const RoutingTables>(n, std::move(next_hops));
-    }
-    if (!reader.exhausted())
-        throw snapshot_io_error("read_snapshot: trailing bytes after payload");
-    return snapshot;
-}
-
-// --- version 2: per-row delta+varint behind a row-offset table --------------
-//
-// Section layout (used for the estimate and, when present, the routing
-// table):
-//
-//   offsets  (n+1) x u64   row i occupies blob[offsets[i], offsets[i+1])
-//   blob     offsets[n] bytes of concatenated rows
-//
-// Each row is delta-encoded from 0: cell_j = prev + zigzag-varint, with
-// prev starting at 0.  Every cell takes at least one byte, so a valid
-// section's blob holds at least n bytes per row — the pre-allocation
-// bound used against forged node counts.
-
-/// A validated v2 section: absolute blob position plus row offsets.
-struct V2Section {
-    std::vector<std::size_t> row_offsets; ///< n+1 entries, relative to blob
-    std::size_t blob_offset = 0;          ///< absolute position in the payload
-};
-
-/// Reads and validates one section's offset table, advances the reader
-/// past the blob.  All bounds are proven before any n-sized allocation.
-[[nodiscard]] V2Section read_v2_section(ByteReader& reader, int n, const char* what)
-{
-    const std::uint64_t entries = static_cast<std::uint64_t>(n) + 1;
-    if (entries > reader.remaining() / 8)
-        throw snapshot_io_error(std::string("read_snapshot: node count exceeds payload size (") +
-                                what + " offsets)");
-    V2Section section;
-    section.row_offsets.resize(static_cast<std::size_t>(entries));
-    for (std::size_t i = 0; i < section.row_offsets.size(); ++i) {
-        const std::uint64_t offset = reader.u64();
-        if (offset > reader.remaining())
-            throw snapshot_io_error(std::string("read_snapshot: ") + what +
-                                    " row offset exceeds payload size");
-        section.row_offsets[i] = static_cast<std::size_t>(offset);
-    }
-    if (section.row_offsets.front() != 0)
-        throw snapshot_io_error(std::string("read_snapshot: ") + what +
-                                " offsets do not start at zero");
-    for (std::size_t i = 0; i + 1 < section.row_offsets.size(); ++i) {
-        if (section.row_offsets[i + 1] < section.row_offsets[i])
-            throw snapshot_io_error(std::string("read_snapshot: ") + what +
-                                    " row offsets not monotone");
-        // Every cell costs at least one varint byte: a shorter row can
-        // only come from a forged header, so reject before decoding.
-        if (section.row_offsets[i + 1] - section.row_offsets[i] < static_cast<std::size_t>(n))
-            throw snapshot_io_error(std::string("read_snapshot: ") + what +
-                                    " row shorter than the node count");
-    }
-    const std::size_t blob_size = section.row_offsets.back();
-    if (blob_size > reader.remaining())
-        throw snapshot_io_error(std::string("read_snapshot: ") + what +
-                                " blob exceeds payload size");
-    section.blob_offset = reader.position();
-    (void)reader.bytes(blob_size);
-    return section;
-}
-
-/// prev + delta with wrap-around semantics: a forged delta must reach
-/// the range check below as a deterministic (aliased) value, never as
-/// signed-overflow UB.  Unsigned wrap + the C++20 modular narrowing
-/// conversion back to int64 make the addition well-defined for every
-/// input.
-[[nodiscard]] std::int64_t wrapping_add(std::int64_t prev, std::int64_t delta)
-{
-    return static_cast<std::int64_t>(static_cast<std::uint64_t>(prev) +
-                                     static_cast<std::uint64_t>(delta));
-}
-
-void decode_weight_row(std::string_view row_bytes, int n, Weight* out)
-{
-    ByteReader reader(row_bytes);
-    std::int64_t prev = 0;
-    for (int v = 0; v < n; ++v) {
-        const std::int64_t value = wrapping_add(prev, reader.varint_i64());
-        check_estimate_cell(value);
-        out[v] = value;
-        prev = value;
-    }
-    if (!reader.exhausted())
-        throw snapshot_io_error("read_snapshot: trailing bytes in estimate row");
-}
-
-void decode_hop_row(std::string_view row_bytes, int n, NodeId* out)
-{
-    ByteReader reader(row_bytes);
-    std::int64_t prev = 0;
-    for (int v = 0; v < n; ++v) {
-        const std::int64_t value = wrapping_add(prev, reader.varint_i64());
-        check_next_hop(value, n);
-        out[v] = static_cast<NodeId>(value);
-        prev = value;
-    }
-    if (!reader.exhausted())
-        throw snapshot_io_error("read_snapshot: trailing bytes in routing row");
-}
-
-[[nodiscard]] std::string_view section_row(std::string_view payload, const V2Section& section,
-                                           int u)
-{
-    const std::size_t begin = section.row_offsets[static_cast<std::size_t>(u)];
-    const std::size_t end = section.row_offsets[static_cast<std::size_t>(u) + 1];
-    return payload.substr(section.blob_offset + begin, end - begin);
-}
-
-[[nodiscard]] OracleSnapshot decode_payload_v2(std::string_view payload)
-{
-    ByteReader reader(payload);
-    OracleSnapshot snapshot;
-    snapshot.meta = decode_meta(reader);
-    const int n = snapshot.meta.node_count;
-
-    const V2Section estimate_section = read_v2_section(reader, n, "estimate");
-    auto estimate = std::make_shared<DistanceMatrix>(n);
-    for (NodeId u = 0; u < n; ++u)
-        decode_weight_row(section_row(payload, estimate_section, u), n,
-                          estimate->data() + static_cast<std::size_t>(u) *
-                                                 static_cast<std::size_t>(n));
-    snapshot.estimate = std::move(estimate);
-
-    if (decode_flag(reader, "routing flag")) {
-        const V2Section routing = read_v2_section(reader, n, "routing");
-        std::vector<NodeId> hops(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-        for (NodeId u = 0; u < n; ++u)
-            decode_hop_row(section_row(payload, routing, u), n,
-                           hops.data() + static_cast<std::size_t>(u) *
-                                             static_cast<std::size_t>(n));
-        snapshot.routing = std::make_shared<const RoutingTables>(n, std::move(hops));
-    }
-    if (!reader.exhausted())
-        throw snapshot_io_error("read_snapshot: trailing bytes after payload");
-    return snapshot;
-}
-
-[[nodiscard]] OracleSnapshot decode_payload(std::uint32_t version, std::string_view payload)
-{
-    try {
-        return version == format_version(SnapshotFormat::v1_raw) ? decode_payload_v1(payload)
-                                                                 : decode_payload_v2(payload);
-    } catch (const decode_error& error) {
-        throw snapshot_io_error(std::string("read_snapshot: ") + error.what());
-    }
 }
 
 // Every unknown-version rejection goes through here so the message
 // always names the version that was found, not just "unsupported".
-[[noreturn]] void throw_unknown_version(const char* who, std::uint32_t version)
+[[noreturn]] void throw_unknown_version(const std::string& who, std::uint32_t version)
 {
-    throw snapshot_io_error(std::string(who) + ": unsupported snapshot format version " +
+    throw snapshot_io_error(who + ": unsupported snapshot format version " +
                             std::to_string(version) + " (this build understands 1.." +
                             std::to_string(kSnapshotFormatVersion) + ")");
 }
@@ -564,51 +361,350 @@ struct DenseLayout {
     return layout;
 }
 
-struct Envelope {
-    std::uint32_t version = 0;
-    std::string payload;
+// --- the reader -------------------------------------------------------------
+//
+// Every snapshot file is read from one read-only mapping of the whole
+// file: map_envelope checks the envelope once, parse_dense locates the
+// rows of a dense file's sections, and decode_row turns one row's bytes
+// into range-checked cells under either dense codec.  MappedSnapshot
+// serves from these, load_snapshot is MappedSnapshot::materialize, and
+// load_sparse_snapshot decodes the v3 payload in place.  Parse and
+// decode failures are decode_errors; `decoding` rethrows them as
+// snapshot_io_errors that name the file.
+
+/// Runs `decode`, rethrowing a decode_error as a snapshot_io_error.
+template <class Decode>
+decltype(auto) decoding(const std::string& who, const Decode& decode)
+{
+    try {
+        return decode();
+    } catch (const decode_error& error) {
+        throw snapshot_io_error(who + ": " + error.what());
+    }
+}
+
+/// Checks the magic of a kHeaderBytes-byte envelope header and that its
+/// version is one this build reads; returns the version.
+[[nodiscard]] std::uint32_t header_version(std::string_view header, const std::string& who)
+{
+    if (std::memcmp(header.data(), kMagic.data(), kMagic.size()) != 0)
+        throw snapshot_io_error(who + ": bad magic (not a ccq snapshot)");
+    const std::uint32_t version = ByteReader(header.substr(kMagic.size())).u32();
+    if (version < format_version(SnapshotFormat::v1_raw) || version > kSnapshotFormatVersion)
+        throw_unknown_version(who, version);
+    return version;
+}
+
+/// Opens `path` read-only if it is a regular file; returns the
+/// descriptor and the file size.  O_NONBLOCK keeps the open of a FIFO
+/// from waiting for a writer before the file is refused.
+[[nodiscard]] std::pair<int, std::uint64_t> open_regular(const std::string& path,
+                                                         const std::string& who)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    if (fd < 0) throw snapshot_io_error(who + ": cannot open");
+    struct stat info = {};
+    if (::fstat(fd, &info) != 0 || !S_ISREG(info.st_mode)) {
+        ::close(fd);
+        throw snapshot_io_error(who + ": not a regular file");
+    }
+    return {fd, static_cast<std::uint64_t>(info.st_size)};
+}
+
+/// A snapshot file mapped whole and read-only, its envelope verified.
+struct MappedFile {
+    std::shared_ptr<const char> bytes; ///< the mapping; unmapped with its last handle
+    std::uint64_t size = 0;
+    SnapshotFormat format = SnapshotFormat::v1_raw;
+    std::string_view payload; ///< inside `bytes`
 };
 
-/// Reads magic + version + length + payload + checksum; verifies
-/// everything except the version (callers gate on the formats they can
-/// decode, so the error can point at the right loader).
-[[nodiscard]] Envelope read_envelope(std::istream& in, const char* who)
+/// Maps `path` and checks its envelope: the magic, a version of the
+/// wanted kind (dense v1/v2 or sparse v3; the error for the other kind
+/// names its loader), a length field equal to the file size less header
+/// and footer, and the FNV-1a checksum.  Only regular files map.
+[[nodiscard]] MappedFile map_envelope(const std::string& path, bool dense)
 {
-    std::string header(kHeaderBytes, '\0');
-    in.read(header.data(), static_cast<std::streamsize>(header.size()));
-    if (static_cast<std::size_t>(in.gcount()) != header.size())
-        throw snapshot_io_error(std::string(who) + ": truncated header");
-    if (std::memcmp(header.data(), kMagic.data(), kMagic.size()) != 0)
-        throw snapshot_io_error(std::string(who) + ": bad magic (not a ccq snapshot)");
+    const std::string who = (dense ? "snapshot " : "sparse snapshot ") + path;
+    const auto [fd, size] = open_regular(path, who);
+    void* map = MAP_FAILED;
+    if (size >= kHeaderBytes + kFooterBytes)
+        map = ::mmap(nullptr, static_cast<std::size_t>(size), PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd); // the mapping keeps its own reference
+    if (size < kHeaderBytes + kFooterBytes)
+        throw snapshot_io_error(who + ": truncated (shorter than header and checksum)");
+    if (map == MAP_FAILED) throw snapshot_io_error(who + ": mmap failed");
 
-    ByteReader fields(std::string_view(header).substr(kMagic.size()));
-    Envelope envelope;
-    envelope.version = fields.u32();
-    const std::uint64_t payload_size = fields.u64();
+    MappedFile file;
+    const auto unmap = [size](const char* bytes) {
+        ::munmap(const_cast<char*>(bytes), static_cast<std::size_t>(size));
+    };
+    file.bytes = std::shared_ptr<const char>(static_cast<const char*>(map), unmap);
+    file.size = size;
+    const std::string_view bytes(file.bytes.get(), static_cast<std::size_t>(size));
+    const std::uint32_t version = header_version(bytes.substr(0, kHeaderBytes), who);
+    const bool sparse = version == format_version(SnapshotFormat::v3_spanner);
+    if (dense && sparse)
+        throw snapshot_io_error(who + ": format version 3 stores a sparse spanner, not a dense "
+                                      "matrix; load it with load_sparse_snapshot or "
+                                      "open_distance_source");
+    if (!dense && !sparse)
+        throw snapshot_io_error(who + ": format version " + std::to_string(version) +
+                                " is a dense snapshot; load it with load_snapshot");
+    // The length field sits outside the checksummed payload: it must
+    // match the file exactly, so truncation and trailing bytes both fail.
+    const std::uint64_t payload_size = ByteReader(bytes.substr(kMagic.size() + 4, 8)).u64();
+    if (payload_size != size - kHeaderBytes - kFooterBytes)
+        throw snapshot_io_error(who + ": payload length does not match the file size");
+    file.payload = bytes.substr(kHeaderBytes, static_cast<std::size_t>(payload_size));
+    if (ByteReader(bytes.substr(kHeaderBytes + file.payload.size())).u64() != fnv1a(file.payload))
+        throw snapshot_io_error(who + ": checksum mismatch (corrupted snapshot)");
+    file.format = static_cast<SnapshotFormat>(version);
+    return file;
+}
 
-    // The length field sits outside the checksummed payload, so it is
-    // untrusted: read in bounded chunks instead of allocating it upfront,
-    // so a corrupted huge length ends as "truncated payload" once the
-    // stream runs dry rather than as a multi-GB allocation.
-    std::string& payload = envelope.payload;
-    constexpr std::uint64_t kChunk = 1 << 20;
-    while (payload.size() < payload_size) {
-        const std::uint64_t want = std::min<std::uint64_t>(kChunk, payload_size - payload.size());
-        const std::size_t old_size = payload.size();
-        payload.resize(old_size + want);
-        in.read(payload.data() + old_size, static_cast<std::streamsize>(want));
-        if (static_cast<std::uint64_t>(in.gcount()) != want)
-            throw snapshot_io_error(std::string(who) + ": truncated payload");
+// --- dense layout: v1 fixed-width rows, v2 rows behind offset tables --------
+//
+// Payload: meta, the estimate section, a u32 routing flag, and (when
+// set) the next-hop section.  A v1 section is n rows of n fixed-width
+// cells (i64 estimates, i32 next hops), row-major.  A v2 section is
+//
+//   offsets  (n+1) x u64   row i occupies blob[offsets[i], offsets[i+1])
+//   blob     offsets[n] bytes of concatenated rows
+//
+// where each row is delta-encoded from 0: cell_j = prev + zigzag-varint,
+// with prev starting at 0.  Every cell takes at least one byte, so a
+// valid v2 row holds at least n bytes — the bound used against forged
+// node counts.
+
+/// Where a dense file's rows are: the payload offsets of its estimate
+/// rows and (with routing) next-hop rows, n+1 each, row u in
+/// payload[rows[u], rows[u+1]).
+struct DenseSections {
+    SnapshotMeta meta;
+    std::vector<std::size_t> estimate_rows;
+    std::vector<std::size_t> hop_rows; ///< empty without routing
+};
+
+/// Reads an (n+1)-entry u64 row-offset table and moves the reader past
+/// the blob behind it; returns the payload offsets of the n rows, as
+/// row_bytes takes them.  The table must start at 0, never decrease and
+/// stay inside the payload, and each row must hold at least
+/// `min_row_bytes`.  Every bound is proven before an n-sized allocation.
+[[nodiscard]] std::vector<std::size_t> parse_offset_table(ByteReader& reader, int n,
+                                                          std::size_t min_row_bytes,
+                                                          const char* what)
+{
+    const auto rows = static_cast<std::size_t>(n);
+    if (rows + 1 > reader.remaining() / 8)
+        throw decode_error(std::string("node count exceeds payload size (") + what +
+                           " offsets)");
+    std::vector<std::size_t> offsets(rows + 1);
+    for (std::size_t& offset : offsets) {
+        const std::uint64_t value = reader.u64();
+        if (value > reader.remaining())
+            throw decode_error(std::string(what) + " row offset exceeds payload size");
+        offset = static_cast<std::size_t>(value);
     }
+    if (offsets.front() != 0)
+        throw decode_error(std::string(what) + " offsets do not start at zero");
+    for (std::size_t u = 0; u < rows; ++u) {
+        if (offsets[u + 1] < offsets[u])
+            throw decode_error(std::string(what) + " row offsets not monotone");
+        if (offsets[u + 1] - offsets[u] < min_row_bytes)
+            throw decode_error(std::string(what) + " row shorter than the node count");
+    }
+    const std::size_t blob = reader.position();
+    (void)reader.bytes(offsets.back());
+    for (std::size_t& offset : offsets) offset += blob;
+    return offsets;
+}
 
-    std::string footer(kFooterBytes, '\0');
-    in.read(footer.data(), static_cast<std::streamsize>(footer.size()));
-    if (static_cast<std::size_t>(in.gcount()) != footer.size())
-        throw snapshot_io_error(std::string(who) + ": truncated checksum");
-    ByteReader footer_reader(footer);
-    if (footer_reader.u64() != fnv1a(payload))
-        throw snapshot_io_error(std::string(who) + ": checksum mismatch (corrupted snapshot)");
-    return envelope;
+/// Locates one section's rows and moves the reader past the section.
+/// node_count is untrusted (FNV-1a detects accidents, not forgery), so
+/// every bound is proven against the payload before an n-sized
+/// allocation.  A v2 row takes at least one varint byte per cell.
+[[nodiscard]] std::vector<std::size_t> parse_section(ByteReader& reader, int n,
+                                                     SnapshotFormat format,
+                                                     std::size_t cell_bytes, const char* what)
+{
+    const auto rows = static_cast<std::size_t>(n);
+    if (format == SnapshotFormat::v1_raw) {
+        if (static_cast<std::uint64_t>(rows) * rows > reader.remaining() / cell_bytes)
+            throw decode_error(std::string("node count exceeds payload size (") + what +
+                               " cells)");
+        std::vector<std::size_t> offsets(rows + 1);
+        for (std::size_t u = 0; u <= rows; ++u)
+            offsets[u] = reader.position() + u * rows * cell_bytes;
+        (void)reader.bytes(rows * rows * cell_bytes);
+        return offsets;
+    }
+    return parse_offset_table(reader, n, rows, what);
+}
+
+[[nodiscard]] DenseSections parse_dense(std::string_view payload, SnapshotFormat format)
+{
+    ByteReader reader(payload);
+    DenseSections sections;
+    sections.meta = decode_meta(reader);
+    const int n = sections.meta.node_count;
+    sections.estimate_rows = parse_section(reader, n, format, sizeof(Weight), "estimate");
+    if (decode_flag(reader, "routing flag"))
+        sections.hop_rows = parse_section(reader, n, format, sizeof(NodeId), "routing");
+    if (!reader.exhausted()) throw decode_error("trailing bytes after payload");
+    return sections;
+}
+
+/// The bytes of row u of a section located by parse_dense.
+[[nodiscard]] std::string_view row_bytes(std::string_view payload,
+                                         const std::vector<std::size_t>& rows, NodeId u)
+{
+    const auto row = static_cast<std::size_t>(u);
+    return payload.substr(rows[row], rows[row + 1] - rows[row]);
+}
+
+// Decoded-cell invariants, enforced under both codecs before a cell is
+// served.  The dense engine's raw-add kernels assume every stored cell
+// is in [0, kInfinity] (the no-overflow argument in matrix/kernels/),
+// so a crafted or corrupted snapshot must never hand an out-of-range
+// cell back to anything that might feed the engine.  Next hops are in
+// [-1, n).
+template <class Cell>
+void check_cell(std::int64_t value, int n)
+{
+    if constexpr (std::is_same_v<Cell, Weight>) {
+        if (value < 0 || value > kInfinity) throw decode_error("estimate cell out of range");
+    } else {
+        if (value < -1 || value >= n) throw decode_error("next hop out of range");
+    }
+}
+
+/// prev + delta with wrap-around semantics: a forged delta must reach
+/// the range check as a deterministic (aliased) value, never as
+/// signed-overflow UB.  Unsigned wrap + the C++20 modular narrowing
+/// conversion back to int64 make the addition well-defined for every
+/// input.
+[[nodiscard]] std::int64_t wrapping_add(std::int64_t prev, std::int64_t delta)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(prev) +
+                                     static_cast<std::uint64_t>(delta));
+}
+
+/// The one row decoder: n range-checked cells into `out`.  A v1 row is
+/// n little-endian fixed-width cells; a v2 row is n zigzag-varint deltas
+/// and must end exactly after the last one.
+template <class Cell>
+void decode_row(SnapshotFormat format, std::string_view bytes, int n, Cell* out)
+{
+    ByteReader reader(bytes);
+    std::int64_t value = 0;
+    for (int v = 0; v < n; ++v) {
+        if (format == SnapshotFormat::v1_raw)
+            value = sizeof(Cell) == sizeof(std::int64_t) ? reader.i64() : reader.i32();
+        else
+            value = wrapping_add(value, reader.varint_i64());
+        check_cell<Cell>(value, n);
+        out[v] = static_cast<Cell>(value);
+    }
+    if (!reader.exhausted()) throw decode_error("trailing bytes in row");
+}
+
+/// A v1 cell, read in place (v1 rows are range-checked at open).
+template <class Cell>
+[[nodiscard]] Cell fixed_cell(std::string_view payload, const std::vector<std::size_t>& rows,
+                              NodeId from, NodeId to)
+{
+    ByteReader reader(payload.substr(
+        rows[static_cast<std::size_t>(from)] + static_cast<std::size_t>(to) * sizeof(Cell),
+        sizeof(Cell)));
+    return static_cast<Cell>(sizeof(Cell) == sizeof(std::int64_t) ? reader.i64() : reader.i32());
+}
+
+/// A v2 row, decoded on first touch (std::call_once: concurrent readers
+/// wait for the one decode; a failed decode throws to every caller).
+template <class Slot>
+const auto& lazy_row(Slot& slot, SnapshotFormat format, std::string_view bytes, int n)
+{
+    std::call_once(slot.once, [&] {
+        decltype(slot.cells) cells(static_cast<std::size_t>(n));
+        decoding("snapshot", [&] { decode_row(format, bytes, n, cells.data()); });
+        slot.cells = std::move(cells);
+    });
+    return slot.cells;
+}
+
+/// Drops the whole pages inside [begin, end) of a read-only mapping from
+/// the resident set; a later read faults them back in from the file.
+void release_pages(const char* begin, const char* end)
+{
+    const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    const std::uintptr_t first = (reinterpret_cast<std::uintptr_t>(begin) + page - 1) / page * page;
+    const std::uintptr_t last = reinterpret_cast<std::uintptr_t>(end) / page * page;
+    if (first < last) (void)::madvise(reinterpret_cast<void*>(first), last - first, MADV_DONTNEED);
+}
+
+constexpr std::size_t kReleaseBytes = 4 << 20;
+
+/// Decodes a whole section into `out` (row u at out + u n), front to
+/// back, releasing the mapped pages behind it every few MiB: loading a
+/// file holds the decoded cells and a window of the mapping, not both
+/// in full.
+template <class Cell>
+void decode_section(SnapshotFormat format, std::string_view payload,
+                    const std::vector<std::size_t>& rows, int n, Cell* out)
+{
+    std::size_t released = rows.front();
+    for (NodeId u = 0; u < n; ++u) {
+        decode_row(format, row_bytes(payload, rows, u), n,
+                   out + static_cast<std::size_t>(u) * static_cast<std::size_t>(n));
+        const std::size_t end = rows[static_cast<std::size_t>(u) + 1];
+        if (end - released >= kReleaseBytes || u + 1 == n) {
+            release_pages(payload.data() + released, payload.data() + end);
+            released = end;
+        }
+    }
+}
+
+/// Writes `path` through a uniquely named sibling that is renamed over
+/// it once complete.  A process that still maps the old file keeps its
+/// inode and reads the old bytes until it unmaps them; rewriting in
+/// place would truncate the file under it, and its next read would die
+/// of SIGBUS.  The sibling is created with O_EXCL and mode 0666 under
+/// the umask, as a plain ofstream creates files; on any failure it is
+/// removed and `path` is left as it was.  No fsync: the rename keeps
+/// readers safe, it does not make the file durable.
+template <class Write>
+void replace_file(const std::string& path, const char* who, const Write& write)
+{
+    struct stat info = {};
+    if (::lstat(path.c_str(), &info) == 0 && !S_ISREG(info.st_mode))
+        throw snapshot_io_error(std::string(who) + ": " + path +
+                                " exists and is not a regular file");
+    static std::atomic<std::uint64_t> next_sibling{0};
+    std::string temp;
+    for (int attempt = 0;; ++attempt) {
+        temp = path + ".tmp-" + std::to_string(::getpid()) + "-" +
+               std::to_string(next_sibling.fetch_add(1));
+        const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+        if (fd >= 0) {
+            ::close(fd);
+            break;
+        }
+        if (errno != EEXIST || attempt == 100)
+            throw snapshot_io_error(std::string(who) + ": cannot create " + temp);
+    }
+    try {
+        std::ofstream out(temp, std::ios::binary);
+        if (!out) throw snapshot_io_error(std::string(who) + ": cannot open " + temp);
+        write(out);
+        out.close();
+        if (!out) throw snapshot_io_error(std::string(who) + ": write to " + temp + " failed");
+        if (std::rename(temp.c_str(), path.c_str()) != 0)
+            throw snapshot_io_error(std::string(who) + ": cannot rename " + temp + " to " + path);
+    } catch (...) {
+        std::remove(temp.c_str());
+        throw;
+    }
 }
 
 } // namespace
@@ -625,19 +721,14 @@ const char* snapshot_format_name(SnapshotFormat format) noexcept
 
 SnapshotFormat peek_snapshot_format(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw snapshot_io_error("peek_snapshot_format: cannot open " + path);
+    const std::string who = "peek_snapshot_format " + path;
+    const auto [fd, size] = open_regular(path, who);
     std::string header(kHeaderBytes, '\0');
-    in.read(header.data(), static_cast<std::streamsize>(header.size()));
-    if (static_cast<std::size_t>(in.gcount()) != header.size())
-        throw snapshot_io_error("peek_snapshot_format: truncated header in " + path);
-    if (std::memcmp(header.data(), kMagic.data(), kMagic.size()) != 0)
-        throw snapshot_io_error("peek_snapshot_format: bad magic (not a ccq snapshot): " + path);
-    ByteReader fields(std::string_view(header).substr(kMagic.size()));
-    const std::uint32_t version = fields.u32();
-    if (version < format_version(SnapshotFormat::v1_raw) || version > kSnapshotFormatVersion)
-        throw_unknown_version("peek_snapshot_format", version);
-    return static_cast<SnapshotFormat>(version);
+    const ssize_t got = size >= kHeaderBytes ? ::pread(fd, header.data(), header.size(), 0) : 0;
+    ::close(fd);
+    if (got != static_cast<ssize_t>(header.size()))
+        throw snapshot_io_error(who + ": truncated header");
+    return static_cast<SnapshotFormat>(header_version(header, who));
 }
 
 OracleSnapshot OracleSnapshot::from_result(const Graph& source, const ApspResult& result,
@@ -700,35 +791,17 @@ std::uint64_t encoded_snapshot_bytes(const OracleSnapshot& snapshot, SnapshotFor
            kFooterBytes;
 }
 
-OracleSnapshot read_snapshot(std::istream& in)
-{
-    obs::TraceSpan span("snapshot/read", "serve");
-    const Envelope envelope = read_envelope(in, "read_snapshot");
-    if (envelope.version == format_version(SnapshotFormat::v3_spanner))
-        throw snapshot_io_error(
-            "read_snapshot: format version 3 stores a sparse spanner, not a dense matrix; "
-            "load it with load_sparse_snapshot or open_distance_source");
-    if (envelope.version != format_version(SnapshotFormat::v1_raw) &&
-        envelope.version != format_version(SnapshotFormat::v2_compressed))
-        throw_unknown_version("read_snapshot", envelope.version);
-    return decode_payload(envelope.version, envelope.payload);
-}
-
 void save_snapshot(const std::string& path, const OracleSnapshot& snapshot, SnapshotFormat format,
                    const EngineConfig& engine)
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw snapshot_io_error("save_snapshot: cannot open " + path);
-    write_snapshot(out, snapshot, format, engine);
-    out.flush();
-    if (!out) throw snapshot_io_error("save_snapshot: write to " + path + " failed");
+    replace_file(path, "save_snapshot",
+                 [&](std::ostream& out) { write_snapshot(out, snapshot, format, engine); });
 }
 
 OracleSnapshot load_snapshot(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw snapshot_io_error("load_snapshot: cannot open " + path);
-    return read_snapshot(in);
+    obs::TraceSpan span("snapshot/read", "serve");
+    return MappedSnapshot(path).materialize();
 }
 
 // --- version 3: sparse spanner edge list (CSR, delta+varint) ----------------
@@ -824,13 +897,13 @@ namespace {
     snapshot.meta = decode_meta(reader);
     const int n = snapshot.meta.node_count;
     if (snapshot.meta.directed)
-        throw snapshot_io_error("read_sparse_snapshot: spanner snapshots are undirected");
+        throw decode_error("spanner snapshots are undirected");
 
     const std::uint32_t stretch = reader.u32();
     const std::uint32_t k = reader.u32();
     if (stretch < 1 || stretch > std::numeric_limits<std::int32_t>::max() || k < 1 ||
         k > std::numeric_limits<std::int32_t>::max())
-        throw snapshot_io_error("read_sparse_snapshot: stretch/k out of range");
+        throw decode_error("stretch/k out of range");
     snapshot.stretch_bound = static_cast<int>(stretch);
     snapshot.parameter_k = static_cast<int>(k);
     snapshot.construction = reader.str();
@@ -840,38 +913,14 @@ namespace {
     // prove the payload can hold m edges before allocating m.
     const std::uint64_t m = reader.u64();
     if (m > reader.remaining() / 2)
-        throw snapshot_io_error("read_sparse_snapshot: edge count exceeds payload size");
+        throw decode_error("edge count exceeds payload size");
 
-    const std::uint64_t entries = static_cast<std::uint64_t>(n) + 1;
-    if (entries > reader.remaining() / 8)
-        throw snapshot_io_error(
-            "read_sparse_snapshot: node count exceeds payload size (spanner offsets)");
-    std::vector<std::size_t> offsets(static_cast<std::size_t>(entries));
-    for (std::size_t i = 0; i < offsets.size(); ++i) {
-        const std::uint64_t offset = reader.u64();
-        if (offset > reader.remaining())
-            throw snapshot_io_error(
-                "read_sparse_snapshot: spanner row offset exceeds payload size");
-        offsets[i] = static_cast<std::size_t>(offset);
-    }
-    if (offsets.front() != 0)
-        throw snapshot_io_error("read_sparse_snapshot: spanner offsets do not start at zero");
-    for (std::size_t i = 0; i + 1 < offsets.size(); ++i)
-        if (offsets[i + 1] < offsets[i])
-            throw snapshot_io_error("read_sparse_snapshot: spanner row offsets not monotone");
-    const std::size_t blob_size = offsets.back();
-    if (blob_size > reader.remaining())
-        throw snapshot_io_error("read_sparse_snapshot: spanner blob exceeds payload size");
-    const std::size_t blob_offset = reader.position();
-    (void)reader.bytes(blob_size);
-    if (!reader.exhausted())
-        throw snapshot_io_error("read_sparse_snapshot: trailing bytes after payload");
+    const std::vector<std::size_t> rows = parse_offset_table(reader, n, 0, "spanner");
+    if (!reader.exhausted()) throw decode_error("trailing bytes after payload");
 
     snapshot.edges.reserve(static_cast<std::size_t>(m));
     for (int u = 0; u < n; ++u) {
-        const std::size_t begin = offsets[static_cast<std::size_t>(u)];
-        const std::size_t end = offsets[static_cast<std::size_t>(u) + 1];
-        ByteReader row(payload.substr(blob_offset + begin, end - begin));
+        ByteReader row(row_bytes(payload, rows, u));
         NodeId prev = static_cast<NodeId>(u);
         while (!row.exhausted()) {
             const std::uint64_t delta = row.varint_u64();
@@ -879,21 +928,20 @@ namespace {
             // check also rejects targets past the last node.
             if (delta == 0 ||
                 delta > static_cast<std::uint64_t>(n) - static_cast<std::uint64_t>(prev) - 1)
-                throw snapshot_io_error("read_sparse_snapshot: spanner target out of range");
+                throw decode_error("spanner target out of range");
             const NodeId target = static_cast<NodeId>(prev + static_cast<NodeId>(delta));
             const std::uint64_t weight = row.varint_u64();
             if (weight >= static_cast<std::uint64_t>(kInfinity))
-                throw snapshot_io_error("read_sparse_snapshot: edge weight out of range");
+                throw decode_error("edge weight out of range");
             if (snapshot.edges.size() >= m)
-                throw snapshot_io_error(
-                    "read_sparse_snapshot: more edges than the declared count");
+                throw decode_error("more edges than the declared count");
             snapshot.edges.push_back({static_cast<NodeId>(u), target,
                                       static_cast<Weight>(weight)});
             prev = target;
         }
     }
     if (snapshot.edges.size() != m)
-        throw snapshot_io_error("read_sparse_snapshot: fewer edges than the declared count");
+        throw decode_error("fewer edges than the declared count");
     return snapshot;
 }
 
@@ -909,38 +957,17 @@ void write_sparse_snapshot(std::ostream& out, const SparseSnapshot& snapshot)
     sink.finish();
 }
 
-SparseSnapshot read_sparse_snapshot(std::istream& in)
-{
-    obs::TraceSpan span("snapshot/read_sparse", "serve");
-    const Envelope envelope = read_envelope(in, "read_sparse_snapshot");
-    if (envelope.version == format_version(SnapshotFormat::v1_raw) ||
-        envelope.version == format_version(SnapshotFormat::v2_compressed))
-        throw snapshot_io_error("read_sparse_snapshot: format version " +
-                                std::to_string(envelope.version) +
-                                " is a dense snapshot; load it with load_snapshot");
-    if (envelope.version != format_version(SnapshotFormat::v3_spanner))
-        throw_unknown_version("read_sparse_snapshot", envelope.version);
-    try {
-        return decode_payload_v3(envelope.payload);
-    } catch (const decode_error& error) {
-        throw snapshot_io_error(std::string("read_sparse_snapshot: ") + error.what());
-    }
-}
-
 void save_sparse_snapshot(const std::string& path, const SparseSnapshot& snapshot)
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw snapshot_io_error("save_sparse_snapshot: cannot open " + path);
-    write_sparse_snapshot(out, snapshot);
-    out.flush();
-    if (!out) throw snapshot_io_error("save_sparse_snapshot: write to " + path + " failed");
+    replace_file(path, "save_sparse_snapshot",
+                 [&](std::ostream& out) { write_sparse_snapshot(out, snapshot); });
 }
 
 SparseSnapshot load_sparse_snapshot(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw snapshot_io_error("load_sparse_snapshot: cannot open " + path);
-    return read_sparse_snapshot(in);
+    obs::TraceSpan span("snapshot/read_sparse", "serve");
+    const MappedFile file = map_envelope(path, /*dense=*/false);
+    return decoding("sparse snapshot " + path, [&] { return decode_payload_v3(file.payload); });
 }
 
 // --- MappedSnapshot ---------------------------------------------------------
@@ -948,119 +975,36 @@ SparseSnapshot load_sparse_snapshot(const std::string& path)
 MappedSnapshot::MappedSnapshot(const std::string& path)
 {
     obs::TraceSpan span("snapshot/mmap_open", "serve");
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) throw snapshot_io_error("MappedSnapshot: cannot open " + path);
-    struct stat info = {};
-    if (::fstat(fd, &info) != 0) {
-        ::close(fd);
-        throw snapshot_io_error("MappedSnapshot: cannot stat " + path);
+    MappedFile file = map_envelope(path, /*dense=*/true);
+    file_ = std::move(file.bytes);
+    file_bytes_ = file.size;
+    payload_ = file.payload;
+    format_ = file.format;
+    const std::string who = "snapshot " + path;
+    DenseSections sections = decoding(who, [&] { return parse_dense(payload_, format_); });
+    meta_ = std::move(sections.meta);
+    estimate_rows_ = std::move(sections.estimate_rows);
+    hop_rows_ = std::move(sections.hop_rows);
+    const int n = meta_.node_count;
+    if (format_ == SnapshotFormat::v2_compressed) {
+        // v2 rows are decoded, and their cells checked, on first touch.
+        estimate_cache_ = std::make_unique<RowSlot<Weight>[]>(static_cast<std::size_t>(n));
+        if (has_routing())
+            hop_cache_ = std::make_unique<RowSlot<NodeId>[]>(static_cast<std::size_t>(n));
+        return;
     }
-    map_size_ = static_cast<std::size_t>(info.st_size);
-    file_bytes_ = static_cast<std::uint64_t>(info.st_size);
-    if (map_size_ < kHeaderBytes + kFooterBytes) {
-        ::close(fd);
-        throw snapshot_io_error("MappedSnapshot: truncated header");
-    }
-    map_ = ::mmap(nullptr, map_size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd); // the mapping keeps its own reference
-    if (map_ == MAP_FAILED) {
-        map_ = nullptr;
-        throw snapshot_io_error("MappedSnapshot: mmap failed for " + path);
-    }
-
-    try {
-        const char* bytes = static_cast<const char*>(map_);
-        if (std::memcmp(bytes, kMagic.data(), kMagic.size()) != 0)
-            throw snapshot_io_error("MappedSnapshot: bad magic (not a ccq snapshot)");
-        ByteReader header(std::string_view(bytes + kMagic.size(), 4 + 8));
-        version_ = header.u32();
-        if (version_ == ccq::format_version(SnapshotFormat::v3_spanner))
-            throw snapshot_io_error(
-                "MappedSnapshot: format version 3 stores a sparse spanner, not a dense "
-                "matrix; load it with load_sparse_snapshot or open_distance_source");
-        if (version_ != ccq::format_version(SnapshotFormat::v1_raw) &&
-            version_ != ccq::format_version(SnapshotFormat::v2_compressed))
-            throw_unknown_version("MappedSnapshot", version_);
-        const std::uint64_t payload_size = header.u64();
-        if (payload_size != map_size_ - kHeaderBytes - kFooterBytes)
-            throw snapshot_io_error(
-                "MappedSnapshot: payload length does not match the file size");
-        payload_ = bytes + kHeaderBytes;
-        payload_size_ = static_cast<std::size_t>(payload_size);
-
-        // One sequential pass at open: afterwards every lazily decoded row
-        // is covered by the verified checksum.
-        ByteReader footer(std::string_view(payload_ + payload_size_, kFooterBytes));
-        if (footer.u64() != fnv1a(std::string_view(payload_, payload_size_)))
-            throw snapshot_io_error("MappedSnapshot: checksum mismatch (corrupted snapshot)");
-
-        const std::string_view payload(payload_, payload_size_);
-        ByteReader reader(payload);
-        try {
-            meta_ = decode_meta(reader);
-            const int n = meta_.node_count;
-            const std::uint64_t cells =
-                static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
-            if (version_ == ccq::format_version(SnapshotFormat::v1_raw)) {
-                if (cells > reader.remaining() / 8)
-                    throw snapshot_io_error(
-                        "read_snapshot: node count exceeds payload size");
-                v1_estimate_offset_ = reader.position();
-                // v1 cells are later read in place with no per-read
-                // validation, so the load-time invariant check happens
-                // here: one extra sequential pass over bytes the
-                // checksum pass above already paged in.
-                {
-                    ByteReader cells_reader(
-                        payload.substr(v1_estimate_offset_,
-                                       static_cast<std::size_t>(cells) * 8));
-                    for (std::uint64_t i = 0; i < cells; ++i)
-                        check_estimate_cell(cells_reader.i64());
-                }
-                (void)reader.bytes(static_cast<std::size_t>(cells) * 8);
-                has_routing_ = decode_flag(reader, "routing flag");
-                if (has_routing_) {
-                    if (cells > reader.remaining() / 4)
-                        throw snapshot_io_error(
-                            "read_snapshot: routing table exceeds payload size");
-                    v1_routing_offset_ = reader.position();
-                    ByteReader hops_reader(
-                        payload.substr(v1_routing_offset_,
-                                       static_cast<std::size_t>(cells) * 4));
-                    for (std::uint64_t i = 0; i < cells; ++i)
-                        check_next_hop(hops_reader.i32(), n);
-                    (void)reader.bytes(static_cast<std::size_t>(cells) * 4);
-                }
-            } else {
-                const V2Section estimate = read_v2_section(reader, n, "estimate");
-                est_row_offsets_.assign(estimate.row_offsets.begin(),
-                                        estimate.row_offsets.end());
-                est_blob_offset_ = estimate.blob_offset;
-                est_rows_ = std::make_unique<WeightRowSlot[]>(static_cast<std::size_t>(n));
-                has_routing_ = decode_flag(reader, "routing flag");
-                if (has_routing_) {
-                    const V2Section routing = read_v2_section(reader, n, "routing");
-                    hop_row_offsets_.assign(routing.row_offsets.begin(),
-                                            routing.row_offsets.end());
-                    hop_blob_offset_ = routing.blob_offset;
-                    hop_rows_ = std::make_unique<HopRowSlot[]>(static_cast<std::size_t>(n));
-                }
-            }
-            if (!reader.exhausted())
-                throw snapshot_io_error("read_snapshot: trailing bytes after payload");
-        } catch (const decode_error& error) {
-            throw snapshot_io_error(std::string("MappedSnapshot: ") + error.what());
+    // v1 cells are later read in place, unchecked, so every row is
+    // decoded and checked once here, over bytes the checksum pass has
+    // just paged in.
+    decoding(who, [&] {
+        std::vector<Weight> cells(static_cast<std::size_t>(n));
+        std::vector<NodeId> hops(static_cast<std::size_t>(n));
+        for (NodeId u = 0; u < n; ++u) {
+            decode_row(format_, row_bytes(payload_, estimate_rows_, u), n, cells.data());
+            if (has_routing())
+                decode_row(format_, row_bytes(payload_, hop_rows_, u), n, hops.data());
         }
-    } catch (...) {
-        ::munmap(map_, map_size_);
-        map_ = nullptr;
-        throw;
-    }
-}
-
-MappedSnapshot::~MappedSnapshot()
-{
-    if (map_ != nullptr) ::munmap(map_, map_size_);
+    });
 }
 
 void MappedSnapshot::check_node(NodeId v, const char* what) const
@@ -1070,69 +1014,47 @@ void MappedSnapshot::check_node(NodeId v, const char* what) const
 
 const std::vector<Weight>& MappedSnapshot::estimate_row(NodeId u) const
 {
-    WeightRowSlot& slot = est_rows_[static_cast<std::size_t>(u)];
-    std::call_once(slot.once, [&] {
-        const int n = meta_.node_count;
-        const std::size_t begin = est_row_offsets_[static_cast<std::size_t>(u)];
-        const std::size_t end = est_row_offsets_[static_cast<std::size_t>(u) + 1];
-        std::vector<Weight> cells(static_cast<std::size_t>(n));
-        try {
-            decode_weight_row(
-                std::string_view(payload_ + est_blob_offset_ + begin, end - begin), n,
-                cells.data());
-        } catch (const decode_error& error) {
-            throw snapshot_io_error(std::string("MappedSnapshot: ") + error.what());
-        }
-        slot.cells = std::move(cells);
-    });
-    return slot.cells;
+    return lazy_row(estimate_cache_[static_cast<std::size_t>(u)], format_,
+                    row_bytes(payload_, estimate_rows_, u), meta_.node_count);
 }
 
 const std::vector<NodeId>& MappedSnapshot::hop_row(NodeId u) const
 {
-    HopRowSlot& slot = hop_rows_[static_cast<std::size_t>(u)];
-    std::call_once(slot.once, [&] {
-        const int n = meta_.node_count;
-        const std::size_t begin = hop_row_offsets_[static_cast<std::size_t>(u)];
-        const std::size_t end = hop_row_offsets_[static_cast<std::size_t>(u) + 1];
-        std::vector<NodeId> hops(static_cast<std::size_t>(n));
-        try {
-            decode_hop_row(std::string_view(payload_ + hop_blob_offset_ + begin, end - begin),
-                           n, hops.data());
-        } catch (const decode_error& error) {
-            throw snapshot_io_error(std::string("MappedSnapshot: ") + error.what());
-        }
-        slot.hops = std::move(hops);
-    });
-    return slot.hops;
+    return lazy_row(hop_cache_[static_cast<std::size_t>(u)], format_,
+                    row_bytes(payload_, hop_rows_, u), meta_.node_count);
 }
 
 Weight MappedSnapshot::distance(NodeId from, NodeId to) const
 {
     check_node(from, "MappedSnapshot::distance: node out of range");
     check_node(to, "MappedSnapshot::distance: node out of range");
-    if (version_ == ccq::format_version(SnapshotFormat::v1_raw)) {
-        const std::size_t cell = static_cast<std::size_t>(from) *
-                                     static_cast<std::size_t>(meta_.node_count) +
-                                 static_cast<std::size_t>(to);
-        ByteReader reader(std::string_view(payload_ + v1_estimate_offset_ + cell * 8, 8));
-        return reader.i64();
-    }
+    if (format_ == SnapshotFormat::v1_raw)
+        return fixed_cell<Weight>(payload_, estimate_rows_, from, to);
     return estimate_row(from)[static_cast<std::size_t>(to)];
+}
+
+void MappedSnapshot::fill_row(NodeId from, std::span<Weight> out) const
+{
+    const int n = meta_.node_count;
+    check_node(from, "MappedSnapshot::fill_row: node out of range");
+    CCQ_EXPECT(out.size() == static_cast<std::size_t>(n), "MappedSnapshot::fill_row: bad row size");
+    if (format_ == SnapshotFormat::v1_raw) {
+        decoding("snapshot", [&] {
+            decode_row(format_, row_bytes(payload_, estimate_rows_, from), n, out.data());
+        });
+        return;
+    }
+    const std::vector<Weight>& row = estimate_row(from);
+    std::copy(row.begin(), row.end(), out.begin());
 }
 
 NodeId MappedSnapshot::next_hop(NodeId from, NodeId to) const
 {
     check_node(from, "MappedSnapshot::next_hop: node out of range");
     check_node(to, "MappedSnapshot::next_hop: node out of range");
-    CCQ_EXPECT(has_routing_, "MappedSnapshot::next_hop: snapshot has no routing tables");
-    if (version_ == ccq::format_version(SnapshotFormat::v1_raw)) {
-        const std::size_t cell = static_cast<std::size_t>(from) *
-                                     static_cast<std::size_t>(meta_.node_count) +
-                                 static_cast<std::size_t>(to);
-        ByteReader reader(std::string_view(payload_ + v1_routing_offset_ + cell * 4, 4));
-        return reader.i32();
-    }
+    CCQ_EXPECT(has_routing(), "MappedSnapshot::next_hop: snapshot has no routing tables");
+    if (format_ == SnapshotFormat::v1_raw)
+        return fixed_cell<NodeId>(payload_, hop_rows_, from, to);
     return hop_row(from)[static_cast<std::size_t>(to)];
 }
 
@@ -1140,27 +1062,29 @@ std::vector<NodeId> MappedSnapshot::route(NodeId from, NodeId to) const
 {
     check_node(from, "MappedSnapshot::route: node out of range");
     check_node(to, "MappedSnapshot::route: node out of range");
-    CCQ_EXPECT(has_routing_, "MappedSnapshot::route: snapshot has no routing tables");
-    const int n = meta_.node_count;
-    std::vector<NodeId> path{from};
-    NodeId current = from;
-    // Same hardening as RoutingTables::route: hop ranges are validated
-    // at load time in both codecs, but in-range hops can still form a
-    // cycle, so the walk stays hop-budgeted and ends as unreachable
-    // instead of looping.
-    for (int steps = 0; current != to; ++steps) {
-        if (steps >= n) return {};
-        const NodeId next = next_hop(current, to);
-        if (next < 0 || next >= n) return {};
-        path.push_back(next);
-        current = next;
-    }
-    return path;
+    CCQ_EXPECT(has_routing(), "MappedSnapshot::route: snapshot has no routing tables");
+    return walk_next_hops(from, to, meta_.node_count,
+                          [&](NodeId at) { return next_hop(at, to); });
 }
 
 OracleSnapshot MappedSnapshot::materialize() const
 {
-    return decode_payload(version_, std::string_view(payload_, payload_size_));
+    const int n = meta_.node_count;
+    OracleSnapshot snapshot;
+    snapshot.meta = meta_;
+    // Straight into the owned cells: the row cache is left as it is.
+    auto estimate = std::make_shared<DistanceMatrix>(DistanceMatrix::uninitialized(n));
+    decoding("snapshot", [&] {
+        decode_section(format_, payload_, estimate_rows_, n, estimate->data());
+    });
+    snapshot.estimate = std::move(estimate);
+    if (has_routing()) {
+        std::vector<NodeId> hops(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+        decoding("snapshot",
+                 [&] { decode_section(format_, payload_, hop_rows_, n, hops.data()); });
+        snapshot.routing = std::make_shared<const RoutingTables>(n, std::move(hops));
+    }
+    return snapshot;
 }
 
 } // namespace ccq

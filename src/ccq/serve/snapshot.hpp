@@ -27,12 +27,22 @@
 // O(k n^{1+1/k}) cells instead of n^2 — distances are reconstructed at
 // query time by SpannerDistanceSource (serve/distance_source.hpp).
 //
-// Dense readers accept versions 1 and 2 and reject everything else
-// (including v3, with a pointer at the sparse loader) with
-// snapshot_io_error naming the found version; a successful load
-// round-trips bitwise.  MappedSnapshot serves version 1 or 2 straight
-// from an mmap'd file: integrity is verified once at open, and v2 rows
-// are decoded on first touch (decode-once, thread-safe).
+// One reader serves every format.  A snapshot file must be a regular
+// file, and it is read from one read-only mmap of the whole file: the
+// envelope (magic, version, length, FNV-1a checksum) is checked once at
+// open, v1/v2 files are parsed once into row locators, and one row
+// decoder per codec range-checks cells on their way out.  Dense readers
+// (MappedSnapshot, load_snapshot) accept versions 1 and 2 and the
+// sparse one (load_sparse_snapshot) version 3; each rejects the other
+// kind with a pointer at the right loader, and an unknown version with
+// snapshot_io_error naming the version found.  A successful load
+// round-trips bitwise.  There is no stream reader: bytes are read from
+// files.
+//
+// Writers replace a file by rename: they write a uniquely named sibling
+// and rename it over the target, so a process that still maps the old
+// file keeps reading the old bytes instead of dying of SIGBUS on a
+// truncated mapping.
 #ifndef CCQ_SERVE_SNAPSHOT_HPP
 #define CCQ_SERVE_SNAPSHOT_HPP
 
@@ -40,8 +50,10 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ccq/core/apsp_result.hpp"
@@ -106,8 +118,8 @@ struct SnapshotMeta {
 /// optionally next-hop routing tables for path reconstruction.
 ///
 /// The n^2 cells are held through shared handles, so copying a snapshot
-/// is O(1) and copies share cells.  Snapshots from read_snapshot,
-/// load_snapshot and MappedSnapshot::materialize own their cells;
+/// is O(1) and copies share cells.  Snapshots from load_snapshot and
+/// MappedSnapshot::materialize own their cells;
 /// from_result borrows the build's (see there).  The cells are const:
 /// a snapshot is immutable once assembled.
 struct OracleSnapshot {
@@ -133,7 +145,6 @@ struct OracleSnapshot {
 void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot,
                     SnapshotFormat format = SnapshotFormat::v1_raw,
                     const EngineConfig& engine = {});
-[[nodiscard]] OracleSnapshot read_snapshot(std::istream& in);
 
 /// The byte length write_snapshot would produce, from the writer's
 /// sizing pass alone: no cell is encoded and nothing is buffered.
@@ -141,9 +152,14 @@ void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot,
                                                    SnapshotFormat format,
                                                    const EngineConfig& engine = {});
 
+/// Writes `path` by rename (see the top of this file): a failed save
+/// leaves the old file in place and no temporary behind.  An existing
+/// `path` must be a regular file.
 void save_snapshot(const std::string& path, const OracleSnapshot& snapshot,
                    SnapshotFormat format = SnapshotFormat::v1_raw,
                    const EngineConfig& engine = {});
+
+/// MappedSnapshot(path).materialize(): the mapping is unmapped on return.
 [[nodiscard]] OracleSnapshot load_snapshot(const std::string& path);
 
 /// A persisted sparse oracle (format v3): the spanner edge list plus the
@@ -184,85 +200,85 @@ struct SparseSnapshot {
 };
 
 void write_sparse_snapshot(std::ostream& out, const SparseSnapshot& snapshot);
-[[nodiscard]] SparseSnapshot read_sparse_snapshot(std::istream& in);
 
+/// Writes `path` by rename, like save_snapshot.
 void save_sparse_snapshot(const std::string& path, const SparseSnapshot& snapshot);
+
+/// Maps the file, checks its envelope and decodes the v3 payload in
+/// place; the mapping is unmapped on return.
 [[nodiscard]] SparseSnapshot load_sparse_snapshot(const std::string& path);
 
 /// An oracle served directly from an mmap'd snapshot file.
 ///
 /// Opening verifies the full envelope (magic, version, length, FNV-1a
-/// checksum) and validates the row-offset tables, but does not
-/// materialize the n^2 estimate: version-1 cells are read in place, and
-/// version-2 rows are decoded on first touch into a per-row cache
-/// (std::call_once, so concurrent readers are safe and each row is
-/// decoded exactly once).  All accessors are const and thread-safe.
-/// Dense formats only; a v3 file loads via load_sparse_snapshot /
-/// open_distance_source instead.
+/// checksum) and parses the layout into row locators, but does not
+/// materialize the n^2 estimate: version-1 cells are range-checked at
+/// open and then read in place, and version-2 rows are decoded (and
+/// checked) on first touch into a per-row cache (std::call_once, so
+/// concurrent readers are safe and each row is decoded exactly once).
+/// All accessors are const and thread-safe.  Dense formats only; a v3
+/// file loads via load_sparse_snapshot / open_distance_source instead.
 class MappedSnapshot {
 public:
     explicit MappedSnapshot(const std::string& path);
-    ~MappedSnapshot();
     MappedSnapshot(const MappedSnapshot&) = delete;
     MappedSnapshot& operator=(const MappedSnapshot&) = delete;
 
     [[nodiscard]] const SnapshotMeta& meta() const noexcept { return meta_; }
     [[nodiscard]] int node_count() const noexcept { return meta_.node_count; }
-    [[nodiscard]] bool has_routing() const noexcept { return has_routing_; }
-    [[nodiscard]] std::uint32_t format_version() const noexcept { return version_; }
+    [[nodiscard]] bool has_routing() const noexcept { return !hop_rows_.empty(); }
+    [[nodiscard]] std::uint32_t format_version() const noexcept
+    {
+        return ccq::format_version(format_);
+    }
     [[nodiscard]] std::uint64_t file_bytes() const noexcept { return file_bytes_; }
 
     /// Distance estimate for (from, to); kInfinity when unreachable.
     [[nodiscard]] Weight distance(NodeId from, NodeId to) const;
 
+    /// Copies the estimate row of `from` into `out` (size n).
+    void fill_row(NodeId from, std::span<Weight> out) const;
+
     /// Next hop of `from` toward `to` (-1 when none); requires routing.
     [[nodiscard]] NodeId next_hop(NodeId from, NodeId to) const;
 
-    /// Hop-budgeted next-hop walk with the same hardening as
-    /// RoutingTables::route: cycles, out-of-range hops, and walks longer
-    /// than n hops report unreachable (empty) instead of looping.
+    /// The hop-budgeted walk of RoutingTables::route (walk_next_hops):
+    /// cycles, out-of-range hops, and walks longer than n hops report
+    /// unreachable (empty) instead of looping.
     [[nodiscard]] std::vector<NodeId> route(NodeId from, NodeId to) const;
 
-    /// Full eager decode into an in-memory snapshot (for tests and for
-    /// re-encoding under a different format).
+    /// Full eager decode into an in-memory snapshot, straight into the
+    /// owned cells (the row cache is neither read nor filled).  Mapped
+    /// pages are released from the resident set behind the decode, so
+    /// the call holds about one copy of the cells; later reads through
+    /// the mapping fault them back in.
     [[nodiscard]] OracleSnapshot materialize() const;
 
 private:
-    struct WeightRowSlot {
+    template <class Cell>
+    struct RowSlot {
         std::once_flag once;
-        std::vector<Weight> cells;
-    };
-    struct HopRowSlot {
-        std::once_flag once;
-        std::vector<NodeId> hops;
+        std::vector<Cell> cells;
     };
 
     [[nodiscard]] const std::vector<Weight>& estimate_row(NodeId u) const;
     [[nodiscard]] const std::vector<NodeId>& hop_row(NodeId u) const;
     void check_node(NodeId v, const char* what) const;
 
-    // The mapped file; payload_ points into it.
-    void* map_ = nullptr;
-    std::size_t map_size_ = 0;
+    std::shared_ptr<const char> file_; ///< the whole file, mapped read-only
     std::uint64_t file_bytes_ = 0;
-    const char* payload_ = nullptr;
-    std::size_t payload_size_ = 0;
-    std::uint32_t version_ = 0;
-
+    std::string_view payload_; ///< inside file_
+    SnapshotFormat format_ = SnapshotFormat::v1_raw;
     SnapshotMeta meta_;
-    bool has_routing_ = false;
 
-    // v1: byte offsets of the fixed-width cell blocks inside the payload.
-    std::size_t v1_estimate_offset_ = 0;
-    std::size_t v1_routing_offset_ = 0;
+    // Payload offsets of every row, n+1 per section (row u spans
+    // [rows[u], rows[u+1])); hop_rows_ is empty without routing.
+    std::vector<std::size_t> estimate_rows_;
+    std::vector<std::size_t> hop_rows_;
 
-    // v2: row-offset tables (validated at open) and decode-once caches.
-    std::vector<std::size_t> est_row_offsets_; ///< n+1 offsets into est blob
-    std::size_t est_blob_offset_ = 0;
-    std::vector<std::size_t> hop_row_offsets_;
-    std::size_t hop_blob_offset_ = 0;
-    mutable std::unique_ptr<WeightRowSlot[]> est_rows_;
-    mutable std::unique_ptr<HopRowSlot[]> hop_rows_;
+    // v2 only: rows decoded on first touch.
+    mutable std::unique_ptr<RowSlot<Weight>[]> estimate_cache_;
+    mutable std::unique_ptr<RowSlot<NodeId>[]> hop_cache_;
 };
 
 } // namespace ccq

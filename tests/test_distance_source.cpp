@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "ccq/spanner/baswana_sen.hpp"
 #include "ccq/spanner/greedy.hpp"
 #include "built_oracle.hpp"
+#include "test_helpers.hpp"
 
 namespace ccq {
 namespace {
@@ -31,12 +33,17 @@ namespace {
 using testing::BuiltOracle;
 using testing::InstanceSpec;
 
-SparseSnapshot sparse_round_trip(const SparseSnapshot& snapshot)
+std::string sparse_bytes(const SparseSnapshot& snapshot)
 {
     std::ostringstream out(std::ios::binary);
     write_sparse_snapshot(out, snapshot);
-    std::istringstream in(out.str(), std::ios::binary);
-    return read_sparse_snapshot(in);
+    return out.str();
+}
+
+SparseSnapshot sparse_round_trip(const SparseSnapshot& snapshot)
+{
+    const testing::TempFile file("ccq_source_round_trip.snap", sparse_bytes(snapshot));
+    return load_sparse_snapshot(file.path());
 }
 
 /// The row loop SpannerDistanceSource ran before it moved onto the shared
@@ -367,23 +374,24 @@ TEST(DistanceSource, UnknownVersionErrorsReportTheFoundVersion)
     Rng rng(2);
     const SparseSnapshot sparse =
         SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 2);
-    std::ostringstream out(std::ios::binary);
-    write_sparse_snapshot(out, sparse);
-    std::string bytes = out.str();
+    std::string bytes = sparse_bytes(sparse);
     bytes[8] = 9; // version u32 little-endian low byte: 3 -> 9
+    const testing::TempFile file("ccq_source_version_9.snap", bytes);
 
-    const auto expect_mentions_9 = [](const auto& loader, std::string bytes_copy) {
+    const auto expect_mentions_9 = [&](const auto& loader) {
         try {
-            std::istringstream in(bytes_copy, std::ios::binary);
-            (void)loader(in);
+            (void)loader(file.path());
             FAIL() << "unknown version accepted";
         } catch (const snapshot_io_error& error) {
             EXPECT_NE(std::string(error.what()).find('9'), std::string::npos)
                 << "error does not name the found version: " << error.what();
         }
     };
-    expect_mentions_9([](std::istream& in) { return read_snapshot(in); }, bytes);
-    expect_mentions_9([](std::istream& in) { return read_sparse_snapshot(in); }, bytes);
+    expect_mentions_9([](const std::string& path) { return load_snapshot(path); });
+    expect_mentions_9([](const std::string& path) { return load_sparse_snapshot(path); });
+    expect_mentions_9([](const std::string& path) { return peek_snapshot_format(path); });
+    expect_mentions_9(
+        [](const std::string& path) { return std::make_unique<MappedSnapshot>(path); });
 }
 
 TEST(DistanceSource, V3CorruptionIsDetected)
@@ -392,20 +400,18 @@ TEST(DistanceSource, V3CorruptionIsDetected)
     Rng rng(4);
     const SparseSnapshot sparse =
         SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 4);
-    std::ostringstream out(std::ios::binary);
-    write_sparse_snapshot(out, sparse);
-    const std::string bytes = out.str();
+    const std::string bytes = sparse_bytes(sparse);
 
     // A flipped payload byte fails the checksum.
     std::string flipped = bytes;
     flipped[flipped.size() / 2] = static_cast<char>(flipped[flipped.size() / 2] ^ 0x20);
-    std::istringstream in_flipped(flipped, std::ios::binary);
-    EXPECT_THROW((void)read_sparse_snapshot(in_flipped), snapshot_io_error);
+    const testing::TempFile flipped_file("ccq_source_v3_flipped.snap", flipped);
+    EXPECT_THROW((void)load_sparse_snapshot(flipped_file.path()), snapshot_io_error);
 
     // Truncation at any of several points fails cleanly.
     for (const std::size_t keep : {bytes.size() - 1, bytes.size() / 2, std::size_t{10}}) {
-        std::istringstream in(bytes.substr(0, keep), std::ios::binary);
-        EXPECT_THROW((void)read_sparse_snapshot(in), snapshot_io_error);
+        const testing::TempFile cut("ccq_source_v3_cut.snap", bytes.substr(0, keep));
+        EXPECT_THROW((void)load_sparse_snapshot(cut.path()), snapshot_io_error);
     }
 }
 

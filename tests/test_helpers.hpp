@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ccq/core/stretch.hpp"
@@ -102,6 +105,27 @@ inline std::vector<NamedGraph> corner_case_graphs(Orientation orientation)
          {3, 5, half - 1}, {1, 5, 0}});
     return graphs;
 }
+
+/// A file under the test temp dir holding `bytes` verbatim, removed on
+/// destruction.  Snapshot readers take files, so hand-made and hostile
+/// bytes reach them this way.
+class TempFile {
+public:
+    TempFile(const std::string& name, std::string_view bytes) : path_(::testing::TempDir() + name)
+    {
+        std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        EXPECT_TRUE(out.good()) << "cannot write " << path_;
+    }
+    ~TempFile() { std::remove(path_.c_str()); }
+    TempFile(const TempFile&) = delete;
+    TempFile& operator=(const TempFile&) = delete;
+
+    [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+private:
+    std::string path_;
+};
 
 } // namespace ccq::testing
 

@@ -1,11 +1,19 @@
 // Tests for the oracle snapshot format: round-trip fidelity, version
-// gating, and corruption detection (truncation, bit flips, bad magic).
+// gating, corruption detection (truncation, bit flips, bad magic, forged
+// fields), and replacing a snapshot file that a reader still maps.
+// Every reader takes a file, so hand-made bytes are written to one.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <string>
 #include <sstream>
 #include <thread>
@@ -16,6 +24,7 @@
 #include "ccq/serve/distance_source.hpp"
 #include "ccq/serve/query_engine.hpp"
 #include "ccq/serve/snapshot.hpp"
+#include "ccq/spanner/baswana_sen.hpp"
 #include "test_helpers.hpp"
 
 namespace ccq {
@@ -63,10 +72,11 @@ void rehash(std::string& bytes)
             static_cast<char>((hash >> (8 * i)) & 0xff);
 }
 
+/// Loads a snapshot from raw bytes, through a file.
 OracleSnapshot from_bytes(const std::string& bytes)
 {
-    std::istringstream in(bytes, std::ios::binary);
-    return read_snapshot(in);
+    const testing::TempFile file("ccq_snapshot_from_bytes.snap", bytes);
+    return load_snapshot(file.path());
 }
 
 void expect_equal(const OracleSnapshot& a, const OracleSnapshot& b)
@@ -82,7 +92,7 @@ void expect_equal(const OracleSnapshot& a, const OracleSnapshot& b)
     }
 }
 
-TEST(Snapshot, RoundTripsThroughStreamsOnRandomGraphs)
+TEST(Snapshot, RoundTripsOnRandomGraphs)
 {
     for (const InstanceSpec spec :
          {InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 3},
@@ -680,6 +690,12 @@ TEST_F(SnapshotMmap, ServesBothCodecsBitwiseIdenticalToEagerLoading)
                 ASSERT_EQ(mapped.next_hop(u, v), original.routing->next_hop(u, v))
                     << u << "->" << v;
             }
+        std::vector<Weight> row(40);
+        for (NodeId u = 0; u < 40; ++u) {
+            mapped.fill_row(u, row);
+            for (NodeId v = 0; v < 40; ++v)
+                ASSERT_EQ(row[static_cast<std::size_t>(v)], original.estimate->at(u, v));
+        }
         for (NodeId u = 0; u < 40; u += 7)
             for (NodeId v = 0; v < 40; v += 5)
                 EXPECT_EQ(mapped.route(u, v), original.routing->route(u, v));
@@ -787,6 +803,294 @@ TEST_F(SnapshotMmap, QueryEngineOverMmapMatchesInMemoryEngine)
         ASSERT_EQ(served.nearest_targets(u, 5), reference.nearest_targets(u, 5));
     }
     std::remove(path.c_str());
+}
+
+// --- replacing a snapshot file ----------------------------------------------
+
+TEST(SnapshotReplace, SavingOverAMappedFileLeavesTheMappingOnTheOldOracle)
+{
+    // Rewriting the file in place truncated it under the mapping, and
+    // the mapping's next read died of SIGBUS.
+    const OracleSnapshot old_oracle = random_snapshot(400, 401, true);
+    const OracleSnapshot new_oracle = random_snapshot(20, 21, true);
+    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
+        const std::string path = ::testing::TempDir() + "ccq_snapshot_replaced.snap";
+        save_snapshot(path, old_oracle, codec);
+        const MappedSnapshot mapped(path);
+        save_snapshot(path, new_oracle, codec);
+        for (NodeId u = 0; u < 400; ++u)
+            for (NodeId v = 0; v < 400; ++v) {
+                ASSERT_EQ(mapped.distance(u, v), old_oracle.estimate->at(u, v))
+                    << snapshot_format_name(codec) << " " << u << "->" << v;
+                ASSERT_EQ(mapped.next_hop(u, v), old_oracle.routing->next_hop(u, v))
+                    << snapshot_format_name(codec) << " " << u << "->" << v;
+            }
+        expect_equal(new_oracle, load_snapshot(path));
+        std::remove(path.c_str());
+    }
+}
+
+/// A small spanner snapshot for the v3 paths.
+SparseSnapshot small_sparse_snapshot()
+{
+    const Graph g = testing::make_instance(InstanceSpec{GraphFamily::erdos_renyi_sparse, 16, 4});
+    Rng rng(4);
+    return SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 4);
+}
+
+TEST(SnapshotReplace, SavesCreateFilesUnderTheUmaskAndLeaveNothingBehindOnFailure)
+{
+    const std::filesystem::path dir = ::testing::TempDir() + "ccq_snapshot_replace_dir";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string dense = (dir / "oracle.snap").string();
+    const std::string sparse = (dir / "spanner.snap").string();
+    const OracleSnapshot original = random_snapshot(8, 9, true);
+    const SparseSnapshot spanner = small_sparse_snapshot();
+
+    // Mode 0666 under the umask, as a plain ofstream creates files.
+    const mode_t mask = ::umask(027);
+    save_snapshot(dense, original);
+    save_sparse_snapshot(sparse, spanner);
+    ::umask(mask);
+    for (const std::string& path : {dense, sparse}) {
+        struct stat info = {};
+        ASSERT_EQ(::stat(path.c_str(), &info), 0) << path;
+        EXPECT_EQ(info.st_mode & 0777, 0640u) << path;
+    }
+
+    // A failed write keeps the old file and removes its sibling.
+    OracleSnapshot broken = original;
+    broken.estimate = nullptr;
+    EXPECT_THROW(save_snapshot(dense, broken), check_error);
+    SparseSnapshot broken_spanner = spanner;
+    broken_spanner.edges.push_back({0, 99, 1}); // endpoint out of range
+    EXPECT_THROW(save_sparse_snapshot(sparse, broken_spanner), check_error);
+    expect_equal(original, load_snapshot(dense));
+    EXPECT_EQ(load_sparse_snapshot(sparse), spanner);
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"oracle.snap", "spanner.snap"}));
+
+    // Writers and readers take regular files only.
+    EXPECT_THROW(save_snapshot(dir.string(), original), snapshot_io_error);
+    EXPECT_THROW(save_snapshot((dir / "missing" / "x.snap").string(), original),
+                 snapshot_io_error);
+    EXPECT_THROW((void)MappedSnapshot(dir.string()), snapshot_io_error);
+    EXPECT_THROW((void)load_sparse_snapshot(dir.string()), snapshot_io_error);
+    EXPECT_THROW((void)peek_snapshot_format(dir.string()), snapshot_io_error);
+    // A FIFO is refused at once, not after waiting for a writer.
+    const std::string fifo = (dir / "fifo.snap").string();
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    EXPECT_THROW((void)MappedSnapshot(fifo), snapshot_io_error);
+    EXPECT_THROW((void)load_sparse_snapshot(fifo), snapshot_io_error);
+    EXPECT_THROW((void)peek_snapshot_format(fifo), snapshot_io_error);
+    EXPECT_THROW(save_snapshot(fifo, original), snapshot_io_error);
+    std::filesystem::remove_all(dir);
+}
+
+// --- seeded mutation over the one reader -------------------------------------
+//
+// Mutants of valid v1, v2 and v3 files: bit flips, truncations, and
+// forged length fields, node counts, payload lengths and offset-table
+// words.  All but the plain flips, cuts and length forgeries re-stamp
+// the checksum, so the structure checks are what must object.  Each
+// mutant either fails with snapshot_io_error (at open, or for v2 when
+// its bad row is first touched) or loads cells inside the invariants:
+// estimates in [0, kInfinity], next hops in [-1, n), spanner edges
+// u < v < n with weights in [0, kInfinity).  The eager and the mapped
+// open agree.  Any other exception fails the test.
+
+constexpr std::size_t kHeader = 8 + 4 + 8;
+
+[[nodiscard]] std::uint64_t get_field(const std::string& bytes, std::size_t pos, int width)
+{
+    std::uint64_t value = 0;
+    for (int i = 0; i < width; ++i)
+        value |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(bytes[pos + static_cast<std::size_t>(i)]))
+                 << (8 * i);
+    return value;
+}
+
+void put_field(std::string& bytes, std::size_t pos, std::uint64_t value, int width)
+{
+    for (int i = 0; i < width; ++i)
+        bytes[pos + static_cast<std::size_t>(i)] = static_cast<char>((value >> (8 * i)) & 0xff);
+}
+
+/// A forged value for a field: near the original, small, or anything.
+[[nodiscard]] std::uint64_t forged_value(Rng& rng, std::uint64_t original)
+{
+    switch (rng.uniform_int(0, 2)) {
+    case 0: return original + static_cast<std::uint64_t>(rng.uniform_int(-3, 3));
+    case 1: return static_cast<std::uint64_t>(rng.uniform_int(0, 64));
+    default: return rng.engine()();
+    }
+}
+
+/// One mutant of `good`.  Forged words land on 8-byte fields in
+/// [words, words_end): the v2 estimate offset table, the v3 spanner
+/// offset table, or the v1 estimate cells.
+[[nodiscard]] std::string mutate(const std::string& good, Rng& rng, std::size_t words,
+                                 std::size_t words_end)
+{
+    std::string bytes = good;
+    const auto pick = [&](std::size_t begin, std::size_t end) {
+        return static_cast<std::size_t>(
+            rng.uniform_int(static_cast<std::int64_t>(begin), static_cast<std::int64_t>(end) - 1));
+    };
+    const std::size_t payload_end = bytes.size() - 8;
+    switch (rng.uniform_int(0, 6)) {
+    case 0: { // a bit flip anywhere
+        const std::size_t pos = pick(0, bytes.size());
+        bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << rng.uniform_int(0, 7)));
+        return bytes;
+    }
+    case 1: // a cut
+        bytes.resize(pick(0, bytes.size()));
+        return bytes;
+    case 2: // a forged length field
+        put_field(bytes, 12, forged_value(rng, get_field(bytes, 12, 8)), 8);
+        return bytes;
+    case 3: { // a payload bit flip
+        const std::size_t pos = pick(kHeader, payload_end);
+        bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << rng.uniform_int(0, 7)));
+        break;
+    }
+    case 4: { // a payload cut short or padded, with a length field to match
+        std::string payload = bytes.substr(kHeader, payload_end - kHeader);
+        const std::size_t keep = pick(0, payload.size() + 17);
+        while (payload.size() < keep) payload.push_back(static_cast<char>(rng.uniform_int(0, 255)));
+        payload.resize(keep);
+        bytes = bytes.substr(0, 12);
+        put_u64(bytes, payload.size());
+        bytes += payload;
+        put_u64(bytes, 0);
+        break;
+    }
+    case 5: // a forged node count
+        put_field(bytes, kHeader, forged_value(rng, get_field(bytes, kHeader, 4)), 4);
+        break;
+    default: { // a forged offset-table entry (v1: an estimate cell)
+        const std::size_t pos = words + 8 * pick(0, (words_end - words) / 8);
+        put_field(bytes, pos, forged_value(rng, get_field(bytes, pos, 8)), 8);
+        break;
+    }
+    }
+    rehash(bytes);
+    return bytes;
+}
+
+struct MutantTally {
+    int accepted = 0;
+    int rejected = 0;
+};
+
+/// Loads a dense mutant eagerly and mapped, and checks the contract.
+void expect_dense_mutant_rejected_or_in_range(const std::string& bytes, const std::string& context,
+                                              MutantTally& tally)
+{
+    const testing::TempFile file("ccq_snapshot_mutant.snap", bytes);
+    std::optional<OracleSnapshot> eager;
+    try {
+        eager = load_snapshot(file.path());
+    } catch (const snapshot_io_error&) {
+    }
+    std::unique_ptr<MappedSnapshot> mapped;
+    try {
+        mapped = std::make_unique<MappedSnapshot>(file.path());
+    } catch (const snapshot_io_error&) {
+        EXPECT_FALSE(eager) << context << ": only the mapped open rejected it";
+        ++tally.rejected;
+        return;
+    }
+    const int n = mapped->node_count();
+    bool row_failed = false;
+    for (NodeId u = 0; u < n; ++u) {
+        try {
+            for (NodeId v = 0; v < n; ++v) {
+                const Weight cell = mapped->distance(u, v);
+                ASSERT_TRUE(cell >= 0 && cell <= kInfinity) << context << " cell " << cell;
+                if (eager) {
+                    ASSERT_EQ(cell, eager->estimate->at(u, v)) << context;
+                }
+                if (!mapped->has_routing()) continue;
+                const NodeId hop = mapped->next_hop(u, v);
+                ASSERT_TRUE(hop >= -1 && hop < n) << context << " hop " << hop;
+                if (eager) {
+                    ASSERT_EQ(hop, eager->routing->next_hop(u, v)) << context;
+                }
+            }
+        } catch (const snapshot_io_error&) {
+            EXPECT_EQ(mapped->format_version(), 2u) << context << ": a v1 row failed after open";
+            row_failed = true;
+        }
+    }
+    EXPECT_EQ(eager.has_value(), !row_failed) << context << ": eager and mapped opens disagree";
+    if (eager) {
+        EXPECT_EQ(eager->meta, mapped->meta()) << context;
+        EXPECT_EQ(eager->routing != nullptr, mapped->has_routing()) << context;
+    }
+    ++(row_failed ? tally.rejected : tally.accepted);
+}
+
+void expect_sparse_mutant_rejected_or_in_range(const std::string& bytes,
+                                               const std::string& context, MutantTally& tally)
+{
+    const testing::TempFile file("ccq_snapshot_mutant_v3.snap", bytes);
+    std::optional<SparseSnapshot> loaded;
+    try {
+        loaded = load_sparse_snapshot(file.path());
+    } catch (const snapshot_io_error&) {
+        ++tally.rejected;
+        return;
+    }
+    ++tally.accepted;
+    const int n = loaded->meta.node_count;
+    for (const WeightedEdge& edge : loaded->edges) {
+        ASSERT_TRUE(edge.u >= 0 && edge.u < edge.v && edge.v < n) << context;
+        ASSERT_TRUE(edge.weight >= 0 && edge.weight < kInfinity) << context;
+    }
+}
+
+TEST(SnapshotMutation, EveryMutantIsRejectedOrLoadsCellsInRange)
+{
+    constexpr int kMutants = 400;
+    const OracleSnapshot dense = make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1});
+    const std::size_t meta_end = kHeader + 60 + dense.meta.algorithm.size();
+    const std::size_t n = 12;
+    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
+        const std::string good = to_bytes(dense, codec);
+        const std::size_t words_end =
+            meta_end + 8 * (codec == SnapshotFormat::v1_raw ? n * n : n + 1);
+        Rng rng(format_version(codec));
+        MutantTally tally;
+        for (int i = 0; i < kMutants; ++i)
+            expect_dense_mutant_rejected_or_in_range(
+                mutate(good, rng, meta_end, words_end),
+                std::string(snapshot_format_name(codec)) + " mutant " + std::to_string(i), tally);
+        EXPECT_GT(tally.accepted, 0) << snapshot_format_name(codec);
+        EXPECT_GT(tally.rejected, kMutants / 2) << snapshot_format_name(codec);
+    }
+
+    const SparseSnapshot sparse = small_sparse_snapshot();
+    std::ostringstream out(std::ios::binary);
+    write_sparse_snapshot(out, sparse);
+    const std::string good = out.str();
+    const std::size_t table = kHeader + 60 + sparse.meta.algorithm.size() + 4 + 4 +
+                              (4 + sparse.construction.size()) + 8;
+    const std::size_t table_end =
+        table + 8 * (static_cast<std::size_t>(sparse.meta.node_count) + 1);
+    Rng rng(3);
+    MutantTally tally;
+    for (int i = 0; i < kMutants; ++i)
+        expect_sparse_mutant_rejected_or_in_range(mutate(good, rng, table, table_end),
+                                                  "v3 mutant " + std::to_string(i), tally);
+    EXPECT_GT(tally.accepted, 0);
+    EXPECT_GT(tally.rejected, kMutants / 2);
 }
 
 } // namespace
