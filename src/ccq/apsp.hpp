@@ -18,7 +18,7 @@
 //   core/     composed algorithms (Theorems 1.1/1.2/7.1/8.1), baselines,
 //             the DistanceOracle facade, and next-hop routing tables
 //   serve/    build-once/serve-many layer: snapshot persistence
-//             (serve/snapshot.hpp: dense codecs v1/v2, the sparse
+//             (serve/snapshot.hpp: the dense codec v2, the sparse
 //             spanner codec v3, and mmap-backed loading), the
 //             DistanceSource read-path abstraction over dense, mapped,
 //             and spanner-backed oracles (serve/distance_source.hpp),

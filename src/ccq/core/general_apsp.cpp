@@ -16,18 +16,6 @@
 namespace ccq {
 namespace {
 
-/// Largest finite entry of a distance estimate (diameter upper bound).
-Weight max_finite_entry(const DistanceMatrix& m)
-{
-    Weight best = 0;
-    for (NodeId u = 0; u < m.size(); ++u)
-        for (NodeId v = 0; v < m.size(); ++v) {
-            const Weight w = m.at(u, v);
-            if (is_finite(w)) best = std::max(best, w);
-        }
-    return best;
-}
-
 /// Rows of the k smallest (eta, id) entries per node — the approximate
 /// nearest sets Ñk(u) of Theorem 8.1's skeleton stage.  Rows are
 /// independent and selected in parallel per `engine`.

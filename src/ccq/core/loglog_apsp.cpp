@@ -10,18 +10,6 @@
 #include "ccq/spanner/spanner_apsp.hpp"
 
 namespace ccq {
-namespace {
-
-Weight max_finite_entry(const DistanceMatrix& m)
-{
-    Weight best = 0;
-    for (NodeId u = 0; u < m.size(); ++u)
-        for (NodeId v = 0; v < m.size(); ++v)
-            if (is_finite(m.at(u, v))) best = std::max(best, m.at(u, v));
-    return best;
-}
-
-} // namespace
 
 ApspResult apsp_loglog(const Graph& g, const ApspOptions& options)
 {

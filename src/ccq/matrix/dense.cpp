@@ -1,5 +1,7 @@
 #include "ccq/matrix/dense.hpp"
 
+#include <algorithm>
+
 #include "ccq/graph/graph.hpp"
 
 namespace ccq {
@@ -28,6 +30,15 @@ bool is_symmetric(const DistanceMatrix& a)
         for (NodeId j = i + 1; j < a.size(); ++j)
             if (a.at(i, j) != a.at(j, i)) return false;
     return true;
+}
+
+Weight max_finite_entry(const DistanceMatrix& a)
+{
+    Weight best = 0;
+    for (NodeId i = 0; i < a.size(); ++i)
+        for (NodeId j = 0; j < a.size(); ++j)
+            if (is_finite(a.at(i, j))) best = std::max(best, a.at(i, j));
+    return best;
 }
 
 } // namespace ccq

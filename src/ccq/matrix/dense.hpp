@@ -119,6 +119,10 @@ private:
 /// True if the matrix is symmetric (undirected distances).
 [[nodiscard]] bool is_symmetric(const DistanceMatrix& a);
 
+/// Largest finite entry (0 when there is none): an upper bound on the
+/// diameter when `a` is a distance estimate.
+[[nodiscard]] Weight max_finite_entry(const DistanceMatrix& a);
+
 } // namespace ccq
 
 #endif // CCQ_MATRIX_DENSE_HPP

@@ -113,8 +113,8 @@ private:
     OracleSnapshot snapshot_;
 };
 
-/// Dense source over an mmap'd snapshot file (v1 in-place cells, v2
-/// decode-once lazy rows — both inside MappedSnapshot).
+/// Dense source over an mmap'd snapshot file (decode-once lazy rows
+/// inside MappedSnapshot).
 class MappedSnapshotSource final : public DistanceSource {
 public:
     explicit MappedSnapshotSource(std::shared_ptr<const MappedSnapshot> mapped);
@@ -217,7 +217,7 @@ struct DistanceSourceOptions {
 };
 
 /// Opens a snapshot file of any format as the right DistanceSource:
-/// peeks the envelope version, then loads v1/v2 as a dense (or mmap)
+/// peeks the envelope version, then loads v2 as a dense (or mmap)
 /// source and v3 as a SpannerDistanceSource.  This is how ccq_served,
 /// ccq_serve query, and bench auto-detect v3.
 [[nodiscard]] std::shared_ptr<const DistanceSource>

@@ -107,11 +107,6 @@ public:
     /// The source answering this engine's queries.
     [[nodiscard]] const DistanceSource& source() const noexcept { return *source_; }
     [[nodiscard]] SourceKind source_kind() const noexcept { return source_->kind(); }
-    /// True when serving from an mmap'd file instead of owned memory.
-    [[nodiscard]] bool is_mapped() const noexcept
-    {
-        return source_->kind() == SourceKind::mapped;
-    }
 
     /// Distance estimate for (from, to); kInfinity when unreachable.
     [[nodiscard]] Weight distance(NodeId from, NodeId to) const;

@@ -101,12 +101,21 @@ void encode_meta(std::string& payload, const SnapshotMeta& meta)
     return flag == 1;
 }
 
+/// The version of the retired fixed-width dense codec: reserved, and
+/// rejected by every reader.
+constexpr std::uint32_t kRetiredVersion = 1;
+
 // Every unknown-version rejection goes through here so the message
 // always names the version that was found, not just "unsupported".
 [[noreturn]] void throw_unknown_version(const std::string& who, std::uint32_t version)
 {
+    if (version == kRetiredVersion)
+        throw snapshot_io_error(who + ": snapshot format version 1 (fixed-width dense cells) is "
+                                      "retired; rebuild the snapshot with ccq_serve build, "
+                                      "which writes version 2");
     throw snapshot_io_error(who + ": unsupported snapshot format version " +
-                            std::to_string(version) + " (this build understands 1.." +
+                            std::to_string(version) + " (this build understands " +
+                            std::to_string(format_version(SnapshotFormat::v2_compressed)) + ".." +
                             std::to_string(kSnapshotFormatVersion) + ")");
 }
 
@@ -155,16 +164,16 @@ private:
     Fnv1a hash_;
 };
 
-// --- dense writer (v1 and v2) -----------------------------------------------
+// --- dense writer (v2) ------------------------------------------------------
 //
 // The estimate and the routing table are each one section of n rows,
 // read in place from the snapshot's cells.  A sizing pass computes every
-// row's encoded length (fixed for v1, a sum of varint sizes for v2) in
-// parallel, which yields the v2 offset table and the payload length the
-// header needs.  Rows are then encoded in batches of about kBatchBytes,
-// each row at its own offset, and every batch is hashed and written in
-// row order — so the bytes do not depend on the thread count.  Two batch
-// buffers alternate: while one is hashed and streamed, the next batch is
+// row's encoded length (a sum of varint sizes) in parallel, which yields
+// the offset table and the payload length the header needs.  Rows are
+// then encoded in batches of about kBatchBytes, each row at its own
+// offset, and every batch is hashed and written in row order — so the
+// bytes do not depend on the thread count.  Two batch buffers
+// alternate: while one is hashed and streamed, the next batch is
 // encoded into the other, so at most two batches of encoded output are
 // held at a time.
 
@@ -204,31 +213,13 @@ char* encode_v2_row(std::span<const Cell> row, char* out)
     return out;
 }
 
-template <class Cell>
-char* encode_v1_row(std::span<const Cell> row, char* out)
-{
-    for (const Cell cell : row) {
-        const auto bits = static_cast<std::make_unsigned_t<Cell>>(cell);
-        for (std::size_t i = 0; i < sizeof(Cell); ++i)
-            *out++ = static_cast<char>((bits >> (8 * i)) & 0xff);
-    }
-    return out;
-}
-
 /// Byte offsets of a section's rows relative to its first row: n+1
 /// entries, row u in [offsets[u], offsets[u+1]).  `row_of(u)` is a
 /// span of n cells.
 template <class RowOf>
-[[nodiscard]] std::vector<std::uint64_t> row_offsets(int n, SnapshotFormat format, int threads,
-                                                     const RowOf& row_of)
+[[nodiscard]] std::vector<std::uint64_t> row_offsets(int n, int threads, const RowOf& row_of)
 {
     std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-    if (format == SnapshotFormat::v1_raw) {
-        using Cell = typename std::invoke_result_t<const RowOf&, NodeId>::value_type;
-        const std::uint64_t row_bytes = static_cast<std::uint64_t>(n) * sizeof(Cell);
-        for (std::size_t u = 1; u < offsets.size(); ++u) offsets[u] = u * row_bytes;
-        return offsets;
-    }
     parallel_chunks(threads, 0, n, 1, [&](int begin, int end) {
         for (NodeId u = begin; u < end; ++u)
             offsets[static_cast<std::size_t>(u) + 1] = v2_row_size(row_of(u));
@@ -237,11 +228,10 @@ template <class RowOf>
     return offsets;
 }
 
-/// Encoded bytes of a section: v2 adds its u64 offset table.
-[[nodiscard]] std::uint64_t section_bytes(const std::vector<std::uint64_t>& offsets,
-                                          SnapshotFormat format)
+/// Encoded bytes of a section: its u64 offset table and its rows.
+[[nodiscard]] std::uint64_t section_bytes(const std::vector<std::uint64_t>& offsets)
 {
-    return offsets.back() + (format == SnapshotFormat::v2_compressed ? 8 * offsets.size() : 0);
+    return 8 * offsets.size() + offsets.back();
 }
 
 /// Rows [starts[k], starts[k+1]) form batch k: as many whole rows as
@@ -263,16 +253,13 @@ template <class RowOf>
 }
 
 template <class RowOf>
-void write_section(EnvelopeWriter& sink, SnapshotFormat format,
-                   const std::vector<std::uint64_t>& offsets, int threads, const RowOf& row_of)
+void write_section(EnvelopeWriter& sink, const std::vector<std::uint64_t>& offsets, int threads,
+                   const RowOf& row_of)
 {
-    const bool v2 = format == SnapshotFormat::v2_compressed;
-    if (v2) {
-        std::string table;
-        table.reserve(8 * offsets.size());
-        for (const std::uint64_t offset : offsets) put_u64(table, offset);
-        sink.write(table);
-    }
+    std::string table;
+    table.reserve(8 * offsets.size());
+    for (const std::uint64_t offset : offsets) put_u64(table, offset);
+    sink.write(table);
     const std::vector<int> starts = batch_starts(offsets);
     const int batches = static_cast<int>(starts.size()) - 1;
     if (batches == 0) return;
@@ -286,7 +273,7 @@ void write_section(EnvelopeWriter& sink, SnapshotFormat format,
         const std::uint64_t base = offset_of(batch_begin(batch));
         for (NodeId u = begin; u < end; ++u) {
             char* out = buffer + (offset_of(u) - base);
-            char* row_end = v2 ? encode_v2_row(row_of(u), out) : encode_v1_row(row_of(u), out);
+            char* row_end = encode_v2_row(row_of(u), out);
             CCQ_CHECK(row_end == buffer + (offset_of(u + 1) - base),
                       "write_snapshot: row size mismatch");
         }
@@ -333,8 +320,7 @@ struct DenseLayout {
     return {estimate.data() + static_cast<std::size_t>(u) * n, n};
 }
 
-[[nodiscard]] DenseLayout dense_layout(const OracleSnapshot& snapshot, SnapshotFormat format,
-                                       int threads)
+[[nodiscard]] DenseLayout dense_layout(const OracleSnapshot& snapshot, int threads)
 {
     const SnapshotMeta& meta = snapshot.meta;
     const int n = meta.node_count;
@@ -343,20 +329,17 @@ struct DenseLayout {
                "write_snapshot: meta/estimate node count mismatch");
     CCQ_EXPECT(snapshot.routing == nullptr || snapshot.routing->size() == n,
                "write_snapshot: routing node count mismatch");
-    CCQ_EXPECT(format == SnapshotFormat::v1_raw || format == SnapshotFormat::v2_compressed,
-               "write_snapshot: dense snapshots are v1 or v2 (v3 is write_sparse_snapshot)");
 
     DenseLayout layout;
     encode_meta(layout.head, meta);
     const DistanceMatrix& estimate = *snapshot.estimate;
-    layout.estimate_offsets = row_offsets(n, format, threads,
-                                          [&](NodeId u) { return estimate_row(estimate, u); });
-    layout.payload_size = layout.head.size() + section_bytes(layout.estimate_offsets, format) + 4;
+    layout.estimate_offsets =
+        row_offsets(n, threads, [&](NodeId u) { return estimate_row(estimate, u); });
+    layout.payload_size = layout.head.size() + section_bytes(layout.estimate_offsets) + 4;
     if (snapshot.routing != nullptr) {
         const RoutingTables& routing = *snapshot.routing;
-        layout.hop_offsets =
-            row_offsets(n, format, threads, [&](NodeId u) { return routing.row(u); });
-        layout.payload_size += section_bytes(layout.hop_offsets, format);
+        layout.hop_offsets = row_offsets(n, threads, [&](NodeId u) { return routing.row(u); });
+        layout.payload_size += section_bytes(layout.hop_offsets);
     }
     return layout;
 }
@@ -366,11 +349,11 @@ struct DenseLayout {
 // Every snapshot file is read from one read-only mapping of the whole
 // file: map_envelope checks the envelope once, parse_dense locates the
 // rows of a dense file's sections, and decode_row turns one row's bytes
-// into range-checked cells under either dense codec.  MappedSnapshot
-// serves from these, load_snapshot is MappedSnapshot::materialize, and
-// load_sparse_snapshot decodes the v3 payload in place.  Parse and
-// decode failures are decode_errors; `decoding` rethrows them as
-// snapshot_io_errors that name the file.
+// into range-checked cells.  MappedSnapshot serves from these,
+// load_snapshot is MappedSnapshot::materialize, and load_sparse_snapshot
+// decodes the v3 payload in place.  Parse and decode failures are
+// decode_errors; `decoding` rethrows them as snapshot_io_errors that
+// name the file.
 
 /// Runs `decode`, rethrowing a decode_error as a snapshot_io_error.
 template <class Decode>
@@ -390,7 +373,8 @@ decltype(auto) decoding(const std::string& who, const Decode& decode)
     if (std::memcmp(header.data(), kMagic.data(), kMagic.size()) != 0)
         throw snapshot_io_error(who + ": bad magic (not a ccq snapshot)");
     const std::uint32_t version = ByteReader(header.substr(kMagic.size())).u32();
-    if (version < format_version(SnapshotFormat::v1_raw) || version > kSnapshotFormatVersion)
+    if (version < format_version(SnapshotFormat::v2_compressed) ||
+        version > kSnapshotFormatVersion)
         throw_unknown_version(who, version);
     return version;
 }
@@ -415,12 +399,11 @@ decltype(auto) decoding(const std::string& who, const Decode& decode)
 struct MappedFile {
     std::shared_ptr<const char> bytes; ///< the mapping; unmapped with its last handle
     std::uint64_t size = 0;
-    SnapshotFormat format = SnapshotFormat::v1_raw;
     std::string_view payload; ///< inside `bytes`
 };
 
 /// Maps `path` and checks its envelope: the magic, a version of the
-/// wanted kind (dense v1/v2 or sparse v3; the error for the other kind
+/// wanted kind (dense v2 or sparse v3; the error for the other kind
 /// names its loader), a length field equal to the file size less header
 /// and footer, and the FNV-1a checksum.  Only regular files map.
 [[nodiscard]] MappedFile map_envelope(const std::string& path, bool dense)
@@ -459,15 +442,13 @@ struct MappedFile {
     file.payload = bytes.substr(kHeaderBytes, static_cast<std::size_t>(payload_size));
     if (ByteReader(bytes.substr(kHeaderBytes + file.payload.size())).u64() != fnv1a(file.payload))
         throw snapshot_io_error(who + ": checksum mismatch (corrupted snapshot)");
-    file.format = static_cast<SnapshotFormat>(version);
     return file;
 }
 
-// --- dense layout: v1 fixed-width rows, v2 rows behind offset tables --------
+// --- dense layout: rows behind offset tables --------------------------------
 //
 // Payload: meta, the estimate section, a u32 routing flag, and (when
-// set) the next-hop section.  A v1 section is n rows of n fixed-width
-// cells (i64 estimates, i32 next hops), row-major.  A v2 section is
+// set) the next-hop section.  Each section is
 //
 //   offsets  (n+1) x u64   row i occupies blob[offsets[i], offsets[i+1])
 //   blob     offsets[n] bytes of concatenated rows
@@ -520,37 +501,20 @@ struct DenseSections {
     return offsets;
 }
 
-/// Locates one section's rows and moves the reader past the section.
-/// node_count is untrusted (FNV-1a detects accidents, not forgery), so
-/// every bound is proven against the payload before an n-sized
-/// allocation.  A v2 row takes at least one varint byte per cell.
-[[nodiscard]] std::vector<std::size_t> parse_section(ByteReader& reader, int n,
-                                                     SnapshotFormat format,
-                                                     std::size_t cell_bytes, const char* what)
-{
-    const auto rows = static_cast<std::size_t>(n);
-    if (format == SnapshotFormat::v1_raw) {
-        if (static_cast<std::uint64_t>(rows) * rows > reader.remaining() / cell_bytes)
-            throw decode_error(std::string("node count exceeds payload size (") + what +
-                               " cells)");
-        std::vector<std::size_t> offsets(rows + 1);
-        for (std::size_t u = 0; u <= rows; ++u)
-            offsets[u] = reader.position() + u * rows * cell_bytes;
-        (void)reader.bytes(rows * rows * cell_bytes);
-        return offsets;
-    }
-    return parse_offset_table(reader, n, rows, what);
-}
-
-[[nodiscard]] DenseSections parse_dense(std::string_view payload, SnapshotFormat format)
+/// Locates the rows of both sections.  node_count is untrusted (FNV-1a
+/// detects accidents, not forgery), so parse_offset_table proves every
+/// bound against the payload before an n-sized allocation; a row takes
+/// at least one varint byte per cell.
+[[nodiscard]] DenseSections parse_dense(std::string_view payload)
 {
     ByteReader reader(payload);
     DenseSections sections;
     sections.meta = decode_meta(reader);
     const int n = sections.meta.node_count;
-    sections.estimate_rows = parse_section(reader, n, format, sizeof(Weight), "estimate");
+    const auto min_row_bytes = static_cast<std::size_t>(n);
+    sections.estimate_rows = parse_offset_table(reader, n, min_row_bytes, "estimate");
     if (decode_flag(reader, "routing flag"))
-        sections.hop_rows = parse_section(reader, n, format, sizeof(NodeId), "routing");
+        sections.hop_rows = parse_offset_table(reader, n, min_row_bytes, "routing");
     if (!reader.exhausted()) throw decode_error("trailing bytes after payload");
     return sections;
 }
@@ -563,12 +527,11 @@ struct DenseSections {
     return payload.substr(rows[row], rows[row + 1] - rows[row]);
 }
 
-// Decoded-cell invariants, enforced under both codecs before a cell is
-// served.  The dense engine's raw-add kernels assume every stored cell
-// is in [0, kInfinity] (the no-overflow argument in matrix/kernels/),
-// so a crafted or corrupted snapshot must never hand an out-of-range
-// cell back to anything that might feed the engine.  Next hops are in
-// [-1, n).
+// Decoded-cell invariants, enforced before a cell is served.  The dense
+// engine's raw-add kernels assume every stored cell is in [0, kInfinity]
+// (the no-overflow argument in matrix/kernels/), so a crafted or
+// corrupted snapshot must never hand an out-of-range cell back to
+// anything that might feed the engine.  Next hops are in [-1, n).
 template <class Cell>
 void check_cell(std::int64_t value, int n)
 {
@@ -590,44 +553,29 @@ void check_cell(std::int64_t value, int n)
                                      static_cast<std::uint64_t>(delta));
 }
 
-/// The one row decoder: n range-checked cells into `out`.  A v1 row is
-/// n little-endian fixed-width cells; a v2 row is n zigzag-varint deltas
-/// and must end exactly after the last one.
+/// The one row decoder: n range-checked cells into `out`.  A row is n
+/// zigzag-varint deltas and must end exactly after the last one.
 template <class Cell>
-void decode_row(SnapshotFormat format, std::string_view bytes, int n, Cell* out)
+void decode_row(std::string_view bytes, int n, Cell* out)
 {
     ByteReader reader(bytes);
     std::int64_t value = 0;
     for (int v = 0; v < n; ++v) {
-        if (format == SnapshotFormat::v1_raw)
-            value = sizeof(Cell) == sizeof(std::int64_t) ? reader.i64() : reader.i32();
-        else
-            value = wrapping_add(value, reader.varint_i64());
+        value = wrapping_add(value, reader.varint_i64());
         check_cell<Cell>(value, n);
         out[v] = static_cast<Cell>(value);
     }
     if (!reader.exhausted()) throw decode_error("trailing bytes in row");
 }
 
-/// A v1 cell, read in place (v1 rows are range-checked at open).
-template <class Cell>
-[[nodiscard]] Cell fixed_cell(std::string_view payload, const std::vector<std::size_t>& rows,
-                              NodeId from, NodeId to)
-{
-    ByteReader reader(payload.substr(
-        rows[static_cast<std::size_t>(from)] + static_cast<std::size_t>(to) * sizeof(Cell),
-        sizeof(Cell)));
-    return static_cast<Cell>(sizeof(Cell) == sizeof(std::int64_t) ? reader.i64() : reader.i32());
-}
-
-/// A v2 row, decoded on first touch (std::call_once: concurrent readers
+/// A row, decoded on first touch (std::call_once: concurrent readers
 /// wait for the one decode; a failed decode throws to every caller).
 template <class Slot>
-const auto& lazy_row(Slot& slot, SnapshotFormat format, std::string_view bytes, int n)
+const auto& lazy_row(Slot& slot, std::string_view bytes, int n)
 {
     std::call_once(slot.once, [&] {
         decltype(slot.cells) cells(static_cast<std::size_t>(n));
-        decoding("snapshot", [&] { decode_row(format, bytes, n, cells.data()); });
+        decoding("snapshot", [&] { decode_row(bytes, n, cells.data()); });
         slot.cells = std::move(cells);
     });
     return slot.cells;
@@ -650,12 +598,12 @@ constexpr std::size_t kReleaseBytes = 4 << 20;
 /// file holds the decoded cells and a window of the mapping, not both
 /// in full.
 template <class Cell>
-void decode_section(SnapshotFormat format, std::string_view payload,
-                    const std::vector<std::size_t>& rows, int n, Cell* out)
+void decode_section(std::string_view payload, const std::vector<std::size_t>& rows, int n,
+                    Cell* out)
 {
     std::size_t released = rows.front();
     for (NodeId u = 0; u < n; ++u) {
-        decode_row(format, row_bytes(payload, rows, u), n,
+        decode_row(row_bytes(payload, rows, u), n,
                    out + static_cast<std::size_t>(u) * static_cast<std::size_t>(n));
         const std::size_t end = rows[static_cast<std::size_t>(u) + 1];
         if (end - released >= kReleaseBytes || u + 1 == n) {
@@ -712,7 +660,6 @@ void replace_file(const std::string& path, const char* who, const Write& write)
 const char* snapshot_format_name(SnapshotFormat format) noexcept
 {
     switch (format) {
-    case SnapshotFormat::v1_raw: return "v1-raw";
     case SnapshotFormat::v2_compressed: return "v2-compressed";
     case SnapshotFormat::v3_spanner: return "v3-spanner";
     }
@@ -766,29 +713,24 @@ void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot, SnapshotF
     obs::TraceSpan span("snapshot/write", "serve",
                         "{\"n\":" + std::to_string(n) + ",\"threads\":" +
                             std::to_string(threads) + "}");
-    const DenseLayout layout = dense_layout(snapshot, format, threads);
+    CCQ_EXPECT(format == SnapshotFormat::v2_compressed,
+               "write_snapshot: dense snapshots are v2 (v3 is write_sparse_snapshot)");
+    const DenseLayout layout = dense_layout(snapshot, threads);
     std::string routing_flag;
     put_u32(routing_flag, snapshot.routing != nullptr ? 1 : 0);
 
     EnvelopeWriter sink(out, format, layout.payload_size, "write_snapshot");
     sink.write(layout.head);
     const DistanceMatrix& estimate = *snapshot.estimate;
-    write_section(sink, format, layout.estimate_offsets, threads,
+    write_section(sink, layout.estimate_offsets, threads,
                   [&](NodeId u) { return estimate_row(estimate, u); });
     sink.write(routing_flag);
     if (snapshot.routing != nullptr) {
         const RoutingTables& routing = *snapshot.routing;
-        write_section(sink, format, layout.hop_offsets, threads,
+        write_section(sink, layout.hop_offsets, threads,
                       [&](NodeId u) { return routing.row(u); });
     }
     sink.finish();
-}
-
-std::uint64_t encoded_snapshot_bytes(const OracleSnapshot& snapshot, SnapshotFormat format,
-                                     const EngineConfig& engine)
-{
-    return kHeaderBytes + dense_layout(snapshot, format, engine.resolved_threads()).payload_size +
-           kFooterBytes;
 }
 
 void save_snapshot(const std::string& path, const OracleSnapshot& snapshot, SnapshotFormat format,
@@ -979,32 +921,14 @@ MappedSnapshot::MappedSnapshot(const std::string& path)
     file_ = std::move(file.bytes);
     file_bytes_ = file.size;
     payload_ = file.payload;
-    format_ = file.format;
-    const std::string who = "snapshot " + path;
-    DenseSections sections = decoding(who, [&] { return parse_dense(payload_, format_); });
+    DenseSections sections = decoding("snapshot " + path, [&] { return parse_dense(payload_); });
     meta_ = std::move(sections.meta);
     estimate_rows_ = std::move(sections.estimate_rows);
     hop_rows_ = std::move(sections.hop_rows);
-    const int n = meta_.node_count;
-    if (format_ == SnapshotFormat::v2_compressed) {
-        // v2 rows are decoded, and their cells checked, on first touch.
-        estimate_cache_ = std::make_unique<RowSlot<Weight>[]>(static_cast<std::size_t>(n));
-        if (has_routing())
-            hop_cache_ = std::make_unique<RowSlot<NodeId>[]>(static_cast<std::size_t>(n));
-        return;
-    }
-    // v1 cells are later read in place, unchecked, so every row is
-    // decoded and checked once here, over bytes the checksum pass has
-    // just paged in.
-    decoding(who, [&] {
-        std::vector<Weight> cells(static_cast<std::size_t>(n));
-        std::vector<NodeId> hops(static_cast<std::size_t>(n));
-        for (NodeId u = 0; u < n; ++u) {
-            decode_row(format_, row_bytes(payload_, estimate_rows_, u), n, cells.data());
-            if (has_routing())
-                decode_row(format_, row_bytes(payload_, hop_rows_, u), n, hops.data());
-        }
-    });
+    // Rows are decoded, and their cells checked, on first touch.
+    const auto n = static_cast<std::size_t>(meta_.node_count);
+    estimate_cache_ = std::make_unique<RowSlot<Weight>[]>(n);
+    if (has_routing()) hop_cache_ = std::make_unique<RowSlot<NodeId>[]>(n);
 }
 
 void MappedSnapshot::check_node(NodeId v, const char* what) const
@@ -1014,22 +938,20 @@ void MappedSnapshot::check_node(NodeId v, const char* what) const
 
 const std::vector<Weight>& MappedSnapshot::estimate_row(NodeId u) const
 {
-    return lazy_row(estimate_cache_[static_cast<std::size_t>(u)], format_,
+    return lazy_row(estimate_cache_[static_cast<std::size_t>(u)],
                     row_bytes(payload_, estimate_rows_, u), meta_.node_count);
 }
 
 const std::vector<NodeId>& MappedSnapshot::hop_row(NodeId u) const
 {
-    return lazy_row(hop_cache_[static_cast<std::size_t>(u)], format_,
-                    row_bytes(payload_, hop_rows_, u), meta_.node_count);
+    return lazy_row(hop_cache_[static_cast<std::size_t>(u)], row_bytes(payload_, hop_rows_, u),
+                    meta_.node_count);
 }
 
 Weight MappedSnapshot::distance(NodeId from, NodeId to) const
 {
     check_node(from, "MappedSnapshot::distance: node out of range");
     check_node(to, "MappedSnapshot::distance: node out of range");
-    if (format_ == SnapshotFormat::v1_raw)
-        return fixed_cell<Weight>(payload_, estimate_rows_, from, to);
     return estimate_row(from)[static_cast<std::size_t>(to)];
 }
 
@@ -1038,12 +960,6 @@ void MappedSnapshot::fill_row(NodeId from, std::span<Weight> out) const
     const int n = meta_.node_count;
     check_node(from, "MappedSnapshot::fill_row: node out of range");
     CCQ_EXPECT(out.size() == static_cast<std::size_t>(n), "MappedSnapshot::fill_row: bad row size");
-    if (format_ == SnapshotFormat::v1_raw) {
-        decoding("snapshot", [&] {
-            decode_row(format_, row_bytes(payload_, estimate_rows_, from), n, out.data());
-        });
-        return;
-    }
     const std::vector<Weight>& row = estimate_row(from);
     std::copy(row.begin(), row.end(), out.begin());
 }
@@ -1053,8 +969,6 @@ NodeId MappedSnapshot::next_hop(NodeId from, NodeId to) const
     check_node(from, "MappedSnapshot::next_hop: node out of range");
     check_node(to, "MappedSnapshot::next_hop: node out of range");
     CCQ_EXPECT(has_routing(), "MappedSnapshot::next_hop: snapshot has no routing tables");
-    if (format_ == SnapshotFormat::v1_raw)
-        return fixed_cell<NodeId>(payload_, hop_rows_, from, to);
     return hop_row(from)[static_cast<std::size_t>(to)];
 }
 
@@ -1075,13 +989,13 @@ OracleSnapshot MappedSnapshot::materialize() const
     // Straight into the owned cells: the row cache is left as it is.
     auto estimate = std::make_shared<DistanceMatrix>(DistanceMatrix::uninitialized(n));
     decoding("snapshot", [&] {
-        decode_section(format_, payload_, estimate_rows_, n, estimate->data());
+        decode_section(payload_, estimate_rows_, n, estimate->data());
     });
     snapshot.estimate = std::move(estimate);
     if (has_routing()) {
         std::vector<NodeId> hops(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
         decoding("snapshot",
-                 [&] { decode_section(format_, payload_, hop_rows_, n, hops.data()); });
+                 [&] { decode_section(payload_, hop_rows_, n, hops.data()); });
         snapshot.routing = std::make_shared<const RoutingTables>(n, std::move(hops));
     }
     return snapshot;

@@ -12,13 +12,12 @@
 // Envelope (all integers little-endian, fixed width):
 //
 //   magic    8 bytes  "CCQSNAP\n"
-//   version  u32      SnapshotFormat (1, 2 or 3)
+//   version  u32      SnapshotFormat (2 or 3; 1 is retired)
 //   length   u64      payload byte count (truncation detection)
 //   payload  ...      format-dependent (see below)
 //   checksum u64      FNV-1a 64 of the payload (corruption detection)
 //
-// Version 1 stores every estimate cell as a fixed 8-byte integer and
-// every next hop as 4 bytes.  Version 2 ("codec v2") stores each row
+// Version 2 ("codec v2", the one dense codec) stores each row
 // delta-encoded as zigzag varints behind a row-offset table, which both
 // shrinks the file (neighboring estimates are close; unreachable runs
 // collapse to one byte per cell) and enables lazy per-row decoding.
@@ -26,15 +25,17 @@
 // spanner edge list in CSR form (delta-varint targets + varint weights),
 // O(k n^{1+1/k}) cells instead of n^2 — distances are reconstructed at
 // query time by SpannerDistanceSource (serve/distance_source.hpp).
+// Version 1 (fixed-width dense cells) is retired and stays reserved:
+// every reader rejects it, naming the version and asking for a rebuild.
 //
 // One reader serves every format.  A snapshot file must be a regular
 // file, and it is read from one read-only mmap of the whole file: the
 // envelope (magic, version, length, FNV-1a checksum) is checked once at
-// open, v1/v2 files are parsed once into row locators, and one row
-// decoder per codec range-checks cells on their way out.  Dense readers
-// (MappedSnapshot, load_snapshot) accept versions 1 and 2 and the
-// sparse one (load_sparse_snapshot) version 3; each rejects the other
-// kind with a pointer at the right loader, and an unknown version with
+// open, v2 files are parsed once into row locators, and one row decoder
+// range-checks cells on their way out.  Dense readers (MappedSnapshot,
+// load_snapshot) accept version 2 and the sparse one
+// (load_sparse_snapshot) version 3; each rejects the other kind with a
+// pointer at the right loader, and an unknown version with
 // snapshot_io_error naming the version found.  A successful load
 // round-trips bitwise.  There is no stream reader: bytes are read from
 // files.
@@ -72,9 +73,9 @@ public:
 
 /// On-disk encodings; the envelope version field is the format.  Every
 /// writer, reader, and tool names formats through this enum — the
-/// integer only appears on the wire.
+/// integer only appears on the wire.  Version 1 (the retired
+/// fixed-width dense codec) is reserved: no format takes it again.
 enum class SnapshotFormat : std::uint32_t {
-    v1_raw = 1,        ///< dense, fixed-width cells
     v2_compressed = 2, ///< dense, per-row delta+varint behind offset tables
     v3_spanner = 3,    ///< sparse: spanner edge list only (CSR, delta+varint)
 };
@@ -89,14 +90,15 @@ inline constexpr std::uint32_t kSnapshotFormatVersion =
     return static_cast<std::uint32_t>(format);
 }
 
-/// "v1-raw" / "v2-compressed" / "v3-spanner" (for logs, bench JSON, CLI).
+/// "v2-compressed" / "v3-spanner" (for logs, bench JSON, CLI).
 [[nodiscard]] const char* snapshot_format_name(SnapshotFormat format) noexcept;
 
 /// Reads just the envelope header of a snapshot file and returns its
 /// format, so callers (ccq_served, ccq_serve, bench) can pick the dense
 /// or sparse load path before committing to either.  Throws
-/// snapshot_io_error on missing files, bad magic, or a version this
-/// build does not understand (naming the found version).
+/// snapshot_io_error on missing files, bad magic, the retired version
+/// 1, or a version this build does not understand (naming the found
+/// version).
 [[nodiscard]] SnapshotFormat peek_snapshot_format(const std::string& path);
 
 /// Everything about the build that is not the bulk payload.
@@ -138,25 +140,20 @@ struct OracleSnapshot {
                                                     const RoutingTables* routing = nullptr);
 };
 
-/// Writes a dense (v1 or v2) snapshot.  Rows are encoded in parallel
+/// Writes a dense snapshot.  `format` must be v2, the one dense codec
+/// (anything else is a check_error).  Rows are encoded in parallel
 /// batches over `engine.threads`; while one batch is hashed and
 /// streamed in row order, the next is encoded, so the checksum overlaps
 /// the encoding.  The bytes are identical for every thread count.
 void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot,
-                    SnapshotFormat format = SnapshotFormat::v1_raw,
+                    SnapshotFormat format = SnapshotFormat::v2_compressed,
                     const EngineConfig& engine = {});
-
-/// The byte length write_snapshot would produce, from the writer's
-/// sizing pass alone: no cell is encoded and nothing is buffered.
-[[nodiscard]] std::uint64_t encoded_snapshot_bytes(const OracleSnapshot& snapshot,
-                                                   SnapshotFormat format,
-                                                   const EngineConfig& engine = {});
 
 /// Writes `path` by rename (see the top of this file): a failed save
 /// leaves the old file in place and no temporary behind.  An existing
 /// `path` must be a regular file.
 void save_snapshot(const std::string& path, const OracleSnapshot& snapshot,
-                   SnapshotFormat format = SnapshotFormat::v1_raw,
+                   SnapshotFormat format = SnapshotFormat::v2_compressed,
                    const EngineConfig& engine = {});
 
 /// MappedSnapshot(path).materialize(): the mapping is unmapped on return.
@@ -212,11 +209,10 @@ void save_sparse_snapshot(const std::string& path, const SparseSnapshot& snapsho
 ///
 /// Opening verifies the full envelope (magic, version, length, FNV-1a
 /// checksum) and parses the layout into row locators, but does not
-/// materialize the n^2 estimate: version-1 cells are range-checked at
-/// open and then read in place, and version-2 rows are decoded (and
-/// checked) on first touch into a per-row cache (std::call_once, so
-/// concurrent readers are safe and each row is decoded exactly once).
-/// All accessors are const and thread-safe.  Dense formats only; a v3
+/// materialize the n^2 estimate: rows are decoded (and checked) on
+/// first touch into a per-row cache (std::call_once, so concurrent
+/// readers are safe and each row is decoded exactly once).  All
+/// accessors are const and thread-safe.  Dense (v2) files only; a v3
 /// file loads via load_sparse_snapshot / open_distance_source instead.
 class MappedSnapshot {
 public:
@@ -227,10 +223,6 @@ public:
     [[nodiscard]] const SnapshotMeta& meta() const noexcept { return meta_; }
     [[nodiscard]] int node_count() const noexcept { return meta_.node_count; }
     [[nodiscard]] bool has_routing() const noexcept { return !hop_rows_.empty(); }
-    [[nodiscard]] std::uint32_t format_version() const noexcept
-    {
-        return ccq::format_version(format_);
-    }
     [[nodiscard]] std::uint64_t file_bytes() const noexcept { return file_bytes_; }
 
     /// Distance estimate for (from, to); kInfinity when unreachable.
@@ -268,7 +260,6 @@ private:
     std::shared_ptr<const char> file_; ///< the whole file, mapped read-only
     std::uint64_t file_bytes_ = 0;
     std::string_view payload_; ///< inside file_
-    SnapshotFormat format_ = SnapshotFormat::v1_raw;
     SnapshotMeta meta_;
 
     // Payload offsets of every row, n+1 per section (row u spans
@@ -276,7 +267,7 @@ private:
     std::vector<std::size_t> estimate_rows_;
     std::vector<std::size_t> hop_rows_;
 
-    // v2 only: rows decoded on first touch.
+    // Rows decoded on first touch.
     mutable std::unique_ptr<RowSlot<Weight>[]> estimate_cache_;
     mutable std::unique_ptr<RowSlot<NodeId>[]> hop_cache_;
 };

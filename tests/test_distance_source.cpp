@@ -174,8 +174,8 @@ TEST(DistanceSource, DenseAndMappedAnswerBitwiseIdenticallyToTheSnapshot)
 
     const QueryEngine dense_engine(dense);
     const QueryEngine mapped_engine(mapped);
-    EXPECT_FALSE(dense_engine.is_mapped());
-    EXPECT_TRUE(mapped_engine.is_mapped());
+    EXPECT_EQ(dense_engine.source_kind(), SourceKind::dense);
+    EXPECT_EQ(mapped_engine.source_kind(), SourceKind::mapped);
     for (NodeId u = 0; u < n; ++u) {
         std::vector<Weight> dense_row(static_cast<std::size_t>(n), 0);
         std::vector<Weight> mapped_row(static_cast<std::size_t>(n), 0);
@@ -332,18 +332,15 @@ TEST(DistanceSource, FactoryAutoDetectsEveryFormat)
         SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 5);
 
     const std::string dir = ::testing::TempDir();
-    const std::string v1 = dir + "ccq_factory.v1.snap";
     const std::string v2 = dir + "ccq_factory.v2.snap";
     const std::string v3 = dir + "ccq_factory.v3.snap";
-    save_snapshot(v1, dense, SnapshotFormat::v1_raw);
     save_snapshot(v2, dense, SnapshotFormat::v2_compressed);
     save_sparse_snapshot(v3, sparse);
 
-    EXPECT_EQ(peek_snapshot_format(v1), SnapshotFormat::v1_raw);
     EXPECT_EQ(peek_snapshot_format(v2), SnapshotFormat::v2_compressed);
     EXPECT_EQ(peek_snapshot_format(v3), SnapshotFormat::v3_spanner);
 
-    const auto eager = open_distance_source(v1);
+    const auto eager = open_distance_source(v2);
     const auto mmapped = open_distance_source(v2, DistanceSourceOptions{.prefer_mmap = true});
     const auto spanner = open_distance_source(v3);
     EXPECT_EQ(eager->kind(), SourceKind::dense);
@@ -361,9 +358,9 @@ TEST(DistanceSource, FactoryAutoDetectsEveryFormat)
     // right loader, and vice versa.
     EXPECT_THROW((void)load_snapshot(v3), snapshot_io_error);
     EXPECT_THROW((void)MappedSnapshot(v3), snapshot_io_error);
-    EXPECT_THROW((void)load_sparse_snapshot(v1), snapshot_io_error);
+    EXPECT_THROW((void)load_sparse_snapshot(v2), snapshot_io_error);
 
-    for (const std::string& path : {v1, v2, v3}) std::remove(path.c_str());
+    for (const std::string& path : {v2, v3}) std::remove(path.c_str());
 }
 
 TEST(DistanceSource, UnknownVersionErrorsReportTheFoundVersion)

