@@ -46,11 +46,11 @@ void DenseSnapshotSource::fill_row(NodeId from, std::span<Weight> out) const
     std::copy_n(row, static_cast<std::size_t>(n), out.data());
 }
 
-std::vector<NodeId> DenseSnapshotSource::route(NodeId from, NodeId to) const
+DistanceSource::Routed DenseSnapshotSource::distance_and_route(NodeId from, NodeId to) const
 {
     CCQ_EXPECT(snapshot_.routing != nullptr,
                "DenseSnapshotSource::route: snapshot has no routing tables");
-    return snapshot_.routing->route(from, to);
+    return {distance(from, to), snapshot_.routing->route(from, to)};
 }
 
 std::uint64_t DenseSnapshotSource::stored_cells() const noexcept
@@ -77,9 +77,9 @@ void MappedSnapshotSource::fill_row(NodeId from, std::span<Weight> out) const
     mapped_->fill_row(from, out);
 }
 
-std::vector<NodeId> MappedSnapshotSource::route(NodeId from, NodeId to) const
+DistanceSource::Routed MappedSnapshotSource::distance_and_route(NodeId from, NodeId to) const
 {
-    return mapped_->route(from, to);
+    return {mapped_->distance(from, to), mapped_->route(from, to)};
 }
 
 std::uint64_t MappedSnapshotSource::stored_cells() const noexcept
@@ -96,7 +96,9 @@ SpannerDistanceSource::SpannerDistanceSource(SparseSnapshot snapshot, SpannerSou
       parameter_k_(snapshot.parameter_k),
       construction_(std::move(snapshot.construction)),
       spanner_edges_(snapshot.edges.size()),
-      arcs_(snapshot.spanner_graph())
+      arcs_(snapshot.spanner_graph()),
+      zero_weight_(std::ranges::any_of(snapshot.edges,
+                                       [](const WeightedEdge& e) { return e.weight == 0; }))
 {
     CCQ_EXPECT(config.cache_shards >= 1,
                "SpannerDistanceSource: cache_shards must be >= 1");
@@ -165,21 +167,70 @@ void SpannerDistanceSource::fill_row(NodeId from, std::span<Weight> out) const
     std::copy(cells->begin(), cells->end(), out.begin());
 }
 
-std::vector<NodeId> SpannerDistanceSource::route(NodeId from, NodeId to) const
+DistanceSource::Routed SpannerDistanceSource::distance_and_route(NodeId from, NodeId to) const
 {
     CCQ_EXPECT(from >= 0 && from < meta_.node_count && to >= 0 && to < meta_.node_count,
                "SpannerDistanceSource::route: node out of range");
+    if (zero_weight_) return kernel_route(from, to);
+    const RowPtr dist = row(from);
+    return {(*dist)[static_cast<std::size_t>(to)], walk_row(*dist, from, to)};
+}
+
+std::vector<NodeId> SpannerDistanceSource::walk_row(const std::vector<Weight>& dist, NodeId from,
+                                                    NodeId to) const
+{
+    const auto d = [&](NodeId v) { return dist[static_cast<std::size_t>(v)]; };
+    if (!is_finite(d(to))) return {};
+    // Mark the nodes on some shortest from -> to path: backwards from
+    // `to`, x joins through a marked v when the arc x -> v is tight.
+    // (Arcs come in both directions, so v's arcs list every such x.)
+    std::vector<char> marked(static_cast<std::size_t>(meta_.node_count), 0);
+    std::vector<NodeId> stack{to};
+    marked[static_cast<std::size_t>(to)] = 1;
+    while (!stack.empty()) {
+        const NodeId v = stack.back();
+        stack.pop_back();
+        for (const Edge& e : arcs_.arcs(v)) {
+            char& mark = marked[static_cast<std::size_t>(e.to)];
+            if (mark == 0 && saturating_add(d(e.to), e.weight) == d(v)) {
+                mark = 1;
+                stack.push_back(e.to);
+            }
+        }
+    }
+    // Forward from `from`: the smallest-id marked neighbour across a
+    // tight arc.  For a node on a shortest path these are exactly its
+    // tight neighbours toward `to`, the kernel's choice; d rises with
+    // every hop, so the walk ends at `to` within n - 1 hops.
+    std::vector<NodeId> path{from};
+    for (NodeId u = from; u != to;) {
+        NodeId next = -1;
+        for (const Edge& e : arcs_.arcs(u))
+            if (marked[static_cast<std::size_t>(e.to)] != 0 && (next < 0 || e.to < next) &&
+                saturating_add(d(u), e.weight) == d(e.to))
+                next = e.to;
+        if (next < 0 || path.size() == static_cast<std::size_t>(meta_.node_count))
+            return {}; // guards only
+        path.push_back(u = next);
+    }
+    return path;
+}
+
+DistanceSource::Routed SpannerDistanceSource::kernel_route(NodeId from, NodeId to) const
+{
     // Dijkstra from `to`: toward[v] is v's next hop toward it, always a
     // node settled before v, so the walk ends at `to` within n - 1 hops.
     DijkstraScratch scratch;
     dijkstra(arcs_, to, scratch, /*with_toward=*/true);
-    if (!is_finite(scratch.dist[static_cast<std::size_t>(from)])) return {};
+    rows_materialized_.fetch_add(1, std::memory_order_relaxed);
+    const Weight distance = scratch.dist[static_cast<std::size_t>(from)];
+    if (!is_finite(distance)) return {};
     std::vector<NodeId> path{from};
     for (NodeId v = from; v != to; path.push_back(v)) {
         if (path.size() == static_cast<std::size_t>(meta_.node_count)) return {}; // a guard only
         v = scratch.toward[static_cast<std::size_t>(v)];
     }
-    return path;
+    return {distance, std::move(path)};
 }
 
 // --- factory ----------------------------------------------------------------

@@ -61,7 +61,7 @@ public:
 
     [[nodiscard]] virtual SourceKind kind() const noexcept = 0;
     [[nodiscard]] virtual const SnapshotMeta& meta() const noexcept = 0;
-    /// True when route() can answer (routing tables, or a structure —
+    /// True when paths can be answered (routing tables, or a structure —
     /// like the spanner — that paths can be computed from).
     [[nodiscard]] virtual bool has_routing() const noexcept = 0;
 
@@ -74,9 +74,23 @@ public:
     /// one reconstruction per row, not n virtual point lookups.
     virtual void fill_row(NodeId from, std::span<Weight> out) const = 0;
 
-    /// The node sequence from -> ... -> to; empty when unreachable (or
-    /// when a corrupted table breaks the walk).  Requires has_routing().
-    [[nodiscard]] virtual std::vector<NodeId> route(NodeId from, NodeId to) const = 0;
+    /// A path query's answer: the pair's distance estimate and its route.
+    struct Routed {
+        Weight distance = kInfinity;
+        /// from -> ... -> to; empty when unreachable (or when a corrupted
+        /// table breaks the walk).
+        std::vector<NodeId> nodes;
+    };
+    /// distance(from, to) and the route, read together: a source that
+    /// derives routes from its rows reads the row of `from` once for
+    /// both.  Requires has_routing().
+    [[nodiscard]] virtual Routed distance_and_route(NodeId from, NodeId to) const = 0;
+
+    /// The route alone (distance_and_route(from, to).nodes).
+    [[nodiscard]] std::vector<NodeId> route(NodeId from, NodeId to) const
+    {
+        return distance_and_route(from, to).nodes;
+    }
 
     /// Cells the backing snapshot actually stores: n^2 for dense
     /// formats, the spanner edge count for v3.  On the stats wire.
@@ -104,7 +118,7 @@ public:
     }
     [[nodiscard]] Weight distance(NodeId from, NodeId to) const override;
     void fill_row(NodeId from, std::span<Weight> out) const override;
-    [[nodiscard]] std::vector<NodeId> route(NodeId from, NodeId to) const override;
+    [[nodiscard]] Routed distance_and_route(NodeId from, NodeId to) const override;
     [[nodiscard]] std::uint64_t stored_cells() const noexcept override;
 
     [[nodiscard]] const OracleSnapshot& snapshot() const noexcept { return snapshot_; }
@@ -124,7 +138,7 @@ public:
     [[nodiscard]] bool has_routing() const noexcept override { return mapped_->has_routing(); }
     [[nodiscard]] Weight distance(NodeId from, NodeId to) const override;
     void fill_row(NodeId from, std::span<Weight> out) const override;
-    [[nodiscard]] std::vector<NodeId> route(NodeId from, NodeId to) const override;
+    [[nodiscard]] Routed distance_and_route(NodeId from, NodeId to) const override;
     [[nodiscard]] std::uint64_t stored_cells() const noexcept override;
 
     [[nodiscard]] const MappedSnapshot& mapped() const noexcept { return *mapped_; }
@@ -146,10 +160,16 @@ struct SpannerSourceConfig {
 /// is materialized on first touch by the shared Dijkstra kernel
 /// (graph/dijkstra.hpp) over the spanner.  Materialized rows live in a
 /// sharded LRU keyed by source node; rows_materialized()/row_cache_hits()
-/// expose the hit economics to stats and metrics.  route(u, v) runs the
-/// kernel from v and follows its next hops from u, so v3 paths obey the
-/// same tie rule as the dense routing tables: the route equals
-/// build_routing_tables(spanner).route(u, v).
+/// expose the hit economics to stats and metrics, and every kernel run a
+/// query makes counts as one materialized row.
+///
+/// route(u, v) walks the row of u: it marks the nodes on some shortest
+/// u -> v path (backwards from v over tight arcs), then steps from u to
+/// the smallest-id marked neighbour x with d(x) = d(here) + w.  With
+/// weights >= 1 that is exactly the kernel's next hop toward v, so the
+/// route equals build_routing_tables(spanner).route(u, v).  Zero-weight
+/// ties follow the kernel's settle order instead, so a spanner with a
+/// zero-weight edge runs the kernel from v per route, as the tables do.
 ///
 /// Answers obey exact <= distance(u,v) <= stretch_bound * exact, where
 /// exact is the true distance in the source graph (spanner guarantee).
@@ -159,12 +179,12 @@ public:
 
     [[nodiscard]] SourceKind kind() const noexcept override { return SourceKind::spanner; }
     [[nodiscard]] const SnapshotMeta& meta() const noexcept override { return meta_; }
-    /// Paths come from the same Dijkstra that answers distances, so a
+    /// Paths come from the same cached rows that answer distances, so a
     /// spanner source always routes — no n^2 next-hop tables needed.
     [[nodiscard]] bool has_routing() const noexcept override { return true; }
     [[nodiscard]] Weight distance(NodeId from, NodeId to) const override;
     void fill_row(NodeId from, std::span<Weight> out) const override;
-    [[nodiscard]] std::vector<NodeId> route(NodeId from, NodeId to) const override;
+    [[nodiscard]] Routed distance_and_route(NodeId from, NodeId to) const override;
     [[nodiscard]] std::uint64_t stored_cells() const noexcept override
     {
         return spanner_edges_;
@@ -193,6 +213,9 @@ private:
 
     [[nodiscard]] RowPtr row(NodeId from) const;
     [[nodiscard]] RowPtr materialize(NodeId from) const;
+    [[nodiscard]] std::vector<NodeId> walk_row(const std::vector<Weight>& dist, NodeId from,
+                                               NodeId to) const;
+    [[nodiscard]] Routed kernel_route(NodeId from, NodeId to) const;
 
     SnapshotMeta meta_;
     int stretch_bound_ = 1;
@@ -201,6 +224,7 @@ private:
     std::uint64_t spanner_edges_ = 0;
 
     ArcTable arcs_; ///< the spanner, both directions of every edge
+    bool zero_weight_ = false; ///< some edge weighs 0: routes take kernel_route
 
     std::size_t shard_capacity_ = 0; ///< rows per shard (0 = caching off)
     mutable std::vector<RowShard> shards_;

@@ -74,8 +74,9 @@ void QueryEngine::cache_insert(std::uint64_t key, PathPtr value) const
 PathResult QueryEngine::reconstruct_path(NodeId from, NodeId to) const
 {
     PathResult result;
-    result.distance = estimate_at(from, to);
-    result.nodes = source_->route(from, to);
+    DistanceSource::Routed routed = source_->distance_and_route(from, to);
+    result.distance = routed.distance;
+    result.nodes = std::move(routed.nodes);
     // A walkable route paired with an infinite estimate (or vice versa)
     // only arises from a corrupted snapshot; serve it as unreachable
     // rather than as a self-contradictory answer.

@@ -73,8 +73,10 @@ std::vector<Weight> reference_row(const Graph& spanner, NodeId from)
 }
 
 /// Baswana–Sen k=2 v3 snapshots of every GraphFamily x 3 seeds x weights
-/// {1..100, 0..3}, and the undirected corner cases stored whole (the
-/// snapshot drops their self-loops and keeps the lightest parallel edge).
+/// {1..100, 0..3}, the undirected corner cases stored whole (the
+/// snapshot drops their self-loops and keeps the lightest parallel edge),
+/// and a whole unit-weight grid of 400 nodes, where most pairs have many
+/// shortest paths.
 std::vector<std::pair<std::string, SparseSnapshot>> pinned_snapshots()
 {
     std::vector<std::pair<std::string, SparseSnapshot>> snapshots;
@@ -95,6 +97,10 @@ std::vector<std::pair<std::string, SparseSnapshot>> pinned_snapshots()
     for (const testing::NamedGraph& c : testing::corner_case_graphs(Orientation::undirected))
         snapshots.emplace_back(c.name, SparseSnapshot::from_spanner(
                                            c.graph, SpannerResult{c.graph, 1, 1}, "whole", 0));
+    Rng rng(4);
+    const Graph grid = make_family_instance(GraphFamily::grid, 400, WeightRange{1, 1}, rng);
+    snapshots.emplace_back(
+        "unit grid 400", SparseSnapshot::from_spanner(grid, SpannerResult{grid, 1, 1}, "whole", 4));
     return snapshots;
 }
 
@@ -135,15 +141,99 @@ TEST(DistanceSource, SpannerRoutesFollowTheDenseTablesRule)
 {
     // v3 routes and the dense next-hop tables share the kernel's tie rule,
     // so over the same spanner they pick the same path for every pair,
-    // zero-weight ties included.
+    // zero-weight ties included.  Under every cache size, from four
+    // threads at once (each owns every fourth source), each source's
+    // routes are checked cold, before its row is read, and again warm,
+    // after fill_row.  A zero cache keeps every route cold, so it skips
+    // the warm pass.
     for (const auto& [name, snapshot] : pinned_snapshots()) {
-        const SpannerDistanceSource source(snapshot);
         const RoutingTables tables = build_routing_tables(snapshot.spanner_graph());
         const int n = snapshot.meta.node_count;
-        for (NodeId u = 0; u < n; ++u)
-            for (NodeId v = 0; v < n; ++v)
-                ASSERT_EQ(source.route(u, v), tables.route(u, v))
-                    << name << ": route " << u << " -> " << v;
+        for (const std::size_t rows : {std::size_t{0}, std::size_t{2}, std::size_t{1024}}) {
+            const SpannerDistanceSource source(snapshot,
+                                               SpannerSourceConfig{.row_cache_rows = rows});
+            const auto expect_routes = [&](NodeId u, const char* state) {
+                for (NodeId v = 0; v < n; ++v)
+                    ASSERT_EQ(source.route(u, v), tables.route(u, v))
+                        << name << " rows=" << rows << " " << state << ": route " << u
+                        << " -> " << v;
+            };
+            const auto check = [&](NodeId first) {
+                std::vector<Weight> row(static_cast<std::size_t>(n));
+                for (NodeId u = first; u < n; u += 4) {
+                    expect_routes(u, "cold");
+                    if (rows == 0) continue;
+                    source.fill_row(u, row);
+                    expect_routes(u, "warm");
+                }
+            };
+            std::vector<std::thread> threads;
+            for (NodeId t = 1; t < 4; ++t) threads.emplace_back(check, t);
+            check(0);
+            for (std::thread& thread : threads) thread.join();
+        }
+    }
+}
+
+TEST(DistanceSource, SpannerPathsReadOneRowAndRunNoKernelWhenWarm)
+{
+    // Weights >= 1: a route walks the cached row of `from`, so after
+    // distance(u, .) no route from u runs the kernel, and a path query
+    // through the engine reads that row once (rows_materialized +
+    // row_cache_hits counts every row read).
+    const Graph g = testing::make_instance(InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 6});
+    Rng rng(6);
+    const SparseSnapshot snapshot =
+        SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 6);
+    const int n = snapshot.meta.node_count;
+    {
+        const SpannerDistanceSource source(snapshot);
+        for (NodeId u = 0; u < n; ++u) {
+            (void)source.distance(u, (u + 1) % n);
+            const std::uint64_t rows = source.rows_materialized();
+            for (NodeId v = 0; v < n; ++v) (void)source.route(u, v);
+            EXPECT_EQ(source.rows_materialized(), rows) << "route from " << u;
+        }
+        EXPECT_EQ(source.rows_materialized(), static_cast<std::uint64_t>(n));
+    }
+    const auto source = std::make_shared<const SpannerDistanceSource>(snapshot);
+    const QueryEngine engine(source);
+    std::vector<std::pair<PointQuery, PathResult>> answers;
+    for (NodeId u = 0; u < n; u += 3)
+        for (NodeId v = 0; v < n; v += 5) answers.push_back({{u, v}, engine.path(u, v)});
+    EXPECT_EQ(source->rows_materialized() + source->row_cache_hits(), answers.size());
+    for (const auto& [query, path] : answers) {
+        const Weight distance = source->distance(query.from, query.to);
+        EXPECT_EQ(path.reachable, is_finite(distance));
+        EXPECT_EQ(path.distance, distance);
+        EXPECT_EQ(path.nodes, source->route(query.from, query.to));
+    }
+}
+
+TEST(DistanceSource, ZeroWeightSpannersRouteThroughTheKernel)
+{
+    // A zero-weight edge makes routes follow the kernel's settle order,
+    // so every route runs the kernel from its target — warm row or not —
+    // counts that run as a materialized row, and still matches the
+    // tables.
+    const Graph g = testing::make_instance(InstanceSpec{GraphFamily::clustered, 36, 8});
+    Rng rng(8);
+    SparseSnapshot snapshot =
+        SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 8);
+    snapshot.edges.front().weight = 0;
+    const RoutingTables tables = build_routing_tables(snapshot.spanner_graph());
+    const SpannerDistanceSource source(snapshot);
+    const int n = snapshot.meta.node_count;
+    std::vector<Weight> row(static_cast<std::size_t>(n));
+    for (NodeId u = 0; u < n; ++u) {
+        source.fill_row(u, row);
+        for (NodeId v = 0; v < n; ++v) {
+            const std::uint64_t rows = source.rows_materialized();
+            const DistanceSource::Routed routed = source.distance_and_route(u, v);
+            EXPECT_EQ(source.rows_materialized(), rows + 1) << "route " << u << " -> " << v;
+            EXPECT_EQ(routed.nodes, tables.route(u, v)) << "route " << u << " -> " << v;
+            EXPECT_EQ(routed.distance, row[static_cast<std::size_t>(v)]);
+        }
     }
 }
 

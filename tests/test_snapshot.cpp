@@ -978,10 +978,35 @@ void expect_sparse_mutant_rejected_or_in_range(const std::string& bytes,
     }
     ++tally.accepted;
     const int n = loaded->meta.node_count;
+    std::vector<Weight> weight(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
+                               kInfinity);
+    const auto edge_weight = [&](NodeId a, NodeId b) -> Weight& {
+        return weight[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
+                      static_cast<std::size_t>(b)];
+    };
     for (const WeightedEdge& edge : loaded->edges) {
         ASSERT_TRUE(edge.u >= 0 && edge.u < edge.v && edge.v < n) << context;
         ASSERT_TRUE(edge.weight >= 0 && edge.weight < kInfinity) << context;
+        edge_weight(edge.u, edge.v) = edge_weight(edge.v, edge.u) = edge.weight;
     }
+    // Served as is: every route is empty or a walk over the mutant's own
+    // edges that weighs exactly the served distance.
+    const SpannerDistanceSource source(*loaded);
+    for (NodeId u = 0; u < n; ++u)
+        for (NodeId v = 0; v < n; ++v) {
+            const std::vector<NodeId> path = source.route(u, v);
+            if (path.empty()) continue;
+            ASSERT_EQ(path.front(), u) << context;
+            ASSERT_EQ(path.back(), v) << context;
+            Weight total = 0;
+            for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+                const Weight w = edge_weight(path[i], path[i + 1]);
+                ASSERT_LT(w, kInfinity) << context << ": route " << u << " -> " << v
+                                        << " leaves the edges";
+                total = saturating_add(total, w);
+            }
+            ASSERT_EQ(total, source.distance(u, v)) << context << ": route " << u << " -> " << v;
+        }
 }
 
 TEST(SnapshotMutation, EveryMutantIsRejectedOrLoadsCellsInRange)
