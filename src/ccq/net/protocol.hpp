@@ -52,7 +52,7 @@ enum class Opcode : std::uint8_t {
     k_nearest = 0x04,       ///< k nearest reachable targets
     batch_distances = 0x05, ///< vector of point distances
     batch_paths = 0x06,     ///< vector of path reconstructions
-    stats = 0x10,           ///< server + cache counters
+    stats = 0x10,           ///< server + source counters
     metrics = 0x11,         ///< Prometheus text-exposition scrape
     flight = 0x12,          ///< flight-recorder dump (debug)
     shutdown = 0x1f,        ///< graceful server shutdown (control frame)
@@ -121,7 +121,9 @@ struct ServerStats {
     std::uint64_t path_queries = 0;
     std::uint64_t knearest_queries = 0;
     std::uint64_t batch_items = 0;     ///< individual queries inside batches
-    std::uint64_t cache_hits = 0;      ///< QueryEngine path cache
+    // Reserved, always 0: the retired path cache's counters keep their
+    // wire slots so the reply's length and layout stay fixed.
+    std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     double uptime_seconds = 0.0;
     std::int32_t node_count = 0;

@@ -115,13 +115,6 @@ void Server::init_metrics()
         obs::append_header(out, "ccq_backpressure_pauses_total",
                            "Times a connection's reads paused for backpressure.", "counter");
         obs::append_sample(out, "ccq_backpressure_pauses_total", {}, s.backpressure_pauses);
-        const CacheStats cache = engine_->cache_stats();
-        obs::append_header(out, "ccq_cache_events_total",
-                           "Path-cache lookups and evictions, by kind.", "counter");
-        obs::append_sample(out, "ccq_cache_events_total", {{"event", "hit"}}, cache.hits);
-        obs::append_sample(out, "ccq_cache_events_total", {{"event", "miss"}}, cache.misses);
-        obs::append_sample(out, "ccq_cache_events_total", {{"event", "eviction"}},
-                           cache.evictions);
         obs::append_header(out, "ccq_batch_size",
                            "Items per batch request seen by the query engine.", "histogram");
         obs::append_histogram(out, "ccq_batch_size", {}, engine_->batch_size_distribution());
@@ -739,9 +732,6 @@ ServerStats Server::stats() const
     stats.path_queries = path_queries_.load(std::memory_order_relaxed);
     stats.knearest_queries = knearest_queries_.load(std::memory_order_relaxed);
     stats.batch_items = batch_items_.load(std::memory_order_relaxed);
-    const CacheStats cache = engine_->cache_stats();
-    stats.cache_hits = cache.hits;
-    stats.cache_misses = cache.misses;
     stats.uptime_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - started_).count();
     stats.node_count = engine_->node_count();

@@ -100,15 +100,12 @@ SpannerDistanceSource::SpannerDistanceSource(SparseSnapshot snapshot, SpannerSou
       zero_weight_(std::ranges::any_of(snapshot.edges,
                                        [](const WeightedEdge& e) { return e.weight == 0; }))
 {
-    CCQ_EXPECT(config.cache_shards >= 1,
-               "SpannerDistanceSource: cache_shards must be >= 1");
-    const int shard_count = config.row_cache_rows == 0 ? 1 : config.cache_shards;
-    shard_capacity_ =
-        config.row_cache_rows == 0
-            ? 0
-            : std::max<std::size_t>(1, config.row_cache_rows /
-                                           static_cast<std::size_t>(shard_count));
-    shards_ = std::vector<RowShard>(static_cast<std::size_t>(shard_count));
+    // shards * (rows / shards) <= rows, and with no more shards than
+    // rows every shard holds at least one (0 rows: caching off).
+    const std::size_t shard_count =
+        std::clamp<std::size_t>(config.row_cache_rows, 1, kMaxRowShards);
+    shard_capacity_ = config.row_cache_rows / shard_count;
+    shards_ = std::vector<RowShard>(shard_count);
 }
 
 SpannerDistanceSource::RowPtr SpannerDistanceSource::materialize(NodeId from) const

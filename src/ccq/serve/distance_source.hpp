@@ -1,6 +1,6 @@
 // The versioned read path of the serving stack: every consumer of
 // distance estimates (QueryEngine, path reconstruction, k-nearest,
-// batching, the path cache, the wire server) queries an abstract
+// batching, the wire server) queries an abstract
 // DistanceSource instead of branching on how the snapshot is stored.
 //
 // Three concrete sources exist today:
@@ -148,11 +148,11 @@ private:
 };
 
 struct SpannerSourceConfig {
-    /// Reconstructed rows kept across queries (0 disables caching: every
-    /// point query runs a fresh Dijkstra — correct but slow).
+    /// Most reconstructed rows kept across queries, split over
+    /// min(16, row_cache_rows) LRU shards with one mutex each (0 disables
+    /// caching: every point query runs a fresh Dijkstra — correct but
+    /// slow).
     std::size_t row_cache_rows = 1024;
-    /// Independent LRU shards, each with its own mutex.
-    int cache_shards = 16;
 };
 
 /// Sparse source over a v3 snapshot: the spanner is held as an ArcTable
@@ -226,6 +226,7 @@ private:
     ArcTable arcs_; ///< the spanner, both directions of every edge
     bool zero_weight_ = false; ///< some edge weighs 0: routes take kernel_route
 
+    static constexpr std::size_t kMaxRowShards = 16;
     std::size_t shard_capacity_ = 0; ///< rows per shard (0 = caching off)
     mutable std::vector<RowShard> shards_;
     mutable std::atomic<std::uint64_t> rows_materialized_{0};

@@ -1,6 +1,7 @@
 #include "ccq/serve/query_engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace ccq {
 
@@ -10,7 +11,6 @@ QueryEngine::QueryEngine(std::shared_ptr<const DistanceSource> source, QueryEngi
     CCQ_EXPECT(source_ != nullptr, "QueryEngine: null distance source");
     meta_ = source_->meta();
     has_routing_ = source_->has_routing();
-    init_cache();
 }
 
 QueryEngine::QueryEngine(OracleSnapshot snapshot, QueryEngineConfig config)
@@ -23,52 +23,10 @@ QueryEngine::QueryEngine(std::shared_ptr<const MappedSnapshot> mapped, QueryEngi
 {
 }
 
-void QueryEngine::init_cache()
-{
-    CCQ_EXPECT(config_.cache_shards >= 1, "QueryEngine: cache_shards must be >= 1");
-    const int shard_count = config_.path_cache_capacity == 0 ? 1 : config_.cache_shards;
-    shard_capacity_ = config_.path_cache_capacity == 0
-                          ? 0
-                          : std::max<std::size_t>(
-                                1, config_.path_cache_capacity /
-                                       static_cast<std::size_t>(shard_count));
-    shards_ = std::vector<CacheShard>(static_cast<std::size_t>(shard_count));
-}
-
 Weight QueryEngine::distance(NodeId from, NodeId to) const
 {
     CCQ_EXPECT(valid(from) && valid(to), "QueryEngine::distance: node out of range");
-    return estimate_at(from, to);
-}
-
-QueryEngine::PathPtr QueryEngine::cache_lookup(std::uint64_t key) const
-{
-    if (shard_capacity_ == 0) return nullptr;
-    CacheShard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-        cache_misses_.fetch_add(1, std::memory_order_relaxed);
-        return nullptr;
-    }
-    shard.order.splice(shard.order.begin(), shard.order, it->second); // touch
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second->second;
-}
-
-void QueryEngine::cache_insert(std::uint64_t key, PathPtr value) const
-{
-    if (shard_capacity_ == 0) return;
-    CacheShard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.index.contains(key)) return; // a concurrent walker beat us
-    shard.order.emplace_front(key, std::move(value));
-    shard.index.emplace(key, shard.order.begin());
-    if (shard.index.size() > shard_capacity_) {
-        shard.index.erase(shard.order.back().first);
-        shard.order.pop_back();
-        cache_evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
+    return source_->distance(from, to);
 }
 
 PathResult QueryEngine::reconstruct_path(NodeId from, NodeId to) const
@@ -93,11 +51,7 @@ PathResult QueryEngine::path(NodeId from, NodeId to) const
     CCQ_EXPECT(valid(from) && valid(to), "QueryEngine::path: node out of range");
     CCQ_EXPECT(has_routing_,
                "QueryEngine::path: snapshot has no routing tables (rebuild with routing)");
-    const std::uint64_t key = pair_key(from, to);
-    if (const PathPtr cached = cache_lookup(key)) return *cached;
-    PathResult result = reconstruct_path(from, to);
-    cache_insert(key, std::make_shared<const PathResult>(result));
-    return result;
+    return reconstruct_path(from, to);
 }
 
 std::vector<NearTarget> QueryEngine::nearest_targets(NodeId from, int k) const

@@ -14,20 +14,16 @@
 // right concrete source.
 //
 // All query methods are const and safe to call concurrently: the
-// source is read-only after construction, and the only mutable state
-// — the LRU cache of reconstructed paths — is sharded by query key with
-// one mutex per shard so concurrent walkers rarely contend.
+// source is read-only after construction, and every path comes straight
+// from it (a dense source walks its stored next hops, a spanner source
+// its cached source row), so the engine keeps no answer cache of its
+// own.
 #ifndef CCQ_SERVE_QUERY_ENGINE_HPP
 #define CCQ_SERVE_QUERY_ENGINE_HPP
 
-#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "ccq/common/parallel.hpp"
@@ -68,18 +64,15 @@ struct QueryEngineConfig {
     /// Concurrency of the batch entry points (0 = one per hardware
     /// thread, 1 = strictly serial on the caller).
     int threads = 0;
-    /// Total reconstructed-path cache capacity, split across shards.
-    /// 0 disables caching.
-    std::size_t path_cache_capacity = 4096;
-    /// Number of independent LRU shards (each with its own mutex).
-    int cache_shards = 16;
 };
 
-/// Aggregate cache counters (monotonic since construction).
+/// Path-cache counters, always zero: the engine no longer caches paths.
+/// Kept only because perfbench/ still reads them; delete them together
+/// with those reads.
 struct CacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0; ///< LRU entries displaced by inserts
+    std::uint64_t evictions = 0;
 };
 
 class QueryEngine {
@@ -90,8 +83,7 @@ public:
                          QueryEngineConfig config = {});
 
     /// Serves an in-memory snapshot.  Its cells are shared, not copied,
-    /// so several engines (e.g. one per bench run, each with a cold
-    /// cache) can serve the same n^2 data; a borrowing snapshot
+    /// so several engines can serve the same n^2 data; a borrowing snapshot
     /// (OracleSnapshot::from_result) must outlive the engine.
     explicit QueryEngine(OracleSnapshot snapshot, QueryEngineConfig config = {});
 
@@ -112,8 +104,9 @@ public:
     [[nodiscard]] Weight distance(NodeId from, NodeId to) const;
 
     /// Full path reconstruction by next-hop walking (requires a snapshot
-    /// with routing tables).  Walks are hop-budgeted, so corrupted tables
-    /// report unreachable instead of looping.  Results are cached.
+    /// with routing tables): one source_->distance_and_route call per
+    /// query.  Walks are hop-budgeted, so corrupted tables report
+    /// unreachable instead of looping.
     [[nodiscard]] PathResult path(NodeId from, NodeId to) const;
 
     /// The k targets nearest to `from` (excluding `from` itself and
@@ -126,12 +119,8 @@ public:
     [[nodiscard]] std::vector<Weight> batch_distances(std::span<const PointQuery> queries) const;
     [[nodiscard]] std::vector<PathResult> batch_paths(std::span<const PointQuery> queries) const;
 
-    [[nodiscard]] CacheStats cache_stats() const noexcept
-    {
-        return {cache_hits_.load(std::memory_order_relaxed),
-                cache_misses_.load(std::memory_order_relaxed),
-                cache_evictions_.load(std::memory_order_relaxed)};
-    }
+    /// Always zero (see CacheStats).
+    [[nodiscard]] CacheStats cache_stats() const noexcept { return {}; }
 
     /// Distribution of batch sizes seen by the batch entry points
     /// (one observation per batch_distances/batch_paths call).
@@ -141,55 +130,16 @@ public:
     }
 
 private:
-    using PathPtr = std::shared_ptr<const PathResult>;
-
-    /// One LRU shard: most-recent at the front of `order`.
-    struct CacheShard {
-        std::mutex mutex;
-        std::list<std::pair<std::uint64_t, PathPtr>> order;
-        std::unordered_map<std::uint64_t, std::list<std::pair<std::uint64_t, PathPtr>>::iterator>
-            index;
-    };
-
     [[nodiscard]] bool valid(NodeId v) const noexcept
     {
         return v >= 0 && v < meta_.node_count;
     }
-    [[nodiscard]] std::uint64_t pair_key(NodeId from, NodeId to) const noexcept
-    {
-        return static_cast<std::uint64_t>(from) *
-                   static_cast<std::uint64_t>(meta_.node_count) +
-               static_cast<std::uint64_t>(to);
-    }
-    [[nodiscard]] CacheShard& shard_for(std::uint64_t key) const noexcept
-    {
-        // splitmix64 finalizer: pair_key is from*n + to, so a bare modulo
-        // would pin every query for one destination to one shard whenever
-        // n is a multiple of the shard count.
-        std::uint64_t mixed = key + 0x9e3779b97f4a7c15ULL;
-        mixed = (mixed ^ (mixed >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        mixed = (mixed ^ (mixed >> 27)) * 0x94d049bb133111ebULL;
-        mixed ^= mixed >> 31;
-        return shards_[mixed % shards_.size()];
-    }
-    [[nodiscard]] PathPtr cache_lookup(std::uint64_t key) const;
-    void cache_insert(std::uint64_t key, PathPtr value) const;
     [[nodiscard]] PathResult reconstruct_path(NodeId from, NodeId to) const;
-    [[nodiscard]] Weight estimate_at(NodeId from, NodeId to) const
-    {
-        return source_->distance(from, to);
-    }
-    void init_cache();
 
     std::shared_ptr<const DistanceSource> source_; ///< the one read path
     SnapshotMeta meta_;
     bool has_routing_ = false;
     QueryEngineConfig config_;
-    std::size_t shard_capacity_ = 0; ///< max entries per shard (0 = caching off)
-    mutable std::vector<CacheShard> shards_;
-    mutable std::atomic<std::uint64_t> cache_hits_{0};
-    mutable std::atomic<std::uint64_t> cache_misses_{0};
-    mutable std::atomic<std::uint64_t> cache_evictions_{0};
     mutable obs::Histogram batch_sizes_;
 };
 

@@ -196,17 +196,62 @@ TEST(DistanceSource, SpannerPathsReadOneRowAndRunNoKernelWhenWarm)
         }
         EXPECT_EQ(source.rows_materialized(), static_cast<std::uint64_t>(n));
     }
+    // Each pair twice: a repeated path reads its row again, so the engine
+    // must not answer it from anywhere but the source.
     const auto source = std::make_shared<const SpannerDistanceSource>(snapshot);
     const QueryEngine engine(source);
     std::vector<std::pair<PointQuery, PathResult>> answers;
     for (NodeId u = 0; u < n; u += 3)
-        for (NodeId v = 0; v < n; v += 5) answers.push_back({{u, v}, engine.path(u, v)});
+        for (NodeId v = 0; v < n; v += 5)
+            for (int repeat = 0; repeat < 2; ++repeat)
+                answers.push_back({{u, v}, engine.path(u, v)});
     EXPECT_EQ(source->rows_materialized() + source->row_cache_hits(), answers.size());
     for (const auto& [query, path] : answers) {
         const Weight distance = source->distance(query.from, query.to);
         EXPECT_EQ(path.reachable, is_finite(distance));
         EXPECT_EQ(path.distance, distance);
         EXPECT_EQ(path.nodes, source->route(query.from, query.to));
+    }
+}
+
+/// What QueryEngine::path must make of a source's distance_and_route:
+/// a route and a finite distance, or unreachable with neither.
+PathResult normalized(DistanceSource::Routed routed)
+{
+    PathResult path;
+    path.reachable = !routed.nodes.empty() && is_finite(routed.distance);
+    if (path.reachable) {
+        path.distance = routed.distance;
+        path.nodes = std::move(routed.nodes);
+    }
+    return path;
+}
+
+TEST(DistanceSource, EnginePathsComeStraightFromEverySource)
+{
+    // The engine keeps no answers of its own: on the dense, mapped and
+    // spanner sources, every path (each pair asked twice) equals the
+    // source's own distance_and_route.
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 30, 4});
+    const testing::TempFile file("ccq_source_engine_paths.snap", "");
+    save_snapshot(file.path(), built.snapshot);
+    Rng rng(4);
+    const SparseSnapshot sparse = SparseSnapshot::from_spanner(
+        built.graph, baswana_sen_spanner(built.graph, 2, rng), "baswana-sen", 4);
+    const std::vector<std::shared_ptr<const DistanceSource>> sources{
+        std::make_shared<const DenseSnapshotSource>(built.snapshot),
+        std::make_shared<const MappedSnapshotSource>(
+            std::make_shared<const MappedSnapshot>(file.path())),
+        std::make_shared<const SpannerDistanceSource>(sparse)};
+    for (const auto& source : sources) {
+        const QueryEngine engine(source);
+        const int n = engine.node_count();
+        for (int pass = 0; pass < 2; ++pass)
+            for (NodeId u = 0; u < n; ++u)
+                for (NodeId v = 0; v < n; ++v)
+                    ASSERT_EQ(engine.path(u, v), normalized(source->distance_and_route(u, v)))
+                        << source_kind_name(source->kind()) << " " << u << " -> " << v
+                        << " pass " << pass;
     }
 }
 
@@ -388,8 +433,7 @@ TEST(DistanceSource, SpannerRowCacheIsInvisibleToAnswers)
         SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 17);
 
     const SpannerDistanceSource warm(snapshot, SpannerSourceConfig{.row_cache_rows = 1024});
-    const SpannerDistanceSource tiny(snapshot,
-                                     SpannerSourceConfig{.row_cache_rows = 2, .cache_shards = 1});
+    const SpannerDistanceSource tiny(snapshot, SpannerSourceConfig{.row_cache_rows = 2});
     const SpannerDistanceSource cold(snapshot, SpannerSourceConfig{.row_cache_rows = 0});
 
     const int n = g.node_count();
@@ -409,6 +453,21 @@ TEST(DistanceSource, SpannerRowCacheIsInvisibleToAnswers)
     // Disabled cache: every query pays a fresh Dijkstra, no hits ever.
     EXPECT_EQ(cold.row_cache_hits(), 0u);
     EXPECT_GT(cold.rows_materialized(), static_cast<std::uint64_t>(n));
+}
+
+TEST(DistanceSource, SpannerRowCacheHoldsAtMostItsConfiguredRows)
+{
+    // A 2-row cache keeps at most 2 of 16 distinct rows, so a second
+    // sweep over them finds at most 2 still cached.
+    const Graph g = testing::make_instance(InstanceSpec{GraphFamily::erdos_renyi_sparse, 24, 3});
+    Rng rng(3);
+    const SpannerDistanceSource source(
+        SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 3),
+        SpannerSourceConfig{.row_cache_rows = 2});
+    for (int pass = 0; pass < 2; ++pass)
+        for (NodeId u = 0; u < 16; ++u) (void)source.distance(u, 0);
+    EXPECT_LE(source.row_cache_hits(), 2u);
+    EXPECT_EQ(source.rows_materialized() + source.row_cache_hits(), 32u);
 }
 
 TEST(DistanceSource, FactoryAutoDetectsEveryFormat)

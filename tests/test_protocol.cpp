@@ -1,12 +1,41 @@
 // Tests for the serving wire protocol: framing over in-memory streams,
-// request/response codec round trips, malformed-input rejection, and
-// the JSON debug-mode request grammar.
+// request/response codec round trips, malformed-input rejection, the
+// JSON debug-mode request grammar, and seeded mutation runs that feed
+// every decoder hostile bytes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <new>
 
+#include "ccq/common/rng.hpp"
 #include "ccq/net/protocol.hpp"
+
+// Replacement allocation functions that let a test see the largest
+// single request made while a decoder runs (see AllocationWatch).  The
+// array and nothrow forms forward to these; the decoders make no
+// over-aligned allocations.
+namespace {
+std::atomic<bool> g_watch_allocations{false};
+std::atomic<std::size_t> g_largest_allocation{0};
+} // namespace
+
+void* operator new(std::size_t size)
+{
+    if (g_watch_allocations.load(std::memory_order_relaxed) &&
+        size > g_largest_allocation.load(std::memory_order_relaxed))
+        g_largest_allocation.store(size, std::memory_order_relaxed);
+    if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+    throw std::bad_alloc();
+}
+
+// Out of line: inlined into a delete-expression, free() on a pointer
+// from operator new trips -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* block) noexcept { std::free(block); }
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept { std::free(block); }
 
 namespace ccq {
 namespace {
@@ -581,6 +610,269 @@ TEST(Protocol, ForgedFlightRepliesAreRejected)
     std::string bad_sampled = good;
     bad_sampled[4 + 8 + 8 + 8 + 1 + 1] = 2; // count + seq + trace + conn + op + status
     EXPECT_THROW((void)decode_flight_reply(bad_sampled), protocol_error);
+}
+
+// --- hostile bytes ----------------------------------------------------------
+//
+// Each ProtocolMutation test derives kMutants mutants from valid
+// messages with a fixed seed: bit flips, cuts, appended bytes, and
+// forged u32 lengths (aimed at the message's own length fields most of
+// the time).  Every mutant must decode to a value or throw
+// protocol_error: no crash, no other exception, and no allocation far
+// beyond the mutant's own size.  Run under ASan/UBSan, this is the
+// in-tree stand-in for a fuzzer.
+
+constexpr int kMutants = 400;
+
+/// The largest single operator-new request made while this watch lives.
+class AllocationWatch {
+public:
+    AllocationWatch()
+    {
+        g_largest_allocation.store(0, std::memory_order_relaxed);
+        g_watch_allocations.store(true, std::memory_order_relaxed);
+    }
+    ~AllocationWatch() { g_watch_allocations.store(false, std::memory_order_relaxed); }
+    AllocationWatch(const AllocationWatch&) = delete;
+    AllocationWatch& operator=(const AllocationWatch&) = delete;
+
+    [[nodiscard]] static std::size_t largest() noexcept
+    {
+        return g_largest_allocation.load(std::memory_order_relaxed);
+    }
+};
+
+/// A valid message and the offsets of the u32 lengths inside it.
+struct MutationSeed {
+    std::string bytes;
+    std::vector<std::size_t> length_offsets;
+};
+
+void put_u32_at(std::string& bytes, std::size_t at, std::uint32_t value)
+{
+    for (std::size_t i = 0; i < 4; ++i)
+        bytes[at + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+}
+
+std::string mutate(Rng& rng, const MutationSeed& seed)
+{
+    std::string bytes = seed.bytes;
+    const auto pick = [&rng](std::size_t size) {
+        return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+    };
+    const int edits = static_cast<int>(rng.uniform_int(1, 3));
+    for (int edit = 0; edit < edits; ++edit) {
+        switch (rng.uniform_int(0, 3)) {
+        case 0: // flip one bit
+            if (!bytes.empty()) bytes[pick(bytes.size())] ^= static_cast<char>(1 << pick(8));
+            break;
+        case 1: // cut: drop the tail, or a span from the middle
+            if (bytes.empty()) break;
+            if (rng.bernoulli(0.5)) {
+                bytes.resize(pick(bytes.size()));
+            } else {
+                const std::size_t at = pick(bytes.size());
+                bytes.erase(at, 1 + pick(bytes.size() - at));
+            }
+            break;
+        case 2: // append random bytes
+            for (std::size_t i = 1 + pick(16); i > 0; --i)
+                bytes += static_cast<char>(rng.uniform_int(0, 255));
+            break;
+        default: { // forge a length
+            if (bytes.size() < 4) break;
+            std::size_t at = pick(bytes.size() - 3);
+            if (!seed.length_offsets.empty() && rng.bernoulli(0.75)) {
+                const std::size_t field = seed.length_offsets[pick(seed.length_offsets.size())];
+                if (field + 4 <= bytes.size()) at = field;
+            }
+            static constexpr std::uint32_t kForged[] = {
+                0xffffffffu, 0x80000000u, kMaxFrameBytes, kMaxFrameBytes + 1, 1u << 20, 0u};
+            const std::uint32_t value =
+                rng.bernoulli(0.5)
+                    ? kForged[pick(std::size(kForged))]
+                    : static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffLL));
+            put_u32_at(bytes, at, value);
+            break;
+        }
+        }
+    }
+    return bytes;
+}
+
+std::string hex(std::string_view bytes)
+{
+    std::string out;
+    for (const char c : bytes) {
+        char digits[4];
+        std::snprintf(digits, sizeof digits, "%02x", static_cast<unsigned char>(c));
+        out += digits;
+    }
+    return out;
+}
+
+/// Feeds kMutants mutants of `seeds` to `decode` and checks each one's
+/// verdict and allocation.  Both verdicts must occur, so the mutants
+/// reach past the decoder's first check.
+template <class Decode>
+void expect_mutants_are_safe(std::uint64_t seed, const std::vector<MutationSeed>& seeds,
+                             Decode decode)
+{
+    Rng rng(seed);
+    int decoded = 0;
+    int rejected = 0;
+    for (int i = 0; i < kMutants; ++i) {
+        const std::string mutant = mutate(rng, seeds[static_cast<std::size_t>(i) % seeds.size()]);
+        bool threw_protocol_error = false;
+        std::string other_error;
+        std::size_t largest = 0;
+        {
+            const AllocationWatch watch;
+            try {
+                decode(std::string_view(mutant));
+            } catch (const protocol_error&) {
+                threw_protocol_error = true;
+            } catch (const std::exception& error) {
+                other_error = error.what();
+            } catch (...) {
+                other_error = "a non-std exception";
+            }
+            largest = AllocationWatch::largest();
+        }
+        ASSERT_TRUE(other_error.empty())
+            << "mutant " << i << " threw " << other_error << ": " << hex(mutant);
+        EXPECT_LE(largest, 8 * mutant.size() + 1024)
+            << "mutant " << i << " of " << mutant.size() << " bytes: " << hex(mutant);
+        ++(threw_protocol_error ? rejected : decoded);
+    }
+    EXPECT_GT(decoded, 0);
+    EXPECT_GT(rejected, 0);
+}
+
+/// The server's decode of one request body: strip a trace envelope,
+/// then decode.
+void decode_request_body(std::string_view body)
+{
+    (void)split_trace_envelope(body);
+    const Request request = decode_request(body);
+    EXPECT_LE(request.pairs.size() * 5, body.size()) << "more pairs than the body holds";
+}
+
+/// A client's decode of a reply: the status, then the ok payload (an
+/// error reply's message is its value).
+template <class DecodePayload>
+auto reply_decoder(DecodePayload decode_payload)
+{
+    return [decode_payload](std::string_view body) {
+        const auto [status, payload] = split_reply(body);
+        if (status == Status::ok) (void)decode_payload(payload);
+    };
+}
+
+TEST(ProtocolMutation, BinaryRequests)
+{
+    Request batch;
+    batch.op = Opcode::batch_paths;
+    batch.pairs = {{0, 1}, {2, 3}, {4, 5}};
+    Request shutdown;
+    shutdown.op = Opcode::shutdown;
+    shutdown.token = "secret-token";
+    Request nearest;
+    nearest.op = Opcode::k_nearest;
+    nearest.from = 3;
+    nearest.k = 5;
+    Request distance;
+    distance.op = Opcode::distance;
+    distance.from = 7;
+    distance.to = 9;
+    const std::string traced =
+        wrap_trace_envelope({0x1122334455667788u, true}, encode_request(batch));
+    expect_mutants_are_safe(101,
+                            {{encode_request(batch), {1}},
+                             {encode_request(shutdown), {1}},
+                             {encode_request(nearest), {}},
+                             {encode_request(distance), {}},
+                             {traced, {11}}},
+                            decode_request_body);
+}
+
+TEST(ProtocolMutation, JsonRequests)
+{
+    expect_mutants_are_safe(
+        202,
+        {{R"({"op":"batch_paths","pairs":[[0,1],[2,3],[40,5]]})", {}},
+         {R"({"op":"distance","from":0,"to":5})", {}},
+         {R"({"op":"k_nearest","from":12,"k":3})", {}},
+         {R"({"op":"shutdown","token":"secret-token"})", {}}},
+        decode_request_body);
+}
+
+TEST(ProtocolMutation, StatsRepliesAtEveryTrailerVersion)
+{
+    ServerStats stats;
+    stats.connections_accepted = 3;
+    stats.frames_served = 99;
+    stats.uptime_seconds = 1.5;
+    stats.node_count = 96;
+    stats.has_routing = true;
+    stats.backpressure_pauses = 11;
+    stats.build_total_rounds = 17.5;
+    stats.build_total_words = 4096;
+    stats.source_kind = 2;
+    stats.stored_cells = 1234;
+    stats.rows_materialized = 17;
+    const std::string v3 = encode_stats_reply(stats);
+    // v3 ends 17 trailer bytes after v2, v2 24 bytes after v1.
+    const std::string v2 = v3.substr(0, v3.size() - 17);
+    const std::string v1 = v2.substr(0, v2.size() - 24);
+    std::uint64_t seed = 303;
+    for (const std::string& reply : {v1, v2, v3}) {
+        SCOPED_TRACE("stats reply of " + std::to_string(reply.size()) + " bytes");
+        expect_mutants_are_safe(seed++, {{reply, {}}}, reply_decoder(decode_stats_reply));
+    }
+}
+
+TEST(ProtocolMutation, FlightReplies)
+{
+    obs::RequestRecord a;
+    a.seq = 7;
+    a.trace_id = 0x1122334455667788u;
+    a.opcode = static_cast<std::uint8_t>(Opcode::path);
+    a.sampled = true;
+    a.request_bytes = 13;
+    a.execute_us = 40;
+    const obs::RequestRecord b;
+    const std::vector<obs::RequestRecord> records{a, b};
+    // The record count follows the status byte.
+    expect_mutants_are_safe(404, {{encode_flight_reply(records), {1}}},
+                            reply_decoder(decode_flight_reply));
+}
+
+TEST(ProtocolMutation, FrameDecoderStreams)
+{
+    Request batch;
+    batch.op = Opcode::batch_distances;
+    batch.pairs = {{0, 1}, {2, 3}};
+    const std::vector<std::string> bodies{encode_request(batch), "", encode_ping_reply(),
+                                          std::string(300, 'x')};
+    MutationSeed stream;
+    for (const std::string& body : bodies) {
+        stream.length_offsets.push_back(stream.bytes.size());
+        stream.bytes += encode_frame(body);
+    }
+    // Chunk sizes vary with the mutant, so frames straddle feeds.
+    std::size_t chunk = 0;
+    expect_mutants_are_safe(505, {stream}, [&chunk](std::string_view bytes) {
+        chunk = chunk % 13 + 1;
+        FrameDecoder decoder;
+        std::size_t delivered = 0;
+        for (std::size_t at = 0; at < bytes.size(); at += chunk) {
+            decoder.feed(bytes.substr(at, chunk));
+            while (const std::optional<std::string> body = decoder.next())
+                delivered += 4 + body->size();
+        }
+        EXPECT_EQ(delivered + decoder.buffered_bytes(), bytes.size());
+    });
 }
 
 } // namespace

@@ -1,11 +1,10 @@
 // Tests for the serving query engine: bitwise agreement with the
-// in-process ApspResult, path reconstruction, k-nearest ordering,
-// concurrent batches, and the sharded path cache.
+// in-process ApspResult, path reconstruction, k-nearest ordering, and
+// concurrent batches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <thread>
 
 #include "ccq/core/oracle.hpp"
@@ -70,78 +69,6 @@ TEST(QueryEngine, UnreachablePairsReportUnreachable)
     EXPECT_TRUE(engine.path(0, 1).reachable);
 }
 
-TEST(QueryEngine, PathCacheHitsOnRepeatedQueries)
-{
-    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
-    const QueryEngine engine(built.snapshot);
-    const PathResult first = engine.path(0, 17);
-    EXPECT_EQ(engine.cache_stats().hits, 0u);
-    EXPECT_GE(engine.cache_stats().misses, 1u);
-    const PathResult second = engine.path(0, 17);
-    EXPECT_EQ(first, second);
-    EXPECT_GE(engine.cache_stats().hits, 1u);
-}
-
-TEST(QueryEngine, PathCacheEvictsAtCapacityAndStaysCorrect)
-{
-    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
-    QueryEngineConfig config;
-    config.path_cache_capacity = 8;
-    config.cache_shards = 2;
-    const QueryEngine engine(built.snapshot, config);
-    // Far more distinct pairs than capacity: every answer must still match
-    // an uncached engine.
-    QueryEngineConfig uncached_config;
-    uncached_config.path_cache_capacity = 0;
-    const QueryEngine uncached(built.snapshot, uncached_config);
-    for (int pass = 0; pass < 2; ++pass)
-        for (NodeId u = 0; u < 32; u += 3)
-            for (NodeId v = 0; v < 32; ++v)
-                ASSERT_EQ(engine.path(u, v), uncached.path(u, v)) << u << "->" << v;
-    EXPECT_EQ(uncached.cache_stats().hits, 0u);
-    EXPECT_EQ(uncached.cache_stats().misses, 0u);
-}
-
-TEST(QueryEngine, PathCacheLruEvictionOrderIsDeterministic)
-{
-    // One shard with room for exactly two entries makes LRU observable
-    // through the hit/miss counters.
-    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
-    QueryEngineConfig config;
-    config.path_cache_capacity = 2;
-    config.cache_shards = 1;
-    const QueryEngine engine(built.snapshot, config);
-
-    (void)engine.path(0, 1); // cache: {0->1}
-    (void)engine.path(0, 2); // cache: {0->2, 0->1}
-    (void)engine.path(0, 1); // touch: {0->1, 0->2}
-    EXPECT_EQ(engine.cache_stats().hits, 1u);
-    (void)engine.path(0, 3); // evicts the least-recent entry, 0->2
-    (void)engine.path(0, 1); // still cached
-    EXPECT_EQ(engine.cache_stats().hits, 2u);
-    const std::uint64_t misses_before = engine.cache_stats().misses;
-    (void)engine.path(0, 2); // was evicted: must miss again
-    EXPECT_EQ(engine.cache_stats().misses, misses_before + 1);
-    EXPECT_EQ(engine.cache_stats().hits, 2u);
-}
-
-TEST(QueryEngine, EvictionCountIsExactWithOneShard)
-{
-    // Capacity 2, one shard: the k-th distinct insert beyond capacity
-    // displaces exactly one entry, so evictions = inserts - capacity.
-    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
-    QueryEngineConfig config;
-    config.path_cache_capacity = 2;
-    config.cache_shards = 1;
-    const QueryEngine engine(built.snapshot, config);
-
-    EXPECT_EQ(engine.cache_stats().evictions, 0u);
-    for (NodeId v = 1; v <= 7; ++v) (void)engine.path(0, v); // 7 distinct inserts
-    EXPECT_EQ(engine.cache_stats().evictions, 5u);
-    (void)engine.path(0, 7); // hit: no insert, no eviction
-    EXPECT_EQ(engine.cache_stats().evictions, 5u);
-}
-
 TEST(QueryEngine, BatchSizeHistogramRecordsEveryBatch)
 {
     const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 32, 5});
@@ -161,27 +88,22 @@ TEST(QueryEngine, BatchSizeHistogramRecordsEveryBatch)
     EXPECT_EQ(snap.counts[0], 1u);
 }
 
-TEST(QueryEngine, ShardedCacheStaysCorrectUnderConcurrentBatches)
+TEST(QueryEngine, ConcurrentBatchPathsMatchSerialAnswers)
 {
-    // Many concurrent batched path queries against a cache far smaller
-    // than the working set: heavy insert/evict churn across shards.
-    // Every answer must match an uncached reference engine, and the
-    // hit/miss counters must account for exactly one lookup per query.
+    // Many concurrent batched path queries, repeated pairs included:
+    // every answer must match the same engine's serial answer.
     const BuiltOracle built(InstanceSpec{GraphFamily::clustered, 40, 21});
     QueryEngineConfig config;
-    config.path_cache_capacity = 16;
-    config.cache_shards = 4;
     config.threads = 4;
     const QueryEngine engine(built.snapshot, config);
-    QueryEngineConfig uncached_config;
-    uncached_config.path_cache_capacity = 0;
-    const QueryEngine uncached(built.snapshot, uncached_config);
 
     Rng rng(9);
     std::vector<PointQuery> queries;
     for (int i = 0; i < 2000; ++i)
         queries.push_back({static_cast<NodeId>(rng.uniform_int(0, 39)),
                            static_cast<NodeId>(rng.uniform_int(0, 39))});
+    std::vector<PathResult> serial;
+    for (const PointQuery& q : queries) serial.push_back(engine.path(q.from, q.to));
 
     constexpr int kThreads = 4;
     constexpr int kRounds = 3;
@@ -189,22 +111,11 @@ TEST(QueryEngine, ShardedCacheStaysCorrectUnderConcurrentBatches)
     std::atomic<int> failures{0};
     for (int w = 0; w < kThreads; ++w)
         workers.emplace_back([&] {
-            for (int round = 0; round < kRounds; ++round) {
-                const std::vector<PathResult> paths = engine.batch_paths(queries);
-                for (std::size_t i = 0; i < queries.size(); ++i)
-                    if (paths[i] != uncached.path(queries[i].from, queries[i].to))
-                        failures.fetch_add(1);
-            }
+            for (int round = 0; round < kRounds; ++round)
+                if (engine.batch_paths(queries) != serial) failures.fetch_add(1);
         });
     for (std::thread& worker : workers) worker.join();
     EXPECT_EQ(failures.load(), 0);
-
-    // Exactly one cache lookup per path query, hit or miss.
-    const CacheStats stats = engine.cache_stats();
-    EXPECT_EQ(stats.hits + stats.misses,
-              static_cast<std::uint64_t>(kThreads) * kRounds * queries.size());
-    EXPECT_GT(stats.misses, 0u);
-    EXPECT_GT(stats.hits, 0u);
 }
 
 TEST(QueryEngine, NearestTargetsAreOrderedAndComplete)

@@ -270,6 +270,9 @@ TEST_P(ServerBackends, ConcurrentClientsGetConsistentAnswers)
     EXPECT_EQ(stats.connections_accepted, static_cast<std::uint64_t>(kClients));
     EXPECT_GE(stats.frames_served, static_cast<std::uint64_t>(kClients) * 400);
     EXPECT_EQ(stats.errors, 0u);
+    // The retired path cache's wire slots stay, always zero.
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.cache_misses, 0u);
 }
 
 TEST_P(ServerBackends, PipelinedBatchesMatchSequentialAnswers)
@@ -739,7 +742,8 @@ TEST_P(ServerBackends, MetricsScrapeCountsScriptedWorkloadExactly)
     EXPECT_EQ(sample_value(second, "ccq_connections_accepted_total"), 1.0);
     EXPECT_EQ(sample_value(second, "ccq_connection_events_total{event=\"opened\"}"), 1.0);
     EXPECT_EQ(sample_value(second, "ccq_snapshot_nodes"), 30.0);
-    ASSERT_TRUE(sample_value(second, "ccq_cache_events_total{event=\"miss\"}").has_value());
+    // The engine keeps no path cache, so it exports no cache family.
+    EXPECT_EQ(second.find("ccq_cache_events_total"), std::string::npos);
     EXPECT_EQ(sample_value(second, "ccq_snapshot_build_rounds"),
               built.snapshot.meta.total_rounds);
     // The engine's width-dispatch counters render on every scrape

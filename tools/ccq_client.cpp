@@ -265,9 +265,6 @@ int run(Args& args)
                         static_cast<unsigned long long>(s.path_queries),
                         static_cast<unsigned long long>(s.knearest_queries),
                         static_cast<unsigned long long>(s.batch_items));
-            std::printf("path cache: %llu hits, %llu misses\n",
-                        static_cast<unsigned long long>(s.cache_hits),
-                        static_cast<unsigned long long>(s.cache_misses));
             std::printf("backpressure: %llu pauses\n",
                         static_cast<unsigned long long>(s.backpressure_pauses));
             std::printf("build ledger: %.6g rounds, %llu words\n", s.build_total_rounds,

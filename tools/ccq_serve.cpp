@@ -123,7 +123,7 @@ int usage(const char* argv0)
 
 /// `build --sparse`: persist a spanner edge list (codec v3) instead of a
 /// dense n^2 oracle.  Orders of magnitude smaller on disk; the server
-/// answers from it via bounded Dijkstra with a row cache.
+/// answers from it with one Dijkstra per source row, kept in a row cache.
 int cmd_build_sparse(Args& args, const std::string& out)
 {
     const std::optional<std::string> graph_path = args.value("--graph");
@@ -941,28 +941,16 @@ int cmd_bench(Args& args)
         throw std::runtime_error(
             "bench: --mmap applies to dense snapshots (v3 decodes into memory)");
     const auto load0 = std::chrono::steady_clock::now();
-    std::shared_ptr<const MappedSnapshot> mapped;
-    std::shared_ptr<const DistanceSource> sparse_source;
-    OracleSnapshot snapshot;
-    if (sparse) {
-        sparse_source = std::make_shared<const SpannerDistanceSource>(
-            load_sparse_snapshot(*snapshot_path), SpannerSourceConfig{});
-    } else if (use_mmap) {
-        mapped = std::make_shared<const MappedSnapshot>(*snapshot_path);
-    } else {
-        snapshot = load_snapshot(*snapshot_path);
-    }
+    const std::shared_ptr<const DistanceSource> source =
+        open_distance_source(*snapshot_path, DistanceSourceOptions{.prefer_mmap = use_mmap});
     const auto load1 = std::chrono::steady_clock::now();
     const double load_seconds = std::chrono::duration<double>(load1 - load0).count();
 
-    const SnapshotMeta meta =
-        sparse ? sparse_source->meta() : (use_mmap ? mapped->meta() : snapshot.meta);
+    const SnapshotMeta& meta = source->meta();
     const std::uint32_t file_format_version = format_version(format);
     const int n = meta.node_count;
     if (n < 2) throw std::runtime_error("bench: snapshot too small to query");
-    // A spanner source routes on demand (fresh Dijkstra tree per walk).
-    const bool can_path =
-        sparse ? true : (use_mmap ? mapped->has_routing() : snapshot.routing != nullptr);
+    const bool can_path = source->has_routing();
     if (mix_name == "path" && !can_path)
         throw std::runtime_error("bench: snapshot has no routing tables, cannot bench --mix path");
 
@@ -995,19 +983,11 @@ int cmd_bench(Args& args)
     }
     const std::size_t warmup = static_cast<std::size_t>(warmup_count);
 
-    // Fresh engine per run so the path cache starts cold for each; every
-    // mode shares the underlying data (snapshot copies share cells), so
-    // engines are cheap.
-    const auto make_engine = [&](QueryEngineConfig config) {
-        if (sparse) return QueryEngine(sparse_source, config);
-        return use_mmap ? QueryEngine(mapped, config) : QueryEngine(snapshot, config);
-    };
-
     std::vector<BenchRun> runs;
     std::vector<int> thread_counts{1};
     if (threads > 1) thread_counts.push_back(threads);
     for (const int count : thread_counts) {
-        const QueryEngine engine = make_engine(QueryEngineConfig{});
+        const QueryEngine engine(source);
         runs.push_back(run_load(engine, queries, kinds, warmup, count));
         std::printf("in-process threads=%d  %.0f queries/s  p50=%.1fus p99=%.1fus\n",
                     runs.back().threads, runs.back().qps, runs.back().p50_us,
@@ -1017,17 +997,11 @@ int cmd_bench(Args& args)
     const double speedup = measured_speedup ? runs[1].qps / runs[0].qps : 1.0;
 
     // The network edge: same workload, one in-process loopback server per
-    // run (fresh engine, cold cache), one Client connection per worker.
+    // run over the same source, one Client connection per worker.
     // `metrics_on` toggles ServerConfig::metrics so the A/B pass below can
     // price hot-path recording against an otherwise identical server.
     const auto run_net_once = [&](int count, bool metrics_on) {
-        // In-place construction: QueryEngine is deliberately immovable
-        // (mutex shards), so build it inside the shared_ptr directly.
-        const std::shared_ptr<const QueryEngine> engine =
-            sparse ? std::make_shared<const QueryEngine>(sparse_source, QueryEngineConfig{})
-            : use_mmap
-                ? std::make_shared<const QueryEngine>(mapped, QueryEngineConfig{})
-                : std::make_shared<const QueryEngine>(snapshot, QueryEngineConfig{});
+        const auto engine = std::make_shared<const QueryEngine>(source);
         ServerConfig server_config;
         server_config.metrics = metrics_on;
         Server server(engine, server_config);
@@ -1108,9 +1082,7 @@ int cmd_bench(Args& args)
             "\", \"bytes\": " + std::to_string(file_bytes) +
             ", \"format_version\": " + std::to_string(file_format_version) +
             ", \"format\": \"" + snapshot_format_name(format) +
-            "\", \"source_kind\": \"" +
-            (sparse ? source_kind_name(SourceKind::spanner)
-                    : source_kind_name(use_mmap ? SourceKind::mapped : SourceKind::dense)) +
+            "\", \"source_kind\": \"" + source_kind_name(source->kind()) +
             "\", \"load_mode\": \"" + (sparse ? "sparse" : (use_mmap ? "mmap" : "eager")) +
             "\", \"load_seconds\": " + std::to_string(load_seconds) + "},\n";
     json += "  \"mix\": \"" + mix_name + "\",\n";

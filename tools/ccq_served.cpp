@@ -56,8 +56,7 @@ int usage()
     std::fprintf(stderr,
                  "usage: ccq_served --snapshot <file> [--host <ip>] [--port <n>]\n"
                  "       [--port-file <file>] [--mmap] [--stdio] [--threads <n>]\n"
-                 "       [--cache <entries>] [--shutdown-token <t>]\n"
-                 "       [--max-connections <n>] [--workers <n>]\n"
+                 "       [--shutdown-token <t>] [--max-connections <n>] [--workers <n>]\n"
                  "       [--log-level error|warn|info|debug] [--trace-out <file>]\n"
                  "       [--no-metrics] [--flight-records <n>] [--slow-query-us <t>]\n");
     return 1;
@@ -91,8 +90,6 @@ int run(Args& args)
     QueryEngineConfig engine_config;
     if (const std::optional<std::string> threads = args.value("--threads"))
         engine_config.threads = std::stoi(*threads);
-    if (const std::optional<std::string> cache = args.value("--cache"))
-        engine_config.path_cache_capacity = static_cast<std::size_t>(std::stoull(*cache));
     args.finish();
 
     if (trace_out) obs::Tracer::global().enable();
