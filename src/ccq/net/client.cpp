@@ -6,10 +6,19 @@
 #include "ccq/common/check.hpp"
 
 namespace ccq {
+namespace {
 
-Client::Client(std::unique_ptr<Stream> stream) : stream_(std::move(stream))
+[[nodiscard]] Stream& non_null(const std::unique_ptr<Stream>& stream)
 {
-    CCQ_EXPECT(stream_ != nullptr, "Client: null stream");
+    CCQ_EXPECT(stream != nullptr, "Client: null stream");
+    return *stream;
+}
+
+} // namespace
+
+Client::Client(std::unique_ptr<Stream> stream)
+    : stream_(std::move(stream)), reader_(non_null(stream_))
+{
 }
 
 Client Client::connect(const std::string& host, int port)
@@ -28,7 +37,7 @@ std::string Client::request_body(const Request& request)
 std::string Client::roundtrip(const Request& request)
 {
     write_frame(*stream_, request_body(request));
-    std::optional<std::string> reply = read_frame(*stream_);
+    std::optional<std::string> reply = reader_.next();
     if (!reply.has_value()) throw net_error("server closed the connection");
     const auto [status, payload] = split_reply(*reply);
     if (status != Status::ok) {
@@ -152,7 +161,7 @@ namespace {
 /// are drained so the connection ends at a frame boundary, then the
 /// first error is thrown.
 template <class EncodeBody, class MakeRequest, class OnPayload>
-void run_pipeline(Stream& stream, std::size_t count, int window, EncodeBody encode_body,
+void run_pipeline(FrameReader& reader, std::size_t count, int window, EncodeBody encode_body,
                   MakeRequest make_request, OnPayload on_payload)
 {
     CCQ_EXPECT(window >= 1, "pipelined batch: window must be >= 1");
@@ -167,9 +176,9 @@ void run_pipeline(Stream& stream, std::size_t count, int window, EncodeBody enco
                 burst += encode_frame(encode_body(make_request(sent)));
                 ++sent;
             }
-            if (!burst.empty()) stream.write_all(burst.data(), burst.size());
+            if (!burst.empty()) reader.stream().write_all(burst.data(), burst.size());
         }
-        std::optional<std::string> reply = read_frame(stream);
+        std::optional<std::string> reply = reader.next();
         if (!reply.has_value())
             throw net_error("server closed the connection mid-pipeline");
         const std::size_t index = received++;
@@ -189,7 +198,7 @@ std::vector<Weight> Client::pipelined_distances(std::span<const PointQuery> quer
 {
     std::vector<Weight> distances(queries.size());
     run_pipeline(
-        *stream_, queries.size(), window,
+        reader_, queries.size(), window,
         [this](const Request& r) { return request_body(r); },
         [&](std::size_t i) {
             Request request;
@@ -208,7 +217,7 @@ std::vector<PathResult> Client::pipelined_paths(std::span<const PointQuery> quer
 {
     std::vector<PathResult> paths(queries.size());
     run_pipeline(
-        *stream_, queries.size(), window,
+        reader_, queries.size(), window,
         [this](const Request& r) { return request_body(r); },
         [&](std::size_t i) {
             Request request;
@@ -236,7 +245,7 @@ std::string Client::json_request(const std::string& json)
     CCQ_EXPECT(!json.empty() && json.front() == '{',
                "Client::json_request: body must be a JSON object");
     write_frame(*stream_, json);
-    std::optional<std::string> reply = read_frame(*stream_);
+    std::optional<std::string> reply = reader_.next();
     if (!reply.has_value()) throw net_error("server closed the connection");
     return *reply;
 }

@@ -7,9 +7,11 @@
 // frame in flight); the pipelined_* batch entry points keep a bounded
 // window of request frames in flight on the same connection and match
 // replies in order — the server guarantees arrival-order responses, so
-// no correlation ids are needed.  Server-reported failures throw
-// rpc_error (carrying the status), transport failures throw net_error,
-// and undecodable responses throw protocol_error.
+// no correlation ids are needed.  Every reply is read through one
+// FrameReader, which may read ahead across pipelined replies.
+// Server-reported failures throw rpc_error (carrying the status),
+// transport failures throw net_error, and undecodable responses throw
+// protocol_error.
 #ifndef CCQ_NET_CLIENT_HPP
 #define CCQ_NET_CLIENT_HPP
 
@@ -93,6 +95,7 @@ private:
     [[nodiscard]] std::string request_body(const Request& request);
 
     std::unique_ptr<Stream> stream_;
+    FrameReader reader_; ///< reads ahead across pipelined replies
     bool trace_enabled_ = false;
     bool trace_sampled_ = true;
     std::uint64_t next_trace_id_ = 1;

@@ -280,6 +280,11 @@ void EpollLoop::conn_readable(Conn& conn)
         if (got > 0) {
             conn.decoder.feed(std::string_view(buffer, static_cast<std::size_t>(got)));
             taken += static_cast<std::size_t>(got);
+            // A short read took everything the socket held.  Connections
+            // are level-triggered, so bytes or an EOF arriving later are
+            // reported by the next epoll_wait; probing for EAGAIN here
+            // would only cost a recv.
+            if (static_cast<std::size_t>(got) < sizeof(buffer)) break;
             continue;
         }
         if (got == 0) {

@@ -9,7 +9,9 @@
 // burst of connects spreads over every loop; the owning loop keeps a
 // connection for its whole life.
 // Sockets are nonblocking and each connection reassembles frames
-// incrementally (a frame may arrive across many EPOLLIN events).  The
+// incrementally (a frame may arrive across many EPOLLIN events).
+// Connections are level-triggered, so a readiness event reads only
+// until a short read: whatever arrives after it is reported again.  The
 // loop answers each complete frame inline — Server::process_frame on
 // the loop thread, no queue, no worker handoff — and appends the framed
 // reply to the connection's output buffer, so replies leave in request

@@ -116,22 +116,6 @@ void write_frame(Stream& stream, std::string_view body)
     stream.write_all(frame.data(), frame.size());
 }
 
-std::optional<std::string> read_frame(Stream& stream)
-{
-    char prefix[4];
-    if (!stream.read_exact(prefix, sizeof(prefix))) return std::nullopt;
-    ByteReader reader(std::string_view(prefix, sizeof(prefix)));
-    const std::uint32_t length = reader.u32();
-    if (length > kMaxFrameBytes)
-        throw protocol_error("read_frame: frame of " + std::to_string(length) +
-                             " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
-                             "-byte limit");
-    std::string body(length, '\0');
-    if (length > 0 && !stream.read_exact(body.data(), body.size()))
-        throw net_error("connection closed mid-message");
-    return body;
-}
-
 void FrameDecoder::feed(std::string_view bytes)
 {
     // Compact before growing: once everything buffered has been consumed
@@ -162,6 +146,20 @@ std::optional<std::string> FrameDecoder::next()
     std::string body = buffer_.substr(pos_ + 4, length);
     pos_ += 4 + static_cast<std::size_t>(length);
     return body;
+}
+
+std::optional<std::string> FrameReader::next()
+{
+    while (true) {
+        if (std::optional<std::string> body = decoder_.next()) return body;
+        char chunk[kFrameReadChunk];
+        const std::size_t got = stream_->read_some(chunk, sizeof(chunk));
+        if (got == 0) {
+            if (decoder_.mid_frame()) throw net_error("connection closed mid-message");
+            return std::nullopt; // clean EOF at a frame boundary
+        }
+        decoder_.feed(std::string_view(chunk, got));
+    }
 }
 
 // --- trace envelope ---------------------------------------------------------

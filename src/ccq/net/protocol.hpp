@@ -147,9 +147,6 @@ struct ServerStats {
 
 void write_frame(Stream& stream, std::string_view body);
 
-/// Reads one frame body; std::nullopt on clean EOF at a frame boundary.
-[[nodiscard]] std::optional<std::string> read_frame(Stream& stream);
-
 /// One frame (length prefix + body) as a byte string, for writers that
 /// batch several frames into one send (the event loop, pipelined clients).
 [[nodiscard]] std::string encode_frame(std::string_view body);
@@ -180,6 +177,32 @@ public:
 private:
     std::string buffer_;
     std::size_t pos_ = 0; ///< consumed prefix of buffer_ (compacted lazily)
+};
+
+/// Blocking frame reads over a Stream (the client, the stdio server):
+/// a FrameDecoder fed from Stream::read_some in chunks of up to
+/// kFrameReadChunk bytes, so one read usually brings a whole reply and a
+/// pipelined window arrives in a few reads rather than two per frame.
+/// It reads ahead: bytes past the frame it returns stay buffered for the
+/// next call, so every frame of a stream must come through the same
+/// reader.  Like the decoder, it buffers only bytes that arrived: a
+/// forged length prefix costs no allocation.
+class FrameReader {
+public:
+    static constexpr std::size_t kFrameReadChunk = 64 * 1024;
+
+    explicit FrameReader(Stream& stream) noexcept : stream_(&stream) {}
+
+    /// The next frame body; std::nullopt on clean EOF at a frame
+    /// boundary.  Throws protocol_error on an oversized length prefix
+    /// and net_error when the stream ends mid-frame.
+    [[nodiscard]] std::optional<std::string> next();
+
+    [[nodiscard]] Stream& stream() const noexcept { return *stream_; }
+
+private:
+    Stream* stream_;
+    FrameDecoder decoder_;
 };
 
 // --- trace envelope ---------------------------------------------------------

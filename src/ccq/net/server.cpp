@@ -338,7 +338,8 @@ void Server::serve_stream(Stream& stream)
         if (it != active_streams_.end()) active_streams_.erase(it);
     };
     try {
-        while (!stopping() && serve_one(stream, conn_id)) {
+        FrameReader reader(stream);
+        while (!stopping() && serve_one(reader, conn_id)) {
         }
     } catch (...) {
         deregister();
@@ -481,11 +482,11 @@ void Server::commit_request(PendingRequest& pending,
     }
 }
 
-bool Server::serve_one(Stream& stream, std::uint64_t conn_id)
+bool Server::serve_one(FrameReader& reader, std::uint64_t conn_id)
 {
     using clock = std::chrono::steady_clock;
-    const std::optional<std::string> body = read_frame(stream); // throws on desync
-    if (!body.has_value()) return false;                        // clean EOF
+    const std::optional<std::string> body = reader.next(); // throws on desync
+    if (!body.has_value()) return false;                   // clean EOF
 
     PendingRequest pending;
     pending.rec.conn_id = conn_id;
@@ -497,7 +498,7 @@ bool Server::serve_one(Stream& stream, std::uint64_t conn_id)
     pending.encode_start = clock::now();
     const std::string frame = encode_frame(reply);
     pending.encode_end = clock::now();
-    stream.write_all(frame.data(), frame.size());
+    reader.stream().write_all(frame.data(), frame.size());
     pending.rec.reply_bytes = static_cast<std::uint32_t>(frame.size());
     if (config_.metrics) {
         add_bytes_read(4 + body->size());

@@ -147,7 +147,7 @@ private:
 
     /// One request/response exchange; returns false when the connection
     /// should close (EOF or shutdown frame).
-    bool serve_one(Stream& stream, std::uint64_t conn_id);
+    bool serve_one(FrameReader& reader, std::uint64_t conn_id);
     /// The whole request pipeline for one intact frame body: strip the
     /// optional trace envelope, decode, validate, dispatch, render —
     /// shared by the event loops and serve_stream, so the two cannot

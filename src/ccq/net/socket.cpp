@@ -36,21 +36,6 @@ namespace {
 
 } // namespace
 
-bool Stream::read_exact(void* buffer, std::size_t count)
-{
-    char* cursor = static_cast<char*>(buffer);
-    std::size_t done = 0;
-    while (done < count) {
-        const std::size_t got = read_some(cursor + done, count - done);
-        if (got == 0) {
-            if (done == 0) return false; // clean EOF at a message boundary
-            throw net_error("connection closed mid-message");
-        }
-        done += got;
-    }
-    return true;
-}
-
 // --- FdStream ---------------------------------------------------------------
 
 FdStream::FdStream(int read_fd, int write_fd, bool owns)

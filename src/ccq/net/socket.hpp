@@ -40,10 +40,6 @@ public:
     /// Unblocks any thread stuck in read_some/write_all on this stream
     /// (best effort; used for graceful server shutdown).
     virtual void interrupt() noexcept = 0;
-
-    /// Reads exactly `count` bytes.  Returns false on clean EOF before the
-    /// first byte; throws net_error if the stream ends mid-read.
-    [[nodiscard]] bool read_exact(void* buffer, std::size_t count);
 };
 
 /// Stream over a pair of plain file descriptors (e.g. stdin/stdout, or a

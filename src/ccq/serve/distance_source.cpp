@@ -18,6 +18,41 @@ const char* source_kind_name(SourceKind kind) noexcept
     return "unknown";
 }
 
+std::vector<NearTarget> select_nearest(std::span<const Weight> row, NodeId from, int k)
+{
+    CCQ_EXPECT(k >= 0, "select_nearest: k must be >= 0");
+    const std::size_t keep = std::min(static_cast<std::size_t>(k), row.size());
+    std::vector<NearTarget> best;
+    if (keep == 0) return best;
+    best.reserve(keep);
+    // A max-heap on (distance, id): best.front() is the k-th nearest so far.
+    const auto less = [](const NearTarget& a, const NearTarget& b) {
+        return weight_id_less(a.distance, a.node, b.distance, b.node);
+    };
+    const std::size_t n = row.size();
+    std::size_t v = 0;
+    for (; v < n && best.size() < keep; ++v) {
+        const Weight d = row[v];
+        if (static_cast<NodeId>(v) == from || !is_finite(d)) continue;
+        best.push_back({static_cast<NodeId>(v), d});
+        std::push_heap(best.begin(), best.end(), less);
+    }
+    // Full heap: ids rise with v, so a cell at the k-th distance loses
+    // the (distance, id) tie too, and `d >= bound` passes over it along
+    // with everything farther and every unreachable cell.
+    Weight bound = best.size() == keep ? best.front().distance : kInfinity;
+    for (; v < n; ++v) {
+        const Weight d = row[v];
+        if (d >= bound || static_cast<NodeId>(v) == from) continue;
+        std::pop_heap(best.begin(), best.end(), less);
+        best.back() = {static_cast<NodeId>(v), d};
+        std::push_heap(best.begin(), best.end(), less);
+        bound = best.front().distance;
+    }
+    std::sort_heap(best.begin(), best.end(), less);
+    return best;
+}
+
 // --- DenseSnapshotSource ----------------------------------------------------
 
 DenseSnapshotSource::DenseSnapshotSource(OracleSnapshot snapshot) : snapshot_(std::move(snapshot))
@@ -44,6 +79,15 @@ void DenseSnapshotSource::fill_row(NodeId from, std::span<Weight> out) const
     const Weight* row =
         snapshot_.estimate->data() + static_cast<std::size_t>(from) * static_cast<std::size_t>(n);
     std::copy_n(row, static_cast<std::size_t>(n), out.data());
+}
+
+std::vector<NearTarget> DenseSnapshotSource::nearest_targets(NodeId from, int k) const
+{
+    const auto n = static_cast<std::size_t>(snapshot_.meta.node_count);
+    CCQ_EXPECT(from >= 0 && static_cast<std::size_t>(from) < n,
+               "DenseSnapshotSource::nearest_targets: node out of range");
+    return select_nearest({snapshot_.estimate->data() + static_cast<std::size_t>(from) * n, n},
+                          from, k);
 }
 
 DistanceSource::Routed DenseSnapshotSource::distance_and_route(NodeId from, NodeId to) const
@@ -74,7 +118,14 @@ Weight MappedSnapshotSource::distance(NodeId from, NodeId to) const
 
 void MappedSnapshotSource::fill_row(NodeId from, std::span<Weight> out) const
 {
-    mapped_->fill_row(from, out);
+    const std::span<const Weight> row = mapped_->row(from);
+    CCQ_EXPECT(out.size() == row.size(), "MappedSnapshotSource::fill_row: bad row size");
+    std::ranges::copy(row, out.begin());
+}
+
+std::vector<NearTarget> MappedSnapshotSource::nearest_targets(NodeId from, int k) const
+{
+    return select_nearest(mapped_->row(from), from, k);
 }
 
 DistanceSource::Routed MappedSnapshotSource::distance_and_route(NodeId from, NodeId to) const
@@ -162,6 +213,11 @@ void SpannerDistanceSource::fill_row(NodeId from, std::span<Weight> out) const
                "SpannerDistanceSource::fill_row: bad row size");
     const RowPtr cells = row(from);
     std::copy(cells->begin(), cells->end(), out.begin());
+}
+
+std::vector<NearTarget> SpannerDistanceSource::nearest_targets(NodeId from, int k) const
+{
+    return select_nearest(*row(from), from, k);
 }
 
 DistanceSource::Routed SpannerDistanceSource::distance_and_route(NodeId from, NodeId to) const

@@ -51,6 +51,23 @@ enum class SourceKind : std::uint8_t {
 /// "dense" / "mapped" / "spanner" (metric label values, logs, JSON).
 [[nodiscard]] const char* source_kind_name(SourceKind kind) noexcept;
 
+/// One entry of a k-nearest-targets answer.
+struct NearTarget {
+    NodeId node = -1;
+    Weight distance = kInfinity;
+
+    friend bool operator==(const NearTarget&, const NearTarget&) = default;
+};
+
+/// The k entries of `row` nearest to `from` in (distance, id) order,
+/// skipping `from` itself and unreachable cells; fewer than k when fewer
+/// are reachable.  A bounded selection: one pass keeps a max-heap of the
+/// best k seen so far and passes over every cell not below the current
+/// k-th on one compare, so it costs O(n + m log k) for m heap entries
+/// and holds at most min(k, n) of them.  k must be >= 0.
+[[nodiscard]] std::vector<NearTarget> select_nearest(std::span<const Weight> row, NodeId from,
+                                                     int k);
+
 /// A read-only oracle: answers distance (and optionally path) queries
 /// for one immutable snapshot.  All methods are const and thread-safe;
 /// implementations may keep internal caches but must answer every query
@@ -69,10 +86,14 @@ public:
     /// Both nodes must be in range (callers validate).
     [[nodiscard]] virtual Weight distance(NodeId from, NodeId to) const = 0;
 
-    /// Copies the full estimate row of `from` into `out` (size n).  Row
-    /// consumers (k-nearest scans) go through this so sparse sources pay
-    /// one reconstruction per row, not n virtual point lookups.
+    /// Copies the full estimate row of `from` into `out` (size n): one
+    /// reconstruction per row on sparse sources, not n virtual point
+    /// lookups.
     virtual void fill_row(NodeId from, std::span<Weight> out) const = 0;
+
+    /// select_nearest over the row of `from`, read where the source
+    /// keeps it (no copy).  `from` must be in range and k >= 0.
+    [[nodiscard]] virtual std::vector<NearTarget> nearest_targets(NodeId from, int k) const = 0;
 
     /// A path query's answer: the pair's distance estimate and its route.
     struct Routed {
@@ -118,6 +139,7 @@ public:
     }
     [[nodiscard]] Weight distance(NodeId from, NodeId to) const override;
     void fill_row(NodeId from, std::span<Weight> out) const override;
+    [[nodiscard]] std::vector<NearTarget> nearest_targets(NodeId from, int k) const override;
     [[nodiscard]] Routed distance_and_route(NodeId from, NodeId to) const override;
     [[nodiscard]] std::uint64_t stored_cells() const noexcept override;
 
@@ -138,6 +160,7 @@ public:
     [[nodiscard]] bool has_routing() const noexcept override { return mapped_->has_routing(); }
     [[nodiscard]] Weight distance(NodeId from, NodeId to) const override;
     void fill_row(NodeId from, std::span<Weight> out) const override;
+    [[nodiscard]] std::vector<NearTarget> nearest_targets(NodeId from, int k) const override;
     [[nodiscard]] Routed distance_and_route(NodeId from, NodeId to) const override;
     [[nodiscard]] std::uint64_t stored_cells() const noexcept override;
 
@@ -184,6 +207,7 @@ public:
     [[nodiscard]] bool has_routing() const noexcept override { return true; }
     [[nodiscard]] Weight distance(NodeId from, NodeId to) const override;
     void fill_row(NodeId from, std::span<Weight> out) const override;
+    [[nodiscard]] std::vector<NearTarget> nearest_targets(NodeId from, int k) const override;
     [[nodiscard]] Routed distance_and_route(NodeId from, NodeId to) const override;
     [[nodiscard]] std::uint64_t stored_cells() const noexcept override
     {

@@ -1,6 +1,5 @@
 #include "ccq/serve/query_engine.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace ccq {
@@ -58,28 +57,7 @@ std::vector<NearTarget> QueryEngine::nearest_targets(NodeId from, int k) const
 {
     CCQ_EXPECT(valid(from), "QueryEngine::nearest_targets: node out of range");
     CCQ_EXPECT(k >= 0, "QueryEngine::nearest_targets: k must be >= 0");
-    // Whole-row read: sparse sources reconstruct the row once instead of
-    // paying n virtual point lookups.
-    std::vector<Weight> row(static_cast<std::size_t>(meta_.node_count), kInfinity);
-    source_->fill_row(from, row);
-    std::vector<NearTarget> candidates;
-    candidates.reserve(static_cast<std::size_t>(meta_.node_count));
-    for (NodeId v = 0; v < meta_.node_count; ++v) {
-        if (v == from) continue;
-        const Weight d = row[static_cast<std::size_t>(v)];
-        if (!is_finite(d)) continue;
-        candidates.push_back({v, d});
-    }
-    const std::size_t keep = std::min<std::size_t>(candidates.size(),
-                                                   static_cast<std::size_t>(k));
-    const auto by_weight_then_id = [](const NearTarget& a, const NearTarget& b) {
-        return weight_id_less(a.distance, a.node, b.distance, b.node);
-    };
-    std::partial_sort(candidates.begin(),
-                      candidates.begin() + static_cast<std::ptrdiff_t>(keep),
-                      candidates.end(), by_weight_then_id);
-    candidates.resize(keep);
-    return candidates;
+    return source_->nearest_targets(from, k);
 }
 
 std::vector<Weight> QueryEngine::batch_distances(std::span<const PointQuery> queries) const

@@ -3,9 +3,10 @@
 //
 // The engine answers four query shapes against an immutable source:
 // point distance (one source read), full path reconstruction (the
-// source's route), k-nearest targets (row scan with the library's
-// (weight, id) tie order), and batched query vectors, which are
-// partitioned across the shared ccq::ThreadPool.
+// source's route), k-nearest targets (a bounded selection over the
+// source's row, in the library's (weight, id) tie order), and batched
+// query vectors, which are partitioned across the shared
+// ccq::ThreadPool.
 //
 // The engine never branches on how the oracle is stored — dense
 // in-memory, mmap'd file, or sparse spanner all arrive as the same
@@ -50,14 +51,6 @@ struct PathResult {
     std::vector<NodeId> nodes;    ///< from -> ... -> to; empty when unreachable
 
     friend bool operator==(const PathResult&, const PathResult&) = default;
-};
-
-/// One entry of a k-nearest-targets answer.
-struct NearTarget {
-    NodeId node = -1;
-    Weight distance = kInfinity;
-
-    friend bool operator==(const NearTarget&, const NearTarget&) = default;
 };
 
 struct QueryEngineConfig {
@@ -111,7 +104,8 @@ public:
 
     /// The k targets nearest to `from` (excluding `from` itself and
     /// unreachable nodes), ordered by (distance, node id).  Returns fewer
-    /// than k when fewer are reachable.
+    /// than k when fewer are reachable.  The source's nearest_targets:
+    /// select_nearest over the row where the source keeps it.
     [[nodiscard]] std::vector<NearTarget> nearest_targets(NodeId from, int k) const;
 
     /// Batched entry points: answers queries[i] into result[i], executing

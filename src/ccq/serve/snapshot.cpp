@@ -955,13 +955,10 @@ Weight MappedSnapshot::distance(NodeId from, NodeId to) const
     return estimate_row(from)[static_cast<std::size_t>(to)];
 }
 
-void MappedSnapshot::fill_row(NodeId from, std::span<Weight> out) const
+std::span<const Weight> MappedSnapshot::row(NodeId from) const
 {
-    const int n = meta_.node_count;
-    check_node(from, "MappedSnapshot::fill_row: node out of range");
-    CCQ_EXPECT(out.size() == static_cast<std::size_t>(n), "MappedSnapshot::fill_row: bad row size");
-    const std::vector<Weight>& row = estimate_row(from);
-    std::copy(row.begin(), row.end(), out.begin());
+    check_node(from, "MappedSnapshot::row: node out of range");
+    return estimate_row(from);
 }
 
 NodeId MappedSnapshot::next_hop(NodeId from, NodeId to) const

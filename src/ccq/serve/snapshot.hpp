@@ -228,8 +228,9 @@ public:
     /// Distance estimate for (from, to); kInfinity when unreachable.
     [[nodiscard]] Weight distance(NodeId from, NodeId to) const;
 
-    /// Copies the estimate row of `from` into `out` (size n).
-    void fill_row(NodeId from, std::span<Weight> out) const;
+    /// The estimate row of `from` (n cells), decoded on first touch and
+    /// kept for the snapshot's lifetime.
+    [[nodiscard]] std::span<const Weight> row(NodeId from) const;
 
     /// Next hop of `from` toward `to` (-1 when none); requires routing.
     [[nodiscard]] NodeId next_hop(NodeId from, NodeId to) const;

@@ -7,8 +7,10 @@
 // the open_distance_source factory must auto-detect every codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <sstream>
@@ -24,6 +26,7 @@
 #include "ccq/serve/snapshot.hpp"
 #include "ccq/spanner/baswana_sen.hpp"
 #include "ccq/spanner/greedy.hpp"
+#include "allocation_watch.hpp"
 #include "built_oracle.hpp"
 #include "test_helpers.hpp"
 
@@ -329,6 +332,105 @@ TEST(DistanceSource, DenseAndMappedAnswerBitwiseIdenticallyToTheSnapshot)
         EXPECT_EQ(dense_engine.nearest_targets(u, 5), mapped_engine.nearest_targets(u, 5));
     }
     std::remove(path.c_str());
+}
+
+/// The k-nearest answer before select_nearest, kept as its reference:
+/// copy the whole row, collect every reachable non-self cell, and
+/// partial_sort the first k by (distance, id).
+std::vector<NearTarget> reference_nearest(const DistanceSource& source, NodeId from, int k)
+{
+    const int n = source.node_count();
+    std::vector<Weight> row(static_cast<std::size_t>(n), kInfinity);
+    source.fill_row(from, row);
+    std::vector<NearTarget> candidates;
+    for (NodeId v = 0; v < n; ++v)
+        if (v != from && is_finite(row[static_cast<std::size_t>(v)]))
+            candidates.push_back({v, row[static_cast<std::size_t>(v)]});
+    const std::size_t keep = std::min(candidates.size(), static_cast<std::size_t>(k));
+    std::partial_sort(candidates.begin(), candidates.begin() + static_cast<std::ptrdiff_t>(keep),
+                      candidates.end(), [](const NearTarget& a, const NearTarget& b) {
+                          return weight_id_less(a.distance, a.node, b.distance, b.node);
+                      });
+    candidates.resize(keep);
+    return candidates;
+}
+
+/// Two components and an isolated node, weights 1..2: most rows hold
+/// long runs of tied distances and a block of unreachable cells.
+Graph tied_two_component_graph()
+{
+    Graph g(41, Orientation::undirected);
+    for (NodeId i = 0; i < 25; ++i) { // a 5x5 unit grid
+        if (i % 5 != 4) g.add_edge(i, i + 1, 1);
+        if (i + 5 < 25) g.add_edge(i, i + 5, 1);
+    }
+    for (NodeId i = 25; i < 39; ++i) g.add_edge(i, i + 1, 1 + i % 2); // a path; 40 stays alone
+    g.add_edge(25, 32, 2);
+    return g;
+}
+
+TEST(DistanceSource, NearestTargetsEqualTheCopyAndPartialSortReference)
+{
+    const Graph tied = tied_two_component_graph();
+    const Graph clustered =
+        testing::make_instance(InstanceSpec{GraphFamily::clustered, 40, 7, /*max_weight=*/3});
+    for (const Graph* g : {&tied, &clustered}) {
+        const int n = g->node_count();
+        SCOPED_TRACE("n = " + std::to_string(n));
+        const ApspResult result =
+            DistanceOracle(*g, ApspAlgorithmKind::logn_baseline).result();
+        const OracleSnapshot snapshot = OracleSnapshot::from_result(*g, result, 1);
+        const std::string path = ::testing::TempDir() + "ccq_source_nearest.snap";
+        save_snapshot(path, snapshot, SnapshotFormat::v2_compressed);
+        const std::vector<std::pair<std::string, std::shared_ptr<const DistanceSource>>> sources{
+            {"dense", std::make_shared<const DenseSnapshotSource>(snapshot)},
+            {"mapped", std::make_shared<const MappedSnapshotSource>(
+                           std::make_shared<const MappedSnapshot>(path))},
+            {"spanner", std::make_shared<const SpannerDistanceSource>(SparseSnapshot::from_spanner(
+                            *g, SpannerResult{*g, 1, 1}, "whole", 0))},
+        };
+        for (const auto& [name, source] : sources) {
+            SCOPED_TRACE(name);
+            const QueryEngine engine(source);
+            for (NodeId u = 0; u < n; ++u) {
+                for (const int k : {0, 1, 8, n - 1, n, n + 10,
+                                    std::numeric_limits<std::int32_t>::max()}) {
+                    const std::vector<NearTarget> want = reference_nearest(*source, u, k);
+                    ASSERT_EQ(source->nearest_targets(u, k), want) << u << " k=" << k;
+                    ASSERT_EQ(engine.nearest_targets(u, k), want) << u << " k=" << k;
+                }
+                // The largest k holds one entry per node at most, and the
+                // row is read in place (the row is warm by now).
+                std::size_t largest = 0;
+                {
+                    const testing::AllocationWatch watch;
+                    (void)source->nearest_targets(u, std::numeric_limits<std::int32_t>::max());
+                    largest = testing::AllocationWatch::largest();
+                }
+                EXPECT_LE(largest, static_cast<std::size_t>(n) * sizeof(NearTarget)) << u;
+                EXPECT_THROW((void)source->nearest_targets(u, -1), check_error);
+                EXPECT_THROW((void)engine.nearest_targets(u, -1), check_error);
+            }
+        }
+        std::remove(path.c_str());
+    }
+    // Unreachable cells really were in play: node 40 of the tied graph
+    // has no targets at all, and node 0 none outside its grid.
+    const QueryEngine tied_engine(std::make_shared<const SpannerDistanceSource>(
+        SparseSnapshot::from_spanner(tied, SpannerResult{tied, 1, 1}, "whole", 0)));
+    EXPECT_TRUE(tied_engine.nearest_targets(40, 100).empty());
+    EXPECT_EQ(tied_engine.nearest_targets(0, 100).size(), 24u);
+}
+
+TEST(DistanceSource, SelectNearestKeepsTheFirstIdAmongTies)
+{
+    const std::vector<Weight> row{5, 3, kInfinity, 3, 0, 3, 7, 3};
+    EXPECT_EQ(select_nearest(row, 4, 2), (std::vector<NearTarget>{{1, 3}, {3, 3}}));
+    EXPECT_EQ(select_nearest(row, 1, 3), (std::vector<NearTarget>{{4, 0}, {3, 3}, {5, 3}}));
+    EXPECT_EQ(select_nearest(row, 0, 100).size(), 6u); // self and the unreachable cell left out
+    EXPECT_TRUE(select_nearest(row, 0, 0).empty());
+    EXPECT_TRUE(select_nearest({}, 0, 3).empty());
+    EXPECT_THROW((void)select_nearest(row, 0, -1), check_error);
 }
 
 TEST(DistanceSource, SparseSnapshotRoundTripsThroughBytes)

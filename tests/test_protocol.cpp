@@ -4,38 +4,14 @@
 // every decoder hostile bytes.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <new>
+#include <limits>
 
+#include "allocation_watch.hpp"
 #include "ccq/common/rng.hpp"
 #include "ccq/net/protocol.hpp"
-
-// Replacement allocation functions that let a test see the largest
-// single request made while a decoder runs (see AllocationWatch).  The
-// array and nothrow forms forward to these; the decoders make no
-// over-aligned allocations.
-namespace {
-std::atomic<bool> g_watch_allocations{false};
-std::atomic<std::size_t> g_largest_allocation{0};
-} // namespace
-
-void* operator new(std::size_t size)
-{
-    if (g_watch_allocations.load(std::memory_order_relaxed) &&
-        size > g_largest_allocation.load(std::memory_order_relaxed))
-        g_largest_allocation.store(size, std::memory_order_relaxed);
-    if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
-    throw std::bad_alloc();
-}
-
-// Out of line: inlined into a delete-expression, free() on a pointer
-// from operator new trips -Wmismatched-new-delete.
-[[gnu::noinline]] void operator delete(void* block) noexcept { std::free(block); }
-[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept { std::free(block); }
 
 namespace ccq {
 namespace {
@@ -66,16 +42,61 @@ private:
     std::deque<char> bytes_;
 };
 
+/// A read-only Stream over fixed bytes that hands out at most `chunk`
+/// bytes per read, so frames straddle reads; allocates nothing.
+class ChunkedStream : public Stream {
+public:
+    ChunkedStream(std::string_view bytes, std::size_t chunk) : bytes_(bytes), chunk_(chunk) {}
+
+    std::size_t read_some(void* buffer, std::size_t count) override
+    {
+        ++reads_;
+        const std::size_t take = std::min({count, chunk_, bytes_.size()});
+        std::memcpy(buffer, bytes_.data(), take);
+        bytes_.remove_prefix(take);
+        return take;
+    }
+
+    void write_all(const void*, std::size_t) override { throw net_error("read-only stream"); }
+
+    void interrupt() noexcept override {}
+
+    [[nodiscard]] std::size_t reads() const noexcept { return reads_; }
+
+private:
+    std::string_view bytes_;
+    std::size_t chunk_;
+    std::size_t reads_ = 0;
+};
+
 TEST(Protocol, FramesRoundTripThroughAStream)
 {
     LoopbackStream stream;
     write_frame(stream, "hello");
     write_frame(stream, ""); // empty frames are legal
     write_frame(stream, std::string(1000, 'x'));
-    EXPECT_EQ(read_frame(stream), "hello");
-    EXPECT_EQ(read_frame(stream), "");
-    EXPECT_EQ(read_frame(stream), std::string(1000, 'x'));
-    EXPECT_EQ(read_frame(stream), std::nullopt); // clean EOF
+    FrameReader reader(stream);
+    EXPECT_EQ(reader.next(), "hello");
+    EXPECT_EQ(reader.next(), "");
+    EXPECT_EQ(reader.next(), std::string(1000, 'x'));
+    EXPECT_EQ(reader.next(), std::nullopt); // clean EOF
+}
+
+TEST(Protocol, FrameReaderReadsAheadAcrossFrames)
+{
+    // Three frames arrive in one read and each next() pops one of them;
+    // a frame longer than a read chunk takes as many reads as it needs.
+    std::string wire = encode_frame("a") + encode_frame("bb") + encode_frame("ccc");
+    wire += encode_frame(std::string(3 * FrameReader::kFrameReadChunk, 'y'));
+    ChunkedStream stream(wire, std::numeric_limits<std::size_t>::max());
+    FrameReader reader(stream);
+    EXPECT_EQ(reader.next(), "a");
+    EXPECT_EQ(reader.next(), "bb");
+    EXPECT_EQ(reader.next(), "ccc");
+    EXPECT_EQ(stream.reads(), 1u);
+    EXPECT_EQ(reader.next(), std::string(3 * FrameReader::kFrameReadChunk, 'y'));
+    EXPECT_EQ(stream.reads(), 4u);
+    EXPECT_EQ(reader.next(), std::nullopt);
 }
 
 TEST(Protocol, OversizedFrameLengthIsRejectedUnread)
@@ -85,7 +106,8 @@ TEST(Protocol, OversizedFrameLengthIsRejectedUnread)
     char prefix[4];
     std::memcpy(prefix, &huge, 4); // test host is little-endian like the wire
     stream.write_all(prefix, 4);
-    EXPECT_THROW((void)read_frame(stream), protocol_error);
+    FrameReader reader(stream);
+    EXPECT_THROW((void)reader.next(), protocol_error);
 }
 
 TEST(Protocol, TruncatedFrameBodyThrowsNetError)
@@ -98,7 +120,13 @@ TEST(Protocol, TruncatedFrameBodyThrowsNetError)
     std::memcpy(prefix, &claimed, 4);
     truncated.write_all(prefix, 4);
     truncated.write_all("short", 5);
-    EXPECT_THROW((void)read_frame(truncated), net_error);
+    FrameReader reader(truncated);
+    EXPECT_THROW((void)reader.next(), net_error);
+    // A lone partial prefix is cut mid-frame too.
+    LoopbackStream cut_prefix;
+    cut_prefix.write_all(prefix, 3);
+    FrameReader prefix_reader(cut_prefix);
+    EXPECT_THROW((void)prefix_reader.next(), net_error);
 }
 
 TEST(Protocol, RequestsRoundTripForEveryOpcode)
@@ -232,8 +260,8 @@ TEST(Protocol, EncodeFrameMatchesWriteFrame)
     LoopbackStream stream;
     write_frame(stream, "payload");
     const std::string encoded = encode_frame("payload");
-    std::string streamed(encoded.size(), '\0');
-    ASSERT_TRUE(stream.read_exact(streamed.data(), streamed.size()));
+    std::string streamed(encoded.size() + 1, '\0');
+    streamed.resize(stream.read_some(streamed.data(), streamed.size()));
     EXPECT_EQ(streamed, encoded);
 }
 
@@ -624,23 +652,7 @@ TEST(Protocol, ForgedFlightRepliesAreRejected)
 
 constexpr int kMutants = 400;
 
-/// The largest single operator-new request made while this watch lives.
-class AllocationWatch {
-public:
-    AllocationWatch()
-    {
-        g_largest_allocation.store(0, std::memory_order_relaxed);
-        g_watch_allocations.store(true, std::memory_order_relaxed);
-    }
-    ~AllocationWatch() { g_watch_allocations.store(false, std::memory_order_relaxed); }
-    AllocationWatch(const AllocationWatch&) = delete;
-    AllocationWatch& operator=(const AllocationWatch&) = delete;
-
-    [[nodiscard]] static std::size_t largest() noexcept
-    {
-        return g_largest_allocation.load(std::memory_order_relaxed);
-    }
-};
+using testing::AllocationWatch;
 
 /// A valid message and the offsets of the u32 lengths inside it.
 struct MutationSeed {
@@ -848,21 +860,26 @@ TEST(ProtocolMutation, FlightReplies)
                             reply_decoder(decode_flight_reply));
 }
 
-TEST(ProtocolMutation, FrameDecoderStreams)
+/// The seed of the frame-stream mutants: four frames, their prefixes marked.
+MutationSeed frame_stream_seed()
 {
     Request batch;
     batch.op = Opcode::batch_distances;
     batch.pairs = {{0, 1}, {2, 3}};
-    const std::vector<std::string> bodies{encode_request(batch), "", encode_ping_reply(),
-                                          std::string(300, 'x')};
     MutationSeed stream;
-    for (const std::string& body : bodies) {
+    for (const std::string& body :
+         {encode_request(batch), std::string(), encode_ping_reply(), std::string(300, 'x')}) {
         stream.length_offsets.push_back(stream.bytes.size());
         stream.bytes += encode_frame(body);
     }
+    return stream;
+}
+
+TEST(ProtocolMutation, FrameDecoderStreams)
+{
     // Chunk sizes vary with the mutant, so frames straddle feeds.
     std::size_t chunk = 0;
-    expect_mutants_are_safe(505, {stream}, [&chunk](std::string_view bytes) {
+    expect_mutants_are_safe(505, {frame_stream_seed()}, [&chunk](std::string_view bytes) {
         chunk = chunk % 13 + 1;
         FrameDecoder decoder;
         std::size_t delivered = 0;
@@ -873,6 +890,48 @@ TEST(ProtocolMutation, FrameDecoderStreams)
         }
         EXPECT_EQ(delivered + decoder.buffered_bytes(), bytes.size());
     });
+}
+
+TEST(ProtocolMutation, FrameReaderStreams)
+{
+    // The same mutants through the blocking reader, over a stream that
+    // hands out 1..13 bytes per read (or everything at once), so frames
+    // straddle reads.  A stream cut mid-frame (net_error) counts as a
+    // rejection, like an oversized prefix.
+    std::size_t chunk = 0;
+    expect_mutants_are_safe(606, {frame_stream_seed()}, [&chunk](std::string_view bytes) {
+        chunk = chunk % 14 + 1;
+        ChunkedStream stream(bytes, chunk == 14 ? std::numeric_limits<std::size_t>::max() : chunk);
+        FrameReader reader(stream);
+        std::size_t delivered = 0;
+        try {
+            while (const std::optional<std::string> body = reader.next())
+                delivered += 4 + body->size();
+        } catch (const net_error&) {
+            EXPECT_LT(delivered, bytes.size());
+            throw protocol_error("stream ends mid-frame");
+        }
+        EXPECT_EQ(delivered, bytes.size());
+    });
+}
+
+TEST(ProtocolMutation, FrameReaderForgedPrefixAllocatesNothingLarge)
+{
+    // A prefix claiming 60 MiB, five body bytes, then EOF: the reader
+    // buffers the nine bytes that came and throws; it never sizes a
+    // buffer by the claim.
+    std::string wire(4, '\0');
+    put_u32_at(wire, 0, 60u << 20);
+    wire += "hello";
+    std::size_t largest = 0;
+    {
+        const AllocationWatch watch;
+        ChunkedStream stream(wire, std::numeric_limits<std::size_t>::max());
+        FrameReader reader(stream);
+        EXPECT_THROW((void)reader.next(), net_error);
+        largest = AllocationWatch::largest();
+    }
+    EXPECT_LE(largest, std::size_t{1024});
 }
 
 } // namespace

@@ -134,11 +134,12 @@ TEST_P(ServerBackends, AnswersBitwiseIdenticalToTheEngine)
                                                    const std::vector<std::string>& bodies)
 {
     const std::unique_ptr<TcpStream> stream = TcpStream::connect("127.0.0.1", port);
+    FrameReader reader(*stream);
     std::vector<std::string> replies;
     replies.reserve(bodies.size());
     for (const std::string& body : bodies) {
         write_frame(*stream, body);
-        std::optional<std::string> reply = read_frame(*stream);
+        std::optional<std::string> reply = reader.next();
         if (!reply.has_value()) throw net_error("server closed early");
         replies.push_back(std::move(*reply));
     }
@@ -205,9 +206,10 @@ TEST_P(ServerBackends, PipelinedRepliesAreTheEngineAnswersBitwise)
     std::string burst;
     for (const std::string& body : bodies) burst += encode_frame(body);
     stream->write_all(burst.data(), burst.size());
+    FrameReader reader(*stream);
     std::vector<std::string> replies;
     for (std::size_t i = 0; i < bodies.size(); ++i) {
-        std::optional<std::string> reply = read_frame(*stream);
+        std::optional<std::string> reply = reader.next();
         ASSERT_TRUE(reply.has_value()) << "reply " << i;
         replies.push_back(std::move(*reply));
     }
@@ -340,8 +342,9 @@ TEST_P(ServerBackends, ManyFramesWrittenBeforeAnyReadComeBackInOrder)
         burst += encode_frame(encode_request(request));
     }
     stream->write_all(burst.data(), burst.size());
+    FrameReader reader(*stream);
     for (int i = 0; i < kBurst; ++i) {
-        const std::optional<std::string> reply = read_frame(*stream);
+        const std::optional<std::string> reply = reader.next();
         ASSERT_TRUE(reply.has_value()) << "reply " << i;
         const auto [status, payload] = split_reply(*reply);
         ASSERT_EQ(status, Status::ok) << "reply " << i;
@@ -362,6 +365,7 @@ TEST_P(ServerBackends, SlowLorisByteAtATimeStillGetsAnswered)
     RunningServer running(engine, backend_config());
 
     const std::unique_ptr<TcpStream> stream = TcpStream::connect("127.0.0.1", running.port());
+    FrameReader reader(*stream);
     for (const auto& [from, to] : {std::pair<NodeId, NodeId>{0, 5}, {3, 9}}) {
         Request request;
         request.op = Opcode::distance;
@@ -369,11 +373,85 @@ TEST_P(ServerBackends, SlowLorisByteAtATimeStillGetsAnswered)
         request.to = to;
         const std::string wire = encode_frame(encode_request(request));
         for (const char byte : wire) stream->write_all(&byte, 1);
-        const std::optional<std::string> reply = read_frame(*stream);
+        const std::optional<std::string> reply = reader.next();
         ASSERT_TRUE(reply.has_value());
         const auto [status, payload] = split_reply(*reply);
         ASSERT_EQ(status, Status::ok);
         EXPECT_EQ(decode_distance_reply(payload), engine->distance(from, to));
+    }
+}
+
+TEST_P(ServerBackends, ReadDisciplineLosesNoBytes)
+{
+    // A loop reads a connection until a short read and leaves the rest
+    // to the next (level-triggered) readiness report; the client reads
+    // replies 64 KiB at a time and keeps what it read ahead.  Neither
+    // side may strand bytes.
+    const BuiltOracle built(InstanceSpec{GraphFamily::erdos_renyi_sparse, 30, 5});
+    const auto engine = std::make_shared<const QueryEngine>(built.snapshot);
+    RunningServer running(engine, backend_config());
+    const auto distance_frame = [](NodeId from, NodeId to) {
+        Request request;
+        request.op = Opcode::distance;
+        request.from = from;
+        request.to = to;
+        return encode_frame(encode_request(request));
+    };
+    const auto expect_distance = [&](const std::optional<std::string>& reply, NodeId from,
+                                     NodeId to) {
+        ASSERT_TRUE(reply.has_value()) << from << "->" << to;
+        const auto [status, payload] = split_reply(*reply);
+        ASSERT_EQ(status, Status::ok) << from << "->" << to;
+        EXPECT_EQ(decode_distance_reply(payload), engine->distance(from, to)) << from << "->" << to;
+    };
+
+    {
+        SCOPED_TRACE("one byte per read, with pauses");
+        const std::unique_ptr<TcpStream> stream = TcpStream::connect("127.0.0.1", running.port());
+        for (const char byte : distance_frame(2, 17)) {
+            stream->write_all(&byte, 1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        expect_distance(FrameReader(*stream).next(), 2, 17);
+    }
+    {
+        SCOPED_TRACE("request, then EOF");
+        const std::unique_ptr<TcpStream> stream = TcpStream::connect("127.0.0.1", running.port());
+        const std::string wire = distance_frame(4, 9) + distance_frame(9, 4);
+        stream->write_all(wire.data(), wire.size());
+        ASSERT_EQ(::shutdown(stream->native_handle(), SHUT_WR), 0);
+        FrameReader reader(*stream);
+        expect_distance(reader.next(), 4, 9);
+        expect_distance(reader.next(), 9, 4);
+        EXPECT_EQ(reader.next(), std::nullopt) << "server must close after the peer's EOF";
+    }
+    {
+        SCOPED_TRACE("a burst of several read chunks");
+        constexpr int kBurst = 12000; // 13 bytes a frame: ~156 KB each way
+        static_assert(kBurst * 13 > 2 * FrameReader::kFrameReadChunk);
+        const std::unique_ptr<TcpStream> stream = TcpStream::connect("127.0.0.1", running.port());
+        std::string burst;
+        for (int i = 0; i < kBurst; ++i)
+            burst += distance_frame(static_cast<NodeId>(i % 30), static_cast<NodeId>(i * 7 % 30));
+        stream->write_all(burst.data(), burst.size());
+        FrameReader reader(*stream);
+        for (int i = 0; i < kBurst; ++i) {
+            expect_distance(reader.next(), static_cast<NodeId>(i % 30),
+                            static_cast<NodeId>(i * 7 % 30));
+            if (::testing::Test::HasFatalFailure()) return;
+        }
+    }
+    {
+        SCOPED_TRACE("pipelined_distances with a window of several read chunks");
+        std::vector<PointQuery> queries;
+        for (int i = 0; i < 20000; ++i)
+            queries.push_back({static_cast<NodeId>(i * 11 % 30), static_cast<NodeId>(i % 30)});
+        Client client = running.connect();
+        std::vector<Weight> expected;
+        for (const PointQuery& q : queries) expected.push_back(engine->distance(q.from, q.to));
+        EXPECT_EQ(client.pipelined_distances(queries, 8192), expected);
+        EXPECT_EQ(client.pipelined_distances(queries, 3), expected);
+        EXPECT_EQ(client.distance(5, 6), engine->distance(5, 6)); // still at a frame boundary
     }
 }
 
@@ -414,8 +492,9 @@ TEST(Server, StalledReaderIsPausedNotBuffered)
     EXPECT_EQ(polite.distance(0, 5), engine->distance(0, 5));
 
     // The stalled reader wakes up: every reply, in order.
+    FrameReader reader(*stall);
     for (int i = 0; i < kFlood; ++i) {
-        const std::optional<std::string> reply = read_frame(*stall);
+        const std::optional<std::string> reply = reader.next();
         ASSERT_TRUE(reply.has_value()) << "reply " << i;
         const auto [status, payload] = split_reply(*reply);
         ASSERT_EQ(status, Status::ok) << "reply " << i;
@@ -462,7 +541,7 @@ TEST(Server, EventLoopHoldsAThousandIdleConnections)
     // A random idle connection still works too (it was not just parked
     // in an accept backlog).
     write_frame(*idle[kConnections / 2], encode_request(Request{}));
-    const std::optional<std::string> reply = read_frame(*idle[kConnections / 2]);
+    const std::optional<std::string> reply = FrameReader(*idle[kConnections / 2]).next();
     ASSERT_TRUE(reply.has_value());
     EXPECT_EQ(split_reply(*reply).first, Status::ok);
 }
@@ -483,7 +562,8 @@ TEST_P(ServerBackends, MaxConnectionsShedsWithTypedBusyStatus)
     // The third connection is accepted just long enough to be told why
     // it is being dropped: one typed `busy` error frame, then close.
     const std::unique_ptr<TcpStream> shed = TcpStream::connect("127.0.0.1", running.port());
-    const std::optional<std::string> reply = read_frame(*shed);
+    FrameReader reader(*shed);
+    const std::optional<std::string> reply = reader.next();
     ASSERT_TRUE(reply.has_value());
     try {
         const auto [status, payload] = split_reply(*reply);
@@ -491,7 +571,7 @@ TEST_P(ServerBackends, MaxConnectionsShedsWithTypedBusyStatus)
     } catch (const protocol_error&) {
         FAIL() << "shed connection got an undecodable reply";
     }
-    EXPECT_EQ(read_frame(*shed), std::nullopt) << "server must close after shedding";
+    EXPECT_EQ(reader.next(), std::nullopt) << "server must close after shedding";
 
     // Shedding is load shedding, not lockout: room frees up, service
     // resumes, and the rejection is visible in the stats.
@@ -555,15 +635,16 @@ TEST(Server, MaxConnectionsIsExactAcrossLoops)
     int live = 0;
     for (const std::unique_ptr<TcpStream>& stream : streams) {
         pollfd readable = {stream->native_handle(), POLLIN, 0};
+        FrameReader reader(*stream);
         if (::poll(&readable, 1, 200) == 1) {
-            const std::optional<std::string> reply = read_frame(*stream);
+            const std::optional<std::string> reply = reader.next();
             ASSERT_TRUE(reply.has_value());
             EXPECT_EQ(split_reply(*reply).first, Status::busy);
-            EXPECT_EQ(read_frame(*stream), std::nullopt) << "server must close after shedding";
+            EXPECT_EQ(reader.next(), std::nullopt) << "server must close after shedding";
             ++busy;
         } else {
             write_frame(*stream, encode_request(Request{}));
-            const std::optional<std::string> reply = read_frame(*stream);
+            const std::optional<std::string> reply = reader.next();
             ASSERT_TRUE(reply.has_value());
             EXPECT_EQ(split_reply(*reply).first, Status::ok);
             ++live;
@@ -659,7 +740,8 @@ TEST_P(ServerBackends, MalformedFrameGetsAnErrorAndTheConnectionSurvives)
 
     std::unique_ptr<TcpStream> raw = TcpStream::connect("127.0.0.1", running.port());
     write_frame(*raw, "\xee\xee\xee"); // unknown opcode + garbage
-    const std::optional<std::string> error_reply = read_frame(*raw);
+    FrameReader reader(*raw);
+    const std::optional<std::string> error_reply = reader.next();
     ASSERT_TRUE(error_reply.has_value());
     EXPECT_EQ(split_reply(*error_reply).first, Status::malformed);
 
@@ -667,7 +749,7 @@ TEST_P(ServerBackends, MalformedFrameGetsAnErrorAndTheConnectionSurvives)
     Request request;
     request.op = Opcode::ping;
     write_frame(*raw, encode_request(request));
-    const std::optional<std::string> ok_reply = read_frame(*raw);
+    const std::optional<std::string> ok_reply = reader.next();
     ASSERT_TRUE(ok_reply.has_value());
     EXPECT_EQ(split_reply(*ok_reply).first, Status::ok);
 }

@@ -645,9 +645,9 @@ TEST_F(SnapshotMmap, ServesBitwiseIdenticalToEagerLoading)
             ASSERT_EQ(mapped.next_hop(u, v), original.routing->next_hop(u, v))
                 << u << "->" << v;
         }
-    std::vector<Weight> row(40);
     for (NodeId u = 0; u < 40; ++u) {
-        mapped.fill_row(u, row);
+        const std::span<const Weight> row = mapped.row(u);
+        ASSERT_EQ(row.size(), 40u);
         for (NodeId v = 0; v < 40; ++v)
             ASSERT_EQ(row[static_cast<std::size_t>(v)], original.estimate->at(u, v));
     }
