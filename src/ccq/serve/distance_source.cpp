@@ -1,7 +1,10 @@
 #include "ccq/serve/distance_source.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "ccq/common/check.hpp"
 #include "ccq/obs/trace.hpp"
@@ -18,7 +21,53 @@ const char* source_kind_name(SourceKind kind) noexcept
     return "unknown";
 }
 
-std::vector<NearTarget> select_nearest(std::span<const Weight> row, NodeId from, int k)
+namespace {
+
+/// "Unreachable" in a narrow (u32) spanner row.
+constexpr std::uint32_t kNarrowUnreachable = std::numeric_limits<std::uint32_t>::max();
+
+/// The unreachable cell of a row of `Cell`s: kInfinity in a Weight row,
+/// kNarrowUnreachable in a narrow one.  In both, finite cells keep their
+/// values and sit below the sentinel, so cells compare as their Weights.
+template <class Cell>
+constexpr Cell unreachable_cell() noexcept
+{
+    if constexpr (std::is_same_v<Cell, Weight>)
+        return kInfinity;
+    else
+        return kNarrowUnreachable;
+}
+
+/// A row cell as the Weight it stands for.
+template <class Cell>
+constexpr Weight widen(Cell cell) noexcept
+{
+    if constexpr (std::is_same_v<Cell, Weight>)
+        return cell;
+    else
+        return cell == kNarrowUnreachable ? kInfinity : static_cast<Weight>(cell);
+}
+
+/// True when no simple path over `edges` weighs kNarrowUnreachable or
+/// more, so every finite distance fits a narrow cell below it.
+bool fits_narrow_cells(const std::vector<WeightedEdge>& edges)
+{
+    Weight total = 0;
+    for (const WeightedEdge& e : edges) total = saturating_add(total, e.weight);
+    return total < static_cast<Weight>(kNarrowUnreachable);
+}
+
+/// The kernel scratch of the calling thread, shared by every spanner
+/// source it serves: after a thread's first run its misses and kernel
+/// routes reuse the buffers.
+DijkstraScratch& thread_scratch()
+{
+    thread_local DijkstraScratch scratch;
+    return scratch;
+}
+
+template <class Cell>
+std::vector<NearTarget> select_nearest_cells(std::span<const Cell> row, NodeId from, int k)
 {
     CCQ_EXPECT(k >= 0, "select_nearest: k must be >= 0");
     const std::size_t keep = std::min(static_cast<std::size_t>(k), row.size());
@@ -32,25 +81,33 @@ std::vector<NearTarget> select_nearest(std::span<const Weight> row, NodeId from,
     const std::size_t n = row.size();
     std::size_t v = 0;
     for (; v < n && best.size() < keep; ++v) {
-        const Weight d = row[v];
-        if (static_cast<NodeId>(v) == from || !is_finite(d)) continue;
-        best.push_back({static_cast<NodeId>(v), d});
+        const Cell d = row[v];
+        if (static_cast<NodeId>(v) == from || d >= unreachable_cell<Cell>()) continue;
+        best.push_back({static_cast<NodeId>(v), static_cast<Weight>(d)});
         std::push_heap(best.begin(), best.end(), less);
     }
     // Full heap: ids rise with v, so a cell at the k-th distance loses
     // the (distance, id) tie too, and `d >= bound` passes over it along
     // with everything farther and every unreachable cell.
-    Weight bound = best.size() == keep ? best.front().distance : kInfinity;
+    Cell bound = best.size() == keep ? static_cast<Cell>(best.front().distance)
+                                     : unreachable_cell<Cell>();
     for (; v < n; ++v) {
-        const Weight d = row[v];
+        const Cell d = row[v];
         if (d >= bound || static_cast<NodeId>(v) == from) continue;
         std::pop_heap(best.begin(), best.end(), less);
-        best.back() = {static_cast<NodeId>(v), d};
+        best.back() = {static_cast<NodeId>(v), static_cast<Weight>(d)};
         std::push_heap(best.begin(), best.end(), less);
-        bound = best.front().distance;
+        bound = static_cast<Cell>(best.front().distance);
     }
     std::sort_heap(best.begin(), best.end(), less);
     return best;
+}
+
+} // namespace
+
+std::vector<NearTarget> select_nearest(std::span<const Weight> row, NodeId from, int k)
+{
+    return select_nearest_cells(row, from, k);
 }
 
 // --- DenseSnapshotSource ----------------------------------------------------
@@ -149,7 +206,8 @@ SpannerDistanceSource::SpannerDistanceSource(SparseSnapshot snapshot, SpannerSou
       spanner_edges_(snapshot.edges.size()),
       arcs_(snapshot.spanner_graph()),
       zero_weight_(std::ranges::any_of(snapshot.edges,
-                                       [](const WeightedEdge& e) { return e.weight == 0; }))
+                                       [](const WeightedEdge& e) { return e.weight == 0; })),
+      narrow_(fits_narrow_cells(snapshot.edges))
 {
     // shards * (rows / shards) <= rows, and with no more shards than
     // rows every shard holds at least one (0 rows: caching off).
@@ -161,12 +219,20 @@ SpannerDistanceSource::SpannerDistanceSource(SparseSnapshot snapshot, SpannerSou
 
 SpannerDistanceSource::RowPtr SpannerDistanceSource::materialize(NodeId from) const
 {
-    // A fresh scratch per miss: rows are read from several event loops
-    // at once, and the finished distances become the cached row as is.
-    DijkstraScratch scratch;
+    // The kernel runs on this thread's scratch (rows are read from several
+    // event loops at once), so on a warm thread the fresh row is the only
+    // block a miss allocates: the distances are narrowed or copied into
+    // it, and it becomes the cached row.
+    DijkstraScratch& scratch = thread_scratch();
     dijkstra(arcs_, from, scratch);
     rows_materialized_.fetch_add(1, std::memory_order_relaxed);
-    return std::make_shared<const std::vector<Weight>>(std::move(scratch.dist));
+    const std::vector<Weight>& dist = scratch.dist;
+    if (!narrow_) return std::make_shared<const Row>(std::in_place_type<std::vector<Weight>>, dist);
+    std::vector<std::uint32_t> cells(dist.size());
+    std::ranges::transform(dist, cells.begin(), [](Weight d) {
+        return is_finite(d) ? static_cast<std::uint32_t>(d) : kNarrowUnreachable;
+    });
+    return std::make_shared<const Row>(std::move(cells));
 }
 
 SpannerDistanceSource::RowPtr SpannerDistanceSource::row(NodeId from) const
@@ -204,7 +270,9 @@ SpannerDistanceSource::RowPtr SpannerDistanceSource::row(NodeId from) const
 Weight SpannerDistanceSource::distance(NodeId from, NodeId to) const
 {
     CCQ_EXPECT(to >= 0 && to < meta_.node_count, "SpannerDistanceSource: node out of range");
-    return (*row(from))[static_cast<std::size_t>(to)];
+    const RowPtr cells = row(from);
+    return std::visit([to](const auto& row) { return widen(row[static_cast<std::size_t>(to)]); },
+                      *cells);
 }
 
 void SpannerDistanceSource::fill_row(NodeId from, std::span<Weight> out) const
@@ -212,12 +280,19 @@ void SpannerDistanceSource::fill_row(NodeId from, std::span<Weight> out) const
     CCQ_EXPECT(out.size() == static_cast<std::size_t>(meta_.node_count),
                "SpannerDistanceSource::fill_row: bad row size");
     const RowPtr cells = row(from);
-    std::copy(cells->begin(), cells->end(), out.begin());
+    std::visit(
+        [out](const auto& row) {
+            std::ranges::transform(row, out.begin(), [](auto cell) { return widen(cell); });
+        },
+        *cells);
 }
 
 std::vector<NearTarget> SpannerDistanceSource::nearest_targets(NodeId from, int k) const
 {
-    return select_nearest(*row(from), from, k);
+    const RowPtr cells = row(from);
+    return std::visit(
+        [from, k](const auto& row) { return select_nearest_cells(std::span(row), from, k); },
+        *cells);
 }
 
 DistanceSource::Routed SpannerDistanceSource::distance_and_route(NodeId from, NodeId to) const
@@ -225,14 +300,19 @@ DistanceSource::Routed SpannerDistanceSource::distance_and_route(NodeId from, No
     CCQ_EXPECT(from >= 0 && from < meta_.node_count && to >= 0 && to < meta_.node_count,
                "SpannerDistanceSource::route: node out of range");
     if (zero_weight_) return kernel_route(from, to);
-    const RowPtr dist = row(from);
-    return {(*dist)[static_cast<std::size_t>(to)], walk_row(*dist, from, to)};
+    const RowPtr cells = row(from);
+    return std::visit(
+        [&](const auto& row) -> Routed {
+            return {widen(row[static_cast<std::size_t>(to)]), walk_row(std::span(row), from, to)};
+        },
+        *cells);
 }
 
-std::vector<NodeId> SpannerDistanceSource::walk_row(const std::vector<Weight>& dist, NodeId from,
+template <class Cell>
+std::vector<NodeId> SpannerDistanceSource::walk_row(std::span<const Cell> cells, NodeId from,
                                                     NodeId to) const
 {
-    const auto d = [&](NodeId v) { return dist[static_cast<std::size_t>(v)]; };
+    const auto d = [&](NodeId v) { return widen(cells[static_cast<std::size_t>(v)]); };
     if (!is_finite(d(to))) return {};
     // Mark the nodes on some shortest from -> to path: backwards from
     // `to`, x joins through a marked v when the arc x -> v is tight.
@@ -273,7 +353,7 @@ DistanceSource::Routed SpannerDistanceSource::kernel_route(NodeId from, NodeId t
 {
     // Dijkstra from `to`: toward[v] is v's next hop toward it, always a
     // node settled before v, so the walk ends at `to` within n - 1 hops.
-    DijkstraScratch scratch;
+    DijkstraScratch& scratch = thread_scratch();
     dijkstra(arcs_, to, scratch, /*with_toward=*/true);
     rows_materialized_.fetch_add(1, std::memory_order_relaxed);
     const Weight distance = scratch.dist[static_cast<std::size_t>(from)];

@@ -33,6 +33,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "ccq/graph/dijkstra.hpp"
@@ -174,17 +175,26 @@ struct SpannerSourceConfig {
     /// Most reconstructed rows kept across queries, split over
     /// min(16, row_cache_rows) LRU shards with one mutex each (0 disables
     /// caching: every point query runs a fresh Dijkstra — correct but
-    /// slow).
+    /// slow).  A cached row holds 4n bytes when the spanner's edge weights
+    /// sum below UINT32_MAX, else 8n (SpannerDistanceSource): the default
+    /// 1024 rows take ~82 MB at n = 20000 on a light spanner.
     std::size_t row_cache_rows = 1024;
 };
 
 /// Sparse source over a v3 snapshot: the spanner is held as an ArcTable
 /// (both directions of each stored edge), and the row for a query source
 /// is materialized on first touch by the shared Dijkstra kernel
-/// (graph/dijkstra.hpp) over the spanner.  Materialized rows live in a
-/// sharded LRU keyed by source node; rows_materialized()/row_cache_hits()
-/// expose the hit economics to stats and metrics, and every kernel run a
-/// query makes counts as one materialized row.
+/// (graph/dijkstra.hpp) over the spanner, run on a scratch kept per
+/// thread.  Materialized rows live in a sharded LRU keyed by source node;
+/// rows_materialized()/row_cache_hits() expose the hit economics to
+/// stats and metrics, and every kernel run a query makes counts as one
+/// materialized row.
+///
+/// Cell width: a shortest path is simple, so no distance exceeds the
+/// (saturating) sum of the spanner's edge weights.  When that sum is
+/// below UINT32_MAX, the constructor picks 4-byte cells (UINT32_MAX
+/// stores "unreachable" and reads back as kInfinity); otherwise rows keep
+/// 8-byte Weight cells.  Every answer reads the same either way.
 ///
 /// route(u, v) walks the row of u: it marks the nodes on some shortest
 /// u -> v path (backwards from v over tight arcs), then steps from u to
@@ -225,9 +235,17 @@ public:
     [[nodiscard]] int stretch_bound() const noexcept { return stretch_bound_; }
     [[nodiscard]] int parameter_k() const noexcept { return parameter_k_; }
     [[nodiscard]] const std::string& construction() const noexcept { return construction_; }
+    /// Bytes per cached row cell: 4 when the edge weights sum below
+    /// UINT32_MAX, else 8.
+    [[nodiscard]] std::size_t cell_bytes() const noexcept
+    {
+        return narrow_ ? sizeof(std::uint32_t) : sizeof(Weight);
+    }
 
 private:
-    using RowPtr = std::shared_ptr<const std::vector<Weight>>;
+    /// One materialized row: narrow cells when narrow_, else wide ones.
+    using Row = std::variant<std::vector<std::uint32_t>, std::vector<Weight>>;
+    using RowPtr = std::shared_ptr<const Row>;
 
     struct RowShard {
         std::mutex mutex;
@@ -237,7 +255,8 @@ private:
 
     [[nodiscard]] RowPtr row(NodeId from) const;
     [[nodiscard]] RowPtr materialize(NodeId from) const;
-    [[nodiscard]] std::vector<NodeId> walk_row(const std::vector<Weight>& dist, NodeId from,
+    template <class Cell>
+    [[nodiscard]] std::vector<NodeId> walk_row(std::span<const Cell> cells, NodeId from,
                                                NodeId to) const;
     [[nodiscard]] Routed kernel_route(NodeId from, NodeId to) const;
 
@@ -249,6 +268,7 @@ private:
 
     ArcTable arcs_; ///< the spanner, both directions of every edge
     bool zero_weight_ = false; ///< some edge weighs 0: routes take kernel_route
+    bool narrow_ = false;      ///< rows hold u32 cells (edge weights sum < UINT32_MAX)
 
     static constexpr std::size_t kMaxRowShards = 16;
     std::size_t shard_capacity_ = 0; ///< rows per shard (0 = caching off)

@@ -75,11 +75,52 @@ std::vector<Weight> reference_row(const Graph& spanner, NodeId from)
     return dist;
 }
 
+/// UINT32_MAX: a spanner source keeps narrow (4-byte) rows only when its
+/// edge weights sum below this.
+constexpr Weight kNarrowLimit = std::numeric_limits<std::uint32_t>::max();
+
+/// The whole graph of `n` nodes and `edges` as a v3 snapshot.
+SparseSnapshot whole_spanner(int n, const std::vector<WeightedEdge>& edges)
+{
+    const Graph g = graph_from_edges(n, Orientation::undirected, edges);
+    return SparseSnapshot::from_spanner(g, SpannerResult{g, 1, 1}, "whole", 0);
+}
+
+/// The path 0 - 1 - ... - 6, one of its edges weighing 0, whose weights
+/// sum to `total`, and an isolated node 7: d(0, 6) is the whole sum.
+SparseSnapshot heavy_path(Weight total)
+{
+    constexpr Weight kBillion = 1'000'000'000;
+    return whole_spanner(8, {{0, 1, kBillion},
+                             {1, 2, 0},
+                             {2, 3, kBillion},
+                             {3, 4, kBillion},
+                             {4, 5, kBillion},
+                             {5, 6, total - 4 * kBillion}});
+}
+
+/// The cell width a spanner source must pick for `snapshot`.
+std::size_t expected_cell_bytes(const SparseSnapshot& snapshot)
+{
+    Weight total = 0;
+    for (const WeightedEdge& e : snapshot.edges) total = saturating_add(total, e.weight);
+    return total < kNarrowLimit ? 4 : 8;
+}
+
+bool has_zero_weight(const SparseSnapshot& snapshot)
+{
+    return std::ranges::any_of(snapshot.edges, [](const WeightedEdge& e) { return e.weight == 0; });
+}
+
 /// Baswana–Sen k=2 v3 snapshots of every GraphFamily x 3 seeds x weights
 /// {1..100, 0..3}, the undirected corner cases stored whole (the
 /// snapshot drops their self-loops and keeps the lightest parallel edge),
 /// and a whole unit-weight grid of 400 nodes, where most pairs have many
-/// shortest paths.
+/// shortest paths.  All of these keep narrow rows; three heavy spanners
+/// sit on both sides of the width rule, with unreachable nodes in each:
+/// a path weighing UINT32_MAX - 1 (narrow, its longest distance is the
+/// largest narrow cell), the same path one heavier (wide), and two
+/// components with tied routes and distances past 2^32 (wide).
 std::vector<std::pair<std::string, SparseSnapshot>> pinned_snapshots()
 {
     std::vector<std::pair<std::string, SparseSnapshot>> snapshots;
@@ -104,7 +145,45 @@ std::vector<std::pair<std::string, SparseSnapshot>> pinned_snapshots()
     const Graph grid = make_family_instance(GraphFamily::grid, 400, WeightRange{1, 1}, rng);
     snapshots.emplace_back(
         "unit grid 400", SparseSnapshot::from_spanner(grid, SpannerResult{grid, 1, 1}, "whole", 4));
+    snapshots.emplace_back("path weighing UINT32_MAX - 1", heavy_path(kNarrowLimit - 1));
+    snapshots.emplace_back("path weighing UINT32_MAX", heavy_path(kNarrowLimit));
+    constexpr Weight kHeavy = 1'000'000'000;
+    snapshots.emplace_back("two heavy components",
+                           whole_spanner(9, {{0, 1, 3 * kHeavy},
+                                             {1, 2, 3 * kHeavy},
+                                             {2, 3, 3 * kHeavy},
+                                             {3, 0, 3 * kHeavy},
+                                             {1, 4, 2 * kHeavy},
+                                             {3, 4, 2 * kHeavy},
+                                             {5, 6, 5 * kHeavy},
+                                             {6, 7, 5 * kHeavy},
+                                             {5, 7, 10 * kHeavy}}));
     return snapshots;
+}
+
+TEST(DistanceSource, PinnedSpannersCoverBothCellWidths)
+{
+    // The width rule is strict: a path weighing UINT32_MAX - 1 reaches
+    // the largest narrow cell, one weighing UINT32_MAX would collide with
+    // the unreachable cell, so it keeps wide rows.  Both widths appear
+    // with and without zero-weight edges, so every pinned-snapshot test
+    // below runs the row walk and the kernel route on both.
+    int widths_and_zeros[2][2] = {};
+    for (const auto& [name, snapshot] : pinned_snapshots()) {
+        const SpannerDistanceSource source(snapshot);
+        EXPECT_EQ(source.cell_bytes(), expected_cell_bytes(snapshot)) << name;
+        ++widths_and_zeros[source.cell_bytes() == 8][has_zero_weight(snapshot)];
+    }
+    for (const auto& by_zero : widths_and_zeros)
+        for (const int count : by_zero) EXPECT_GT(count, 0);
+    const SpannerDistanceSource narrow(heavy_path(kNarrowLimit - 1));
+    const SpannerDistanceSource wide(heavy_path(kNarrowLimit));
+    EXPECT_EQ(narrow.cell_bytes(), 4u);
+    EXPECT_EQ(wide.cell_bytes(), 8u);
+    EXPECT_EQ(narrow.distance(0, 6), kNarrowLimit - 1);
+    EXPECT_EQ(wide.distance(6, 0), kNarrowLimit);
+    EXPECT_EQ(narrow.distance(0, 7), kInfinity);
+    EXPECT_EQ(wide.distance(7, 0), kInfinity);
 }
 
 TEST(DistanceSource, SpannerRowsEqualTheReferenceLoop)
@@ -183,37 +262,44 @@ TEST(DistanceSource, SpannerPathsReadOneRowAndRunNoKernelWhenWarm)
     // Weights >= 1: a route walks the cached row of `from`, so after
     // distance(u, .) no route from u runs the kernel, and a path query
     // through the engine reads that row once (rows_materialized +
-    // row_cache_hits counts every row read).
+    // row_cache_hits counts every row read).  On an er_sparse spanner and
+    // on every pinned spanner without a zero-weight edge, both widths.
     const Graph g = testing::make_instance(InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 6});
     Rng rng(6);
-    const SparseSnapshot snapshot =
-        SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 6);
-    const int n = snapshot.meta.node_count;
-    {
-        const SpannerDistanceSource source(snapshot);
-        for (NodeId u = 0; u < n; ++u) {
-            (void)source.distance(u, (u + 1) % n);
-            const std::uint64_t rows = source.rows_materialized();
-            for (NodeId v = 0; v < n; ++v) (void)source.route(u, v);
-            EXPECT_EQ(source.rows_materialized(), rows) << "route from " << u;
+    std::vector<std::pair<std::string, SparseSnapshot>> snapshots{
+        {"er_sparse 40", SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng),
+                                                      "baswana-sen", 6)}};
+    for (auto& [name, snapshot] : pinned_snapshots())
+        if (!has_zero_weight(snapshot)) snapshots.emplace_back(name, std::move(snapshot));
+    for (const auto& [name, snapshot] : snapshots) {
+        SCOPED_TRACE(name);
+        const int n = snapshot.meta.node_count;
+        {
+            const SpannerDistanceSource source(snapshot);
+            for (NodeId u = 0; u < n; ++u) {
+                (void)source.distance(u, (u + 1) % n);
+                const std::uint64_t rows = source.rows_materialized();
+                for (NodeId v = 0; v < n; ++v) (void)source.route(u, v);
+                EXPECT_EQ(source.rows_materialized(), rows) << "route from " << u;
+            }
+            EXPECT_EQ(source.rows_materialized(), static_cast<std::uint64_t>(n));
         }
-        EXPECT_EQ(source.rows_materialized(), static_cast<std::uint64_t>(n));
-    }
-    // Each pair twice: a repeated path reads its row again, so the engine
-    // must not answer it from anywhere but the source.
-    const auto source = std::make_shared<const SpannerDistanceSource>(snapshot);
-    const QueryEngine engine(source);
-    std::vector<std::pair<PointQuery, PathResult>> answers;
-    for (NodeId u = 0; u < n; u += 3)
-        for (NodeId v = 0; v < n; v += 5)
-            for (int repeat = 0; repeat < 2; ++repeat)
-                answers.push_back({{u, v}, engine.path(u, v)});
-    EXPECT_EQ(source->rows_materialized() + source->row_cache_hits(), answers.size());
-    for (const auto& [query, path] : answers) {
-        const Weight distance = source->distance(query.from, query.to);
-        EXPECT_EQ(path.reachable, is_finite(distance));
-        EXPECT_EQ(path.distance, distance);
-        EXPECT_EQ(path.nodes, source->route(query.from, query.to));
+        // Each pair twice: a repeated path reads its row again, so the
+        // engine must not answer it from anywhere but the source.
+        const auto source = std::make_shared<const SpannerDistanceSource>(snapshot);
+        const QueryEngine engine(source);
+        std::vector<std::pair<PointQuery, PathResult>> answers;
+        for (NodeId u = 0; u < n; u += 3)
+            for (NodeId v = 0; v < n; v += 5)
+                for (int repeat = 0; repeat < 2; ++repeat)
+                    answers.push_back({{u, v}, engine.path(u, v)});
+        EXPECT_EQ(source->rows_materialized() + source->row_cache_hits(), answers.size());
+        for (const auto& [query, path] : answers) {
+            const Weight distance = source->distance(query.from, query.to);
+            EXPECT_EQ(path.reachable, is_finite(distance));
+            EXPECT_EQ(path.distance, distance);
+            EXPECT_EQ(path.nodes, source->route(query.from, query.to));
+        }
     }
 }
 
@@ -263,24 +349,85 @@ TEST(DistanceSource, ZeroWeightSpannersRouteThroughTheKernel)
     // A zero-weight edge makes routes follow the kernel's settle order,
     // so every route runs the kernel from its target — warm row or not —
     // counts that run as a materialized row, and still matches the
-    // tables.
+    // tables.  On a clustered spanner with one edge set to 0 and on every
+    // pinned spanner with a zero-weight edge, both widths.
     const Graph g = testing::make_instance(InstanceSpec{GraphFamily::clustered, 36, 8});
     Rng rng(8);
+    std::vector<std::pair<std::string, SparseSnapshot>> snapshots{
+        {"clustered 36", SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng),
+                                                      "baswana-sen", 8)}};
+    snapshots.front().second.edges.front().weight = 0;
+    for (auto& [name, snapshot] : pinned_snapshots())
+        if (has_zero_weight(snapshot)) snapshots.emplace_back(name, std::move(snapshot));
+    for (const auto& [name, snapshot] : snapshots) {
+        SCOPED_TRACE(name);
+        const RoutingTables tables = build_routing_tables(snapshot.spanner_graph());
+        const SpannerDistanceSource source(snapshot);
+        const int n = snapshot.meta.node_count;
+        std::vector<Weight> row(static_cast<std::size_t>(n));
+        for (NodeId u = 0; u < n; ++u) {
+            source.fill_row(u, row);
+            for (NodeId v = 0; v < n; ++v) {
+                const std::uint64_t rows = source.rows_materialized();
+                const DistanceSource::Routed routed = source.distance_and_route(u, v);
+                EXPECT_EQ(source.rows_materialized(), rows + 1) << "route " << u << " -> " << v;
+                EXPECT_EQ(routed.nodes, tables.route(u, v)) << "route " << u << " -> " << v;
+                EXPECT_EQ(routed.distance, row[static_cast<std::size_t>(v)]);
+            }
+        }
+    }
+}
+
+/// A Baswana–Sen v3 snapshot of an er_sparse graph of 400 nodes, its
+/// stored weights times `scale`.
+SparseSnapshot scaled_er_spanner(Weight scale)
+{
+    const Graph g = testing::make_instance(InstanceSpec{GraphFamily::erdos_renyi_sparse, 400, 12});
+    Rng rng(12);
     SparseSnapshot snapshot =
-        SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 8);
-    snapshot.edges.front().weight = 0;
-    const RoutingTables tables = build_routing_tables(snapshot.spanner_graph());
-    const SpannerDistanceSource source(snapshot);
-    const int n = snapshot.meta.node_count;
-    std::vector<Weight> row(static_cast<std::size_t>(n));
-    for (NodeId u = 0; u < n; ++u) {
-        source.fill_row(u, row);
-        for (NodeId v = 0; v < n; ++v) {
-            const std::uint64_t rows = source.rows_materialized();
-            const DistanceSource::Routed routed = source.distance_and_route(u, v);
-            EXPECT_EQ(source.rows_materialized(), rows + 1) << "route " << u << " -> " << v;
-            EXPECT_EQ(routed.nodes, tables.route(u, v)) << "route " << u << " -> " << v;
-            EXPECT_EQ(routed.distance, row[static_cast<std::size_t>(v)]);
+        SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 12);
+    for (WeightedEdge& e : snapshot.edges) e.weight *= scale;
+    return snapshot;
+}
+
+TEST(DistanceSource, SpannerMissesAllocateOneRowOfTheirWidth)
+{
+    // Once this thread has run the kernel, a row miss allocates its row
+    // and nothing larger: 4n bytes on a narrow source, 8n on a wide one.
+    // A warm row's k-nearest reads the cells in place, and a kernel route
+    // on a zero-weight spanner reuses the thread's scratch too.
+    for (const Weight scale : {Weight{1}, Weight{100'000'000}}) {
+        SparseSnapshot snapshot = scaled_er_spanner(scale);
+        const std::size_t n = static_cast<std::size_t>(snapshot.meta.node_count);
+        const SpannerDistanceSource source(snapshot);
+        const std::size_t cell = scale == 1 ? 4 : 8;
+        ASSERT_EQ(source.cell_bytes(), cell);
+        (void)source.distance(0, 1); // the warm-up miss
+        for (NodeId u = 1; u < 9; ++u) {
+            std::size_t miss = 0;
+            std::size_t nearest = 0;
+            {
+                const testing::AllocationWatch watch;
+                (void)source.distance(u, 0);
+                miss = testing::AllocationWatch::largest();
+            }
+            {
+                const testing::AllocationWatch watch;
+                (void)source.nearest_targets(u, 8);
+                nearest = testing::AllocationWatch::largest();
+            }
+            EXPECT_EQ(miss, cell * n) << "miss of row " << u << ": the row is the largest block";
+            EXPECT_LE(nearest, 8 * sizeof(NearTarget)) << "k-nearest of warm row " << u;
+        }
+        snapshot.edges.front().weight = 0;
+        const SpannerDistanceSource zero(snapshot);
+        (void)zero.distance_and_route(0, 1);
+        for (NodeId u = 1; u < 9; ++u) {
+            const testing::AllocationWatch watch;
+            const DistanceSource::Routed routed = zero.distance_and_route(u, 0);
+            ASSERT_FALSE(routed.nodes.empty());
+            EXPECT_LE(testing::AllocationWatch::largest(), routed.nodes.size() * 2 * sizeof(NodeId))
+                << "kernel route " << u << " -> 0 allocates more than its path";
         }
     }
 }
@@ -355,26 +502,29 @@ std::vector<NearTarget> reference_nearest(const DistanceSource& source, NodeId f
     return candidates;
 }
 
-/// Two components and an isolated node, weights 1..2: most rows hold
-/// long runs of tied distances and a block of unreachable cells.
-Graph tied_two_component_graph()
+/// Two components and an isolated node, weights 1..2 times `unit`: most
+/// rows hold long runs of tied distances and a block of unreachable
+/// cells.
+Graph tied_two_component_graph(Weight unit = 1)
 {
     Graph g(41, Orientation::undirected);
     for (NodeId i = 0; i < 25; ++i) { // a 5x5 unit grid
-        if (i % 5 != 4) g.add_edge(i, i + 1, 1);
-        if (i + 5 < 25) g.add_edge(i, i + 5, 1);
+        if (i % 5 != 4) g.add_edge(i, i + 1, unit);
+        if (i + 5 < 25) g.add_edge(i, i + 5, unit);
     }
-    for (NodeId i = 25; i < 39; ++i) g.add_edge(i, i + 1, 1 + i % 2); // a path; 40 stays alone
-    g.add_edge(25, 32, 2);
+    for (NodeId i = 25; i < 39; ++i) g.add_edge(i, i + 1, (1 + i % 2) * unit); // 40 stays alone
+    g.add_edge(25, 32, 2 * unit);
     return g;
 }
 
 TEST(DistanceSource, NearestTargetsEqualTheCopyAndPartialSortReference)
 {
+    // The heavy copy of the tied graph keeps wide spanner rows.
     const Graph tied = tied_two_component_graph();
+    const Graph heavy = tied_two_component_graph(1'000'000'000);
     const Graph clustered =
         testing::make_instance(InstanceSpec{GraphFamily::clustered, 40, 7, /*max_weight=*/3});
-    for (const Graph* g : {&tied, &clustered}) {
+    for (const Graph* g : {&tied, &heavy, &clustered}) {
         const int n = g->node_count();
         SCOPED_TRACE("n = " + std::to_string(n));
         const ApspResult result =
@@ -414,6 +564,10 @@ TEST(DistanceSource, NearestTargetsEqualTheCopyAndPartialSortReference)
         }
         std::remove(path.c_str());
     }
+    EXPECT_EQ(SpannerDistanceSource(SparseSnapshot::from_spanner(heavy, SpannerResult{heavy, 1, 1},
+                                                                 "whole", 0))
+                  .cell_bytes(),
+              8u);
     // Unreachable cells really were in play: node 40 of the tied graph
     // has no targets at all, and node 0 none outside its grid.
     const QueryEngine tied_engine(std::make_shared<const SpannerDistanceSource>(
