@@ -1,16 +1,10 @@
 #include "ccq/common/parallel.hpp"
 
-#ifdef __linux__
-#include <sched.h>
-#include <sys/stat.h>
-#endif
-
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
-#include <string>
 #include <vector>
 
 namespace ccq {
@@ -22,77 +16,24 @@ thread_local bool t_inside_pool_job = false;
 
 constexpr int kMaxWorkers = 63; // callers participate, so 64-way total
 
-[[nodiscard]] NumaTopology detect_topology()
-{
-    NumaTopology topology;
-    const unsigned hw = std::thread::hardware_concurrency();
-    topology.online_cpus = hw == 0 ? 1 : static_cast<int>(hw);
-#ifdef __linux__
-    // Nodes are contiguous directories node0, node1, ... in sysfs; stop
-    // at the first gap.  Containers without the hierarchy report 1 node.
-    struct stat info = {};
-    int nodes = 0;
-    while (::stat(("/sys/devices/system/node/node" + std::to_string(nodes)).c_str(),
-                  &info) == 0)
-        ++nodes;
-    if (nodes > 0) topology.node_count = nodes;
-#endif
-    topology.pin_workers = topology.node_count > 1 && topology.online_cpus > 1;
-    if (const char* env = std::getenv("CCQ_NUMA")) {
-        const std::string value(env);
-        if (value == "0") topology.pin_workers = false;
-        if (value == "1") topology.pin_workers = true;
-    }
-    return topology;
-}
-
 } // namespace
-
-const NumaTopology& numa_topology() noexcept
-{
-    static const NumaTopology topology = detect_topology();
-    return topology;
-}
-
-bool numa_available() noexcept { return numa_topology().node_count > 1; }
-
-bool pin_current_thread(int cpu) noexcept
-{
-#ifdef __linux__
-    if (cpu < 0) return false;
-    cpu_set_t mask;
-    CPU_ZERO(&mask);
-    CPU_SET(static_cast<unsigned>(cpu) % CPU_SETSIZE, &mask);
-    return ::sched_setaffinity(0, sizeof(mask), &mask) == 0;
-#else
-    (void)cpu;
-    return false;
-#endif
-}
 
 struct ThreadPool::Job {
     const std::function<void(int)>* fn = nullptr;
     int tasks = 0;
-    bool strided = false;
-    int participants = 0; ///< strided mode: caller + workers [0, participants-1)
     std::atomic<int> next{0};
     std::atomic<int> done{0};
     std::mutex error_mutex;
     std::exception_ptr error;
 
-    /// Executes this thread's share of the job; returns the number of
-    /// tasks completed.  participant < 0 claims dynamically; otherwise
-    /// runs the fixed stride participant, participant + participants, ...
-    int drain(int participant)
+    /// Claims and runs tasks until none is left; returns the number of
+    /// tasks this thread completed.
+    int drain()
     {
         int completed = 0;
-        for (int task = participant;;) {
-            if (strided) {
-                if (participant < 0 || task >= tasks) return completed;
-            } else {
-                task = next.fetch_add(1, std::memory_order_relaxed);
-                if (task >= tasks) return completed;
-            }
+        for (;;) {
+            const int task = next.fetch_add(1, std::memory_order_relaxed);
+            if (task >= tasks) return completed;
             try {
                 (*fn)(task);
             } catch (...) {
@@ -100,7 +41,6 @@ struct ThreadPool::Job {
                 if (!error) error = std::current_exception();
             }
             ++completed;
-            if (strided) task += participants;
         }
     }
 };
@@ -136,22 +76,13 @@ void ThreadPool::ensure_workers(int wanted)
 {
     const std::lock_guard<std::mutex> lock(impl_->mutex);
     if (wanted > kMaxWorkers) wanted = kMaxWorkers;
-    while (static_cast<int>(impl_->workers.size()) < wanted) {
-        const int index = static_cast<int>(impl_->workers.size());
-        impl_->workers.emplace_back([this, index] { worker_loop(index); });
-    }
+    while (static_cast<int>(impl_->workers.size()) < wanted)
+        impl_->workers.emplace_back([this] { worker_loop(); });
 }
 
-void ThreadPool::worker_loop(int index)
+void ThreadPool::worker_loop()
 {
     t_inside_pool_job = true; // nested engine calls inside tasks run inline
-    // Band-to-thread pinning: worker `index` owns CPU index+1 (the
-    // caller informally owns CPU 0), so a strided participant — and the
-    // C-matrix bands it first-touches — stays on one CPU and one NUMA
-    // node for the process lifetime.  No-op unless the topology says
-    // pinning helps (or CCQ_NUMA=1 forces it).
-    const NumaTopology& topology = numa_topology();
-    if (topology.pin_workers) (void)pin_current_thread((index + 1) % topology.online_cpus);
     std::uint64_t seen = 0;
     for (;;) {
         Job* job = nullptr;
@@ -163,9 +94,7 @@ void ThreadPool::worker_loop(int index)
             if (job != nullptr) ++impl_->active;
         }
         if (job == nullptr) continue; // job already finished and detached
-        const int participant =
-            job->strided ? (index + 1 < job->participants ? index + 1 : -1) : -1;
-        const int completed = job->drain(participant);
+        const int completed = job->drain();
         if (completed > 0) job->done.fetch_add(completed, std::memory_order_acq_rel);
         {
             const std::lock_guard<std::mutex> lock(impl_->mutex);
@@ -177,8 +106,7 @@ void ThreadPool::worker_loop(int index)
     }
 }
 
-void ThreadPool::run(int tasks, int concurrency, const std::function<void(int)>& fn,
-                     RunOptions options)
+void ThreadPool::run(int tasks, int concurrency, const std::function<void(int)>& fn)
 {
     CCQ_EXPECT(tasks >= 0, "ThreadPool::run: negative task count");
     if (tasks == 0) return;
@@ -193,11 +121,6 @@ void ThreadPool::run(int tasks, int concurrency, const std::function<void(int)>&
     Job job;
     job.fn = &fn;
     job.tasks = tasks;
-    job.strided = options.strided;
-    // Strided participants: the caller plus every worker that exists
-    // (kMaxWorkers can clamp below the request; every stride must have
-    // a live owner or its tasks would never run).
-    job.participants = std::min(std::min(concurrency, tasks), worker_count() + 1);
     {
         const std::lock_guard<std::mutex> lock(impl_->mutex);
         impl_->job = &job;
@@ -206,23 +129,15 @@ void ThreadPool::run(int tasks, int concurrency, const std::function<void(int)>&
     impl_->wake.notify_all();
 
     t_inside_pool_job = true;
-    const int completed = job.drain(options.strided ? 0 : -1);
+    const int completed = job.drain();
     t_inside_pool_job = false;
     if (completed > 0) job.done.fetch_add(completed, std::memory_order_acq_rel);
 
     {
         std::unique_lock<std::mutex> lock(impl_->mutex);
-        // Dynamic jobs can detach immediately: by the time the caller's
-        // drain returns, every task has been claimed, so late-waking
-        // workers are not needed.  Strided jobs must stay visible until
-        // every participant's fixed share has run — a worker that has
-        // not woken yet still owns unexecuted tasks.
-        if (options.strided) {
-            impl_->finished.wait(lock, [&] {
-                return job.done.load(std::memory_order_acquire) == tasks;
-            });
-        }
-        impl_->job = nullptr; // late-waking workers see no job
+        // Every task has been claimed once the caller's drain returns, so
+        // the job detaches now: late-waking workers see no job.
+        impl_->job = nullptr;
         impl_->finished.wait(lock, [&] {
             return impl_->active == 0 &&
                    job.done.load(std::memory_order_acquire) == tasks;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
-#include <utility>
 
 #include "ccq/common/check.hpp"
 
@@ -69,40 +68,6 @@ struct EngineConfig {
     friend bool operator==(const EngineConfig&, const EngineConfig&) = default;
 };
 
-/// What the process can see of the machine's NUMA layout, detected once
-/// from /sys/devices/system/node (no libnuma dependency).  On hosts
-/// where the topology is invisible or trivial everything degrades to a
-/// single node and pinning becomes a no-op.
-struct NumaTopology {
-    int node_count = 1;       ///< NUMA nodes visible in /sys (1 when unknown)
-    int online_cpus = 1;      ///< schedulable CPUs (hardware_concurrency)
-    bool pin_workers = false; ///< pool workers pin themselves round-robin
-};
-
-/// The cached topology.  `pin_workers` honors the CCQ_NUMA environment
-/// variable ("0" disables, "1" forces pinning even on one node — useful
-/// for tests) and otherwise turns on only for node_count > 1.
-[[nodiscard]] const NumaTopology& numa_topology() noexcept;
-
-/// True when the host exposes more than one NUMA node.
-[[nodiscard]] bool numa_available() noexcept;
-
-/// Pins the calling thread to one CPU; false if the platform refuses
-/// (never throws — affinity is an optimization, not a contract).
-bool pin_current_thread(int cpu) noexcept;
-
-/// Scheduling policy of one ThreadPool::run() call.
-///
-/// Dynamic (default): tasks are claimed first-come-first-served — best
-/// for irregular work.  Strided: task t is executed by the fixed
-/// participant (t mod participants), caller = participant 0, worker w =
-/// participant w+1 — the stable task->thread mapping the dense engine
-/// needs so first-touched C bands stay on the pages' owning node across
-/// repeated products.
-struct PoolRunOptions {
-    bool strided = false;
-};
-
 /// Small reusable pool of worker threads.
 ///
 /// One job runs at a time; the submitting thread participates in the
@@ -113,14 +78,12 @@ struct PoolRunOptions {
 /// condition variable between jobs.  Re-entrant calls from inside a job
 /// execute inline, which keeps nested engine calls deadlock-free.
 ///
-/// When numa_topology().pin_workers is set, each worker pins itself to
-/// CPU (index + 1) mod online_cpus at spawn, so together with strided
-/// jobs (RunOptions) a band index maps to the same CPU — and therefore
-/// the same NUMA node — for the lifetime of the process.
+/// Tasks are claimed first-come-first-served, so the pool promises no
+/// task-to-thread mapping: a caller that finishes early may run a task
+/// a late-waking worker never gets to.  Code that needs one OS thread
+/// per task (concurrent clients, say) must spawn its own threads.
 class ThreadPool {
 public:
-    using RunOptions = PoolRunOptions;
-
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
@@ -131,8 +94,7 @@ public:
     /// Runs fn(task) for task in [0, tasks), using up to `concurrency`
     /// OS threads including the caller.  Blocks until every task has
     /// finished; the first exception thrown by any task is rethrown.
-    void run(int tasks, int concurrency, const std::function<void(int)>& fn,
-             RunOptions options = {});
+    void run(int tasks, int concurrency, const std::function<void(int)>& fn);
 
     /// Workers currently spawned (for tests / introspection).
     [[nodiscard]] int worker_count() const;
@@ -143,17 +105,19 @@ private:
 
     struct Job;
     void ensure_workers(int wanted);
-    void worker_loop(int index);
+    void worker_loop();
 
     struct Impl;
     Impl* impl_ = nullptr; // created on first use (see parallel.cpp)
 };
 
-namespace detail {
-
-/// Shared implementation of parallel_chunks / parallel_chunks_pinned.
+/// Partitions [begin, end) into at most `threads` contiguous chunks whose
+/// interior boundaries are multiples of `align` (>= 1), and runs
+/// fn(chunk_begin, chunk_end) for each chunk on the shared pool.  With
+/// threads <= 1 (or a single chunk) this is a plain inline call, so serial
+/// configurations never touch the pool.
 template <class Fn>
-void chunked_run(int threads, int begin, int end, int align, bool pinned, Fn&& fn)
+void parallel_chunks(int threads, int begin, int end, int align, Fn&& fn)
 {
     CCQ_EXPECT(align >= 1, "parallel_chunks: align must be >= 1");
     const std::int64_t extent = static_cast<std::int64_t>(end) - begin;
@@ -176,33 +140,7 @@ void chunked_run(int threads, int begin, int end, int align, bool pinned, Fn&& f
         body(0);
         return;
     }
-    ThreadPool::shared().run(actual_tasks, actual_tasks, body,
-                             ThreadPool::RunOptions{pinned});
-}
-
-} // namespace detail
-
-/// Partitions [begin, end) into at most `threads` contiguous chunks whose
-/// interior boundaries are multiples of `align` (>= 1), and runs
-/// fn(chunk_begin, chunk_end) for each chunk on the shared pool.  With
-/// threads <= 1 (or a single chunk) this is a plain inline call, so serial
-/// configurations never touch the pool.
-template <class Fn>
-void parallel_chunks(int threads, int begin, int end, int align, Fn&& fn)
-{
-    detail::chunked_run(threads, begin, end, align, /*pinned=*/false, std::forward<Fn>(fn));
-}
-
-/// parallel_chunks with the strided (stable chunk->thread) schedule:
-/// chunk i always runs on participant (i mod participants), so repeated
-/// calls over the same range keep each band on the thread — and, with
-/// pinned pool workers, the NUMA node — that first touched its pages.
-/// Use for the dense engine's band loops; everything else should prefer
-/// the dynamic schedule.
-template <class Fn>
-void parallel_chunks_pinned(int threads, int begin, int end, int align, Fn&& fn)
-{
-    detail::chunked_run(threads, begin, end, align, /*pinned=*/true, std::forward<Fn>(fn));
+    ThreadPool::shared().run(actual_tasks, actual_tasks, body);
 }
 
 } // namespace ccq

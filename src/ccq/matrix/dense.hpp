@@ -20,8 +20,8 @@ namespace detail {
 
 /// std::allocator that leaves value-less constructions default-
 /// initialized (i.e. uninitialized for Weight), so the engine can defer
-/// the first write of each C band to the worker thread that owns it —
-/// the NUMA first-touch policy.  Explicit fills (vector(n, value)) are
+/// the first write of each C band to the band task that computes it
+/// and skip a serial n² fill.  Explicit fills (vector(n, value)) are
 /// unaffected.
 template <class T>
 struct uninit_allocator : std::allocator<T> {

@@ -280,19 +280,15 @@ DistanceMatrix min_plus_product(const DistanceMatrix& a, const DistanceMatrix& b
     const kernels::BandKernels band = kernels::band_kernels(kernels::dispatch_isa());
     (plan.narrow ? g_products_narrow : g_products_wide).fetch_add(1, std::memory_order_relaxed);
     if (plan.sparse_skip) g_products_sparse_skip.fetch_add(1, std::memory_order_relaxed);
-    // C starts uninitialized; each strided band task first-touches its
-    // own rows (fill = the kInfinity the old constructor wrote) before
-    // relaxing them, so with pinned workers the pages of band i live on
-    // the NUMA node that computes band i — for this product and, thanks
-    // to the stable strided mapping, every later one.
+    // C starts uninitialized; each band task fills its own rows with
+    // kInfinity before relaxing them, which saves a serial n² pass.
     DistanceMatrix c = DistanceMatrix::uninitialized(n);
     Weight* cp = c.data();
     if (plan.narrow) {
         // Narrow path: pack both operands to i32 (O(n^2), amortized by
         // the O(n^3) kernel; a squaring packs its one operand once), run
-        // the 2x-lane kernels, unpack each band back to i64 on the thread
-        // that computed it so the first touch of C's pages stays
-        // band-local.
+        // the 2x-lane kernels, unpack each band back to i64 in the task
+        // that computed it.
         const bool square = &a == &b;
         const std::unique_ptr<Weight32[]> a32(new Weight32[cells]);
         const std::unique_ptr<Weight32[]> b32(square ? nullptr : new Weight32[cells]);
@@ -304,7 +300,7 @@ DistanceMatrix min_plus_product(const DistanceMatrix& a, const DistanceMatrix& b
         const Weight32* b32_cells = square ? a32.get() : b32.get();
         const kernels::DenseBandFn32 band32 =
             plan.sparse_skip ? band.sparse_narrow : band.dense_narrow;
-        parallel_chunks_pinned(threads, 0, n, bs, [&](int i0, int i1) {
+        parallel_chunks(threads, 0, n, bs, [&](int i0, int i1) {
             Weight32* cb = c32.get() + static_cast<std::size_t>(i0) * n;
             std::fill(cb, c32.get() + static_cast<std::size_t>(i1) * n, kInfinity32);
             band32(a32.get(), b32_cells, c32.get(), n, i0, i1, bs);
@@ -319,7 +315,7 @@ DistanceMatrix min_plus_product(const DistanceMatrix& a, const DistanceMatrix& b
     const Weight* ap = a.data();
     const Weight* bp = b.data();
     const kernels::DenseBandFn band64 = plan.sparse_skip ? band.sparse_wide : band.dense_wide;
-    parallel_chunks_pinned(threads, 0, n, bs, [&](int i0, int i1) {
+    parallel_chunks(threads, 0, n, bs, [&](int i0, int i1) {
         std::fill(cp + static_cast<std::size_t>(i0) * n,
                   cp + static_cast<std::size_t>(i1) * n, kInfinity);
         band64(ap, bp, cp, n, i0, i1, bs);

@@ -56,9 +56,9 @@ struct EngineCounters {
 
 /// Blocked parallel C[i,j] = min_k A[i,k] + B[k,j].  Tiles all three loop
 /// dimensions by engine.block_size and parallelizes block rows of C on
-/// the ISA-dispatched SIMD band kernels (matrix/kernels/), with
-/// first-touch C initialization and a stable band->thread mapping for
-/// NUMA locality.  Per product the engine picks the element width (i64 /
+/// the ISA-dispatched SIMD band kernels (matrix/kernels/); each band
+/// task fills its own rows of C, so no serial n² fill precedes the
+/// kernels.  Per product the engine picks the element width (i64 /
 /// packed i32) and k-loop shape (dense / sparse-row skip) from one scan
 /// of the operands; every choice is bitwise identical.  docs/ENGINE.md
 /// describes the full execution model.  For `A*A` (the closure's

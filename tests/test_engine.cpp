@@ -15,8 +15,10 @@
 namespace ccq {
 namespace {
 
+// Odd thread counts give uneven bands; threads 9 at block 8 asks for
+// more threads than there are bands whenever n <= 64 (n=33: 5 bands).
 const std::vector<EngineConfig> kConfigs = {
-    {1, 1}, {1, 8}, {1, 64}, {4, 1}, {4, 8}, {4, 64},
+    {1, 1}, {1, 8}, {1, 64}, {3, 8}, {4, 1}, {4, 8}, {4, 64}, {9, 8},
 };
 
 std::string config_label(const EngineConfig& config)

@@ -103,7 +103,7 @@ TEST(WidthDifferential, ProductsIdenticalJustBelowTheBoundary)
         const DistanceMatrix reference = min_plus_product_reference(a, b);
         for (const Isa isa : kernels::supported_isas()) {
             ScopedIsa forced(isa);
-            for (const int threads : {1, 4}) {
+            for (const int threads : {1, 3, 4, 9}) {
                 for (const int block : {1, 8, 64}) {
                     const EngineConfig narrow =
                         with_width(KernelWidth::kNarrowIfSafe, threads, block);

@@ -1,6 +1,7 @@
 // Tests for the thread-pool substrate of the min-plus engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -112,126 +113,6 @@ TEST(ThreadPool, BackToBackJobsStaySound)
         std::atomic<int> count{0};
         ThreadPool::shared().run(7, 4, [&](int) { count.fetch_add(1); });
         ASSERT_EQ(count.load(), 7) << "round " << round;
-    }
-}
-
-TEST(NumaTopologyTest, DetectionIsSaneAndCached)
-{
-    const NumaTopology& topology = numa_topology();
-    EXPECT_GE(topology.node_count, 1);
-    EXPECT_GE(topology.online_cpus, 1);
-    EXPECT_EQ(numa_available(), topology.node_count > 1);
-    EXPECT_EQ(&numa_topology(), &topology); // cached, one detection pass
-}
-
-TEST(NumaTopologyTest, PinCurrentThreadIsBestEffort)
-{
-    // Affinity is an optimization: success pins, failure (platform or
-    // sandbox restrictions) must be a clean false, never a throw.
-    // Exercised on a scratch thread so the gtest main thread — strided
-    // participant 0 of every later pool test — keeps its full mask.
-    bool pinned = false;
-    bool rejected_negative = true;
-    std::thread probe([&] {
-        pinned = pin_current_thread(0);
-        rejected_negative = !pin_current_thread(-1);
-    });
-    probe.join();
-#ifdef __linux__
-    if (pinned) SUCCEED();
-#else
-    EXPECT_FALSE(pinned);
-#endif
-    EXPECT_TRUE(rejected_negative);
-}
-
-TEST(ThreadPoolStrided, RunsEveryTaskExactlyOnce)
-{
-    for (const int tasks : {1, 2, 7, 37, 100}) {
-        for (const int concurrency : {1, 2, 4, 9}) {
-            std::mutex mutex;
-            std::multiset<int> seen;
-            ThreadPool::shared().run(
-                tasks, concurrency,
-                [&](int task) {
-                    const std::lock_guard<std::mutex> lock(mutex);
-                    seen.insert(task);
-                },
-                ThreadPool::RunOptions{/*strided=*/true});
-            ASSERT_EQ(seen.size(), static_cast<std::size_t>(tasks))
-                << "tasks=" << tasks << " concurrency=" << concurrency;
-            for (int task = 0; task < tasks; ++task)
-                ASSERT_EQ(seen.count(task), 1u)
-                    << "tasks=" << tasks << " concurrency=" << concurrency;
-        }
-    }
-}
-
-TEST(ThreadPoolStrided, MappingIsStableAcrossRepeatedJobs)
-{
-    // The NUMA contract: task t runs on the same thread every job (with
-    // the same tasks/concurrency), so first-touched pages stay owned.
-    constexpr int kTasks = 8;
-    std::vector<std::thread::id> first(kTasks);
-    std::mutex mutex;
-    ThreadPool::shared().run(
-        kTasks, 4,
-        [&](int task) {
-            const std::lock_guard<std::mutex> lock(mutex);
-            first[static_cast<std::size_t>(task)] = std::this_thread::get_id();
-        },
-        ThreadPool::RunOptions{/*strided=*/true});
-    for (int round = 0; round < 20; ++round) {
-        std::atomic<int> mismatches{0};
-        ThreadPool::shared().run(
-            kTasks, 4,
-            [&](int task) {
-                if (std::this_thread::get_id() != first[static_cast<std::size_t>(task)])
-                    mismatches.fetch_add(1);
-            },
-            ThreadPool::RunOptions{/*strided=*/true});
-        ASSERT_EQ(mismatches.load(), 0) << "round " << round;
-    }
-}
-
-TEST(ThreadPoolStrided, PropagatesTaskExceptions)
-{
-    std::atomic<int> executed{0};
-    EXPECT_THROW(ThreadPool::shared().run(
-                     8, 4,
-                     [&](int task) {
-                         executed.fetch_add(1);
-                         if (task == 3) throw check_error("boom");
-                     },
-                     ThreadPool::RunOptions{/*strided=*/true}),
-                 check_error);
-    EXPECT_EQ(executed.load(), 8); // failure does not abandon sibling tasks
-}
-
-TEST(ParallelChunksPinned, CoversRangeExactlyOnce)
-{
-    for (const int threads : {1, 2, 4, 9}) {
-        for (const int align : {1, 8, 64}) {
-            for (const int extent : {0, 1, 7, 64, 193}) {
-                std::mutex mutex;
-                std::vector<std::pair<int, int>> chunks;
-                parallel_chunks_pinned(threads, 0, extent, align, [&](int begin, int end) {
-                    const std::lock_guard<std::mutex> lock(mutex);
-                    chunks.emplace_back(begin, end);
-                });
-                std::sort(chunks.begin(), chunks.end());
-                int covered = 0;
-                int expected_next = 0;
-                for (const auto& [begin, end] : chunks) {
-                    EXPECT_EQ(begin, expected_next);
-                    EXPECT_LT(begin, end);
-                    covered += end - begin;
-                    expected_next = end;
-                }
-                EXPECT_EQ(covered, extent)
-                    << "threads=" << threads << " align=" << align << " extent=" << extent;
-            }
-        }
     }
 }
 

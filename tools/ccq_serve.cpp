@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -373,6 +374,31 @@ void execute_query(const QueryEngine& engine, const PointQuery& q, QueryKind kin
     }
 }
 
+/// Runs fn(client) for client in [0, clients), each on its own OS thread,
+/// joins them, and rethrows the first client's exception.  The bench's
+/// clients must really run side by side; the shared ThreadPool claims
+/// tasks first-come-first-served, so one thread may run several of them
+/// in turn.
+template <class Fn>
+void run_clients(int clients, const Fn& fn)
+{
+    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(clients));
+    {
+        std::vector<std::jthread> threads; // joined on scope exit, even on a throw
+        threads.reserve(static_cast<std::size_t>(clients));
+        for (int client = 0; client < clients; ++client)
+            threads.emplace_back([&fn, &errors, client] {
+                try {
+                    fn(client);
+                } catch (...) {
+                    errors[static_cast<std::size_t>(client)] = std::current_exception();
+                }
+            });
+    }
+    for (const std::exception_ptr& error : errors)
+        if (error) std::rethrow_exception(error);
+}
+
 /// Closed-loop run: an untimed pass over the first `warmup` queries
 /// (caches, branch predictors, lazily decoded mmap rows), then `threads`
 /// workers replay and time the whole workload — the warmed prefix
@@ -386,18 +412,15 @@ void execute_query(const QueryEngine& engine, const PointQuery& q, QueryKind kin
     const std::size_t total = queries.size();
     warmup = std::min(warmup, total);
     std::vector<std::vector<double>> latencies(static_cast<std::size_t>(threads));
-    // Spawn the pool's workers before the clock starts; lazy spawn would
-    // otherwise show up as a multi-ms first-query latency outlier.
-    ThreadPool::shared().run(threads, threads, [](int) {});
     // Untimed warmup pass over the workload prefix (caches, branch
     // predictors, lazily decoded mmap rows).
-    ThreadPool::shared().run(threads, threads, [&](int worker) {
+    run_clients(threads, [&](int worker) {
         for (std::size_t i = static_cast<std::size_t>(worker); i < warmup;
              i += static_cast<std::size_t>(threads))
             execute_query(engine, queries[i], kinds[i]);
     });
     const auto t0 = std::chrono::steady_clock::now();
-    ThreadPool::shared().run(threads, threads, [&](int worker) {
+    run_clients(threads, [&](int worker) {
         std::vector<double>& mine = latencies[static_cast<std::size_t>(worker)];
         mine.reserve(total / static_cast<std::size_t>(threads) + 1);
         for (std::size_t i = static_cast<std::size_t>(worker); i < total;
@@ -428,29 +451,24 @@ void execute_query(const QueryEngine& engine, const PointQuery& q, QueryKind kin
 
     std::vector<std::vector<double>> latencies(static_cast<std::size_t>(connections));
     const auto run_phase = [&](std::size_t begin, std::size_t end, bool timed) {
-        std::vector<std::thread> workers;
-        workers.reserve(static_cast<std::size_t>(connections));
-        for (int worker = 0; worker < connections; ++worker)
-            workers.emplace_back([&, worker] {
-                Client& client = clients[static_cast<std::size_t>(worker)];
-                std::vector<double>& mine = latencies[static_cast<std::size_t>(worker)];
-                for (std::size_t i = begin + static_cast<std::size_t>(worker); i < end;
-                     i += static_cast<std::size_t>(connections)) {
-                    const PointQuery q = queries[i];
-                    const auto q0 = std::chrono::steady_clock::now();
-                    switch (kinds[i]) {
-                    case QueryKind::distance: (void)client.distance(q.from, q.to); break;
-                    case QueryKind::path: (void)client.path(q.from, q.to); break;
-                    case QueryKind::knearest: (void)client.nearest_targets(q.from, 8); break;
-                    }
-                    if (timed) {
-                        const auto q1 = std::chrono::steady_clock::now();
-                        mine.push_back(
-                            std::chrono::duration<double, std::micro>(q1 - q0).count());
-                    }
+        run_clients(connections, [&](int worker) {
+            Client& client = clients[static_cast<std::size_t>(worker)];
+            std::vector<double>& mine = latencies[static_cast<std::size_t>(worker)];
+            for (std::size_t i = begin + static_cast<std::size_t>(worker); i < end;
+                 i += static_cast<std::size_t>(connections)) {
+                const PointQuery q = queries[i];
+                const auto q0 = std::chrono::steady_clock::now();
+                switch (kinds[i]) {
+                case QueryKind::distance: (void)client.distance(q.from, q.to); break;
+                case QueryKind::path: (void)client.path(q.from, q.to); break;
+                case QueryKind::knearest: (void)client.nearest_targets(q.from, 8); break;
                 }
-            });
-        for (std::thread& worker : workers) worker.join();
+                if (timed) {
+                    const auto q1 = std::chrono::steady_clock::now();
+                    mine.push_back(std::chrono::duration<double, std::micro>(q1 - q0).count());
+                }
+            }
+        });
     };
 
     // Same methodology as run_load: untimed pass over the warmup prefix,
